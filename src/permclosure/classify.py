@@ -114,7 +114,7 @@ class NonClosedForm:
 def _projection(group: PermGroup, points: tuple[int, ...]) -> PermGroup:
     """The action induced on an invariant point set, identity elsewhere."""
     elems = {restrict_to(p, points)._img for p in group.elements}
-    return PermGroup._build(group.degree, elems, None, points or None, 10**6)
+    return PermGroup._build(group.degree, elems, None, points or None)
 
 
 def classify_main(
@@ -188,7 +188,7 @@ def classify_main(
         }
         if len(half_tuples) * 2 == on_complement.order:
             try:
-                half = PermGroup._build(n, half_tuples, None, complement or None, 10**6)
+                half = PermGroup._build(n, half_tuples, None, complement or None)
                 rebuilt = index2_subdirect(sym_block, on_complement, half)
             except ValueError:
                 rebuilt = None

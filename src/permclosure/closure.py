@@ -32,7 +32,7 @@ import numpy as np
 
 from .budgets import Budgets, resolve
 from .errors import BudgetExceeded, DegreeMismatch, ParseError
-from .perm import PermGroup, Permutation, _bfs_tuples, format_perm
+from .perm import PermGroup, Permutation, _greedy_span, format_perm, generate_group
 from .tuples import (
     OrbitPartition,
     TupleSpace,
@@ -210,25 +210,20 @@ def _group_from_union(
     cap: int,
 ) -> PermGroup:
     """The group formed by base's elements plus the extras (already known to
-    be closed), with a short generating list grown greedily."""
+    be closed), with a short generating list grown greedily: base's own
+    generators first, then the candidates."""
     degree = base.degree
     eltups = set(base.element_images())
     eltups.update(extra_tuples)
-    ident = tuple(range(degree))
-    gen_list: list[tuple[int, ...]] = []
-    have = {ident}
-    for cand in itertools.chain((g._img for g in base.generators), gen_candidates):
-        if cand in have:
-            continue
-        gen_list.append(cand)
-        have = _bfs_tuples(gen_list, degree, cap)
-        if len(have) == len(eltups):
-            break
+    gen_list, have = _greedy_span(
+        itertools.chain((g._img for g in base.generators), gen_candidates),
+        degree, cap, len(eltups),
+    )
     if len(have) != len(eltups):
         raise AssertionError("generator candidates failed to span the closure")
     moved = {i + 1 for t in eltups for i, v in enumerate(t) if v != i}
     ground = sorted(set(base.ground_set) | moved)
-    return PermGroup._build(degree, eltups, tuple(gen_list), ground or None, cap)
+    return PermGroup._build(degree, eltups, tuple(gen_list), ground or None)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +413,7 @@ def _closure_kearnes_literal(
         if len(running) == len(g_eltups):
             break
     assert running is not None
-    return PermGroup._build(n, running, None, None, b.materialization_bound)
+    return PermGroup._build(n, running, None, None)
 
 
 _ALGORITHMS = {
@@ -694,21 +689,8 @@ def invariance_group(
     candidates = [Permutation._raw(t) for t in itertools.permutations(range(n))]
     accepted = _filter_parallel(tester.accepts_coordinate, candidates, workers)
     acc_tups = [p._img for p in accepted]
-    ident = tuple(range(n))
-    gen_list: list[tuple[int, ...]] = []
-    have = {ident}
-    for cand in acc_tups:
-        if cand in have:
-            continue
-        gen_list.append(cand)
-        have = _bfs_tuples(gen_list, n, b.materialization_bound)
-        if len(have) == len(acc_tups):
-            break
-    if len(have) != len(acc_tups):
-        raise AssertionError("accepted set failed to close into a group")
-    return PermGroup._build(
-        n, acc_tups, tuple(gen_list), range(1, n + 1), b.materialization_bound
-    )
+    trivial = generate_group([], ground_set=range(1, n + 1), degree=n)
+    return _group_from_union(trivial, acc_tups, acc_tups, b.materialization_bound)
 
 
 def orbit_coloring(group: PermGroup, k: int, budgets: Budgets | None = None) -> FunctionTable:

@@ -3,9 +3,10 @@
 Points are 1-indexed in every public interface.  Internally a permutation is
 an immutable tuple of 0-based images, and a group is the sorted tuple of its
 elements' image tuples; equality, hashing and membership all work on that
-canonical form.  Groups are materialized element by element (breadth-first
-products of generators) and are capped by a materialization budget, so
-everything here is meant for small degrees, not for stabilizer-chain scale.
+canonical form.  Groups are materialized element by element with Dimino's
+algorithm, which adds a generator by adding whole cosets of the group
+generated so far, and are capped by a materialization budget, so everything
+here is meant for small degrees, not for stabilizer-chain scale.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .budgets import Budgets, resolve
@@ -217,7 +219,7 @@ def viewed_at_degree(group: "PermGroup", degree: int) -> "PermGroup":
     pad = tuple(range(group.degree, degree))
     elems = (t + pad for t in group.element_images())
     gens = tuple(t + pad for t in (g._img for g in group.generators))
-    return PermGroup._build(degree, elems, gens, group.ground_set or None, 10**9)
+    return PermGroup._build(degree, elems, gens, group.ground_set or None)
 
 
 def shift_group(group: "PermGroup", offset: int, degree: int) -> "PermGroup":
@@ -232,7 +234,7 @@ def shift_group(group: "PermGroup", offset: int, degree: int) -> "PermGroup":
         head + tuple(v + offset for v in g._img) + tail for g in group.generators
     )
     ground = tuple(p + offset for p in group.ground_set)
-    return PermGroup._build(degree, elems, gens, ground or None, 10**9)
+    return PermGroup._build(degree, elems, gens, ground or None)
 
 
 def restrict_to(p: Permutation, points: Iterable[int]) -> Permutation:
@@ -321,52 +323,66 @@ def parse_perm(text: str, degree: int) -> Permutation:
 # groups
 
 
-def _bfs_tuples(
-    gen_tuples: Sequence[tuple[int, ...]], degree: int, cap: int
-) -> set[tuple[int, ...]]:
-    """Breadth-first closure of image tuples under composition."""
-    ident = tuple(range(degree))
-    elems = {ident}
-    frontier = [ident]
-    gens = [g for g in dict.fromkeys(gen_tuples) if g != ident]
-    while frontier:
-        new = []
-        for t in frontier:
-            for g in gens:
-                prod = tuple(t[j] for j in g)  # t applied after g
-                if prod not in elems:
-                    if len(elems) >= cap:
-                        raise BudgetExceeded("materialization", len(elems) + 1, cap)
-                    elems.add(prod)
-                    new.append(prod)
-        frontier = new
-    return elems
+def _dimino_extend(
+    elems: set[tuple[int, ...]],
+    gens: Sequence[tuple[int, ...]],
+    g: tuple[int, ...],
+    bound: int,
+) -> None:
+    """Dimino's step: grow ``elems``, the element set of H = <gens>, in place
+    to the element set of <gens, g>.
 
-
-def _greedy_generators(
-    eltups: Sequence[tuple[int, ...]], degree: int, cap: int
-) -> tuple[tuple[int, ...], ...]:
-    """A short generating list: scan elements, keep those not yet generated.
-
-    Also validates that the input set is in fact closed under composition;
-    raises ValueError if not.
+    The new group is a union of right cosets H.r.  Whenever a product r.s of
+    a coset representative and a generator is not yet known, the whole coset
+    H.(r.s) is added at once.  Raises BudgetExceeded once the element count
+    would pass ``bound``.
     """
-    target = set(eltups)
-    ident = tuple(range(degree))
+    if g in elems:
+        return
+    ident = tuple(range(len(g)))
+    coset_tail = [h for h in elems if h != ident]
+    getters = [itemgetter(*s) for s in (*gens, g)]
+    reps: list[tuple[int, ...]] = []
+
+    def add_coset(r: tuple[int, ...]) -> None:
+        size = len(elems) + len(coset_tail) + 1
+        if size > bound:
+            raise BudgetExceeded("materialization", size, bound)
+        elems.add(r)
+        elems.update(map(itemgetter(*r), coset_tail))  # h.r, applying r first
+        reps.append(r)
+
+    add_coset(g)
+    for r in reps:  # grows while it is scanned
+        for s in getters:
+            x = s(r)  # r.s, applying s first
+            if x not in elems:
+                add_coset(x)
+
+
+def _greedy_span(
+    candidates: Iterable[tuple[int, ...]],
+    degree: int,
+    bound: int,
+    target: int | None = None,
+) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
+    """Scan candidates in order, keeping each one outside the group generated
+    so far; stop once that group has ``target`` elements.
+
+    Returns the kept generators and the element set they generate.  Which
+    candidates are kept depends only on the groups, not on how they are
+    computed.
+    """
+    elems = {tuple(range(degree))}
     gens: list[tuple[int, ...]] = []
-    have: set[tuple[int, ...]] = {ident}
-    for t in sorted(target):
-        if t in have:
+    for c in candidates:
+        if c in elems:
             continue
-        gens.append(t)
-        have = _bfs_tuples(gens, degree, cap)
-        if not have <= target:
-            raise ValueError("element set is not closed under composition")
-        if len(have) == len(target):
+        _dimino_extend(elems, gens, c, bound)
+        gens.append(c)
+        if len(elems) == target:
             break
-    if have != target:
-        raise ValueError("element set is not closed under composition")
-    return tuple(gens)
+    return gens, elems
 
 
 class PermGroup:
@@ -382,13 +398,14 @@ class PermGroup:
         self,
         degree: int,
         eltups: tuple[tuple[int, ...], ...],
+        elemset: frozenset[tuple[int, ...]],
         gens: tuple[Permutation, ...],
         ground: tuple[int, ...],
     ):
         # internal constructor: use generate_group / from_elements instead
         self._degree = degree
         self._eltups = eltups
-        self._elemset = frozenset(eltups)
+        self._elemset = elemset
         self._gens = gens
         self._ground = ground
         self._hash = None
@@ -401,9 +418,9 @@ class PermGroup:
         elems: Iterable[tuple[int, ...]],
         gen_tuples: Sequence[tuple[int, ...]] | None,
         ground: Iterable[int] | None,
-        cap: int,
     ) -> "PermGroup":
-        eltups = tuple(sorted(set(elems)))
+        elem_set = frozenset(elems)
+        eltups = tuple(sorted(elem_set))
         if not eltups:
             raise ValueError("a group needs at least the identity element")
         moved = set()
@@ -421,13 +438,15 @@ class PermGroup:
             if ground_t and not (1 <= ground_t[0] and ground_t[-1] <= degree):
                 raise ValueError(f"ground set outside 1..{degree}")
         if gen_tuples is None:
-            if len(eltups) > 10_000:
-                raise ValueError(
-                    "refusing to derive generators for an order above 10000; pass them"
-                )
-            gen_tuples = _greedy_generators(eltups, degree, cap)
+            # a span that outgrows or leaves the set shows it is not a group
+            try:
+                gen_tuples, span = _greedy_span(eltups, degree, len(eltups), len(eltups))
+            except BudgetExceeded:
+                span = None
+            if span != elem_set:
+                raise ValueError("element set is not closed under composition")
         gens = tuple(Permutation._raw(t) for t in gen_tuples)
-        return cls(degree, eltups, gens, ground_t)
+        return cls(degree, eltups, elem_set, gens, ground_t)
 
     @classmethod
     def from_elements(
@@ -439,9 +458,9 @@ class PermGroup:
     ) -> "PermGroup":
         """Group from a full element list; validates closure under products.
 
-        Derives a short generating list unless one is supplied.
+        Derives a short generating list unless one is supplied, bounding
+        that work by the element count, so ``budgets`` is not consulted.
         """
-        b = resolve(budgets)
         elems = [p for p in elements]
         if not elems:
             raise ValueError("element list is empty")
@@ -456,13 +475,7 @@ class PermGroup:
             for g in gen_tuples:
                 if g not in pool:
                     raise ValueError("a supplied generator is not among the elements")
-        return cls._build(
-            degree,
-            (p._img for p in elems),
-            gen_tuples,
-            ground_set,
-            b.materialization_bound,
-        )
+        return cls._build(degree, (p._img for p in elems), gen_tuples, ground_set)
 
     # -- basic views
 
@@ -536,7 +549,8 @@ def generate_group(
     degree: int | None = None,
     budgets: Budgets | None = None,
 ) -> PermGroup:
-    """Materialize the group the generators produce, breadth first.
+    """Materialize the group the generators produce with Dimino's algorithm,
+    extending by one generator at a time.
 
     Raises BudgetExceeded once the element count would pass the
     materialization bound.  With no generators a degree is required.
@@ -557,10 +571,9 @@ def generate_group(
             deg = max(ground_set, default=0)
         else:
             deg = degree
-    elems = _bfs_tuples([g._img for g in gens], deg, b.materialization_bound)
-    return PermGroup._build(
-        deg, elems, tuple(g._img for g in gens), ground_set, b.materialization_bound
-    )
+    gen_tuples = tuple(g._img for g in gens)
+    _, elems = _greedy_span(gen_tuples, deg, b.materialization_bound)
+    return PermGroup._build(deg, elems, gen_tuples, ground_set)
 
 
 def symmetric_on(points: Iterable[int], degree: int, budgets: Budgets | None = None) -> PermGroup:
@@ -587,7 +600,7 @@ def symmetric_on(points: Iterable[int], degree: int, budgets: Budgets | None = N
         for a, bpt in zip(pts, pts[1:] + pts[:1]):
             img[a - 1] = bpt - 1
         gen_tuples.append(tuple(img))
-    return PermGroup._build(degree, elems, tuple(gen_tuples), pts or None, b.materialization_bound)
+    return PermGroup._build(degree, elems, tuple(gen_tuples), pts or None)
 
 
 def alternating_on(points: Iterable[int], degree: int, budgets: Budgets | None = None) -> PermGroup:
@@ -610,10 +623,7 @@ def alternating_on(points: Iterable[int], degree: int, budgets: Budgets | None =
         for a, bpt in zip(cyc, cyc[1:] + cyc[:1]):
             img[a - 1] = bpt - 1
         gen_tuples.append(tuple(img))
-    b = resolve(budgets)
-    return PermGroup._build(
-        degree, even, tuple(gen_tuples) or None, pts or None, b.materialization_bound
-    )
+    return PermGroup._build(degree, even, tuple(gen_tuples) or None, pts or None)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +649,7 @@ def direct_product(g: PermGroup, h: PermGroup, budgets: Budgets | None = None) -
             elems.append(tuple(gt[j] for j in ht))
     ground = tuple(sorted(set(g.ground_set) | set(h.ground_set)))
     gen_tuples = tuple(p._img for p in g.generators + h.generators)
-    out = PermGroup._build(g.degree, elems, gen_tuples, ground, b.materialization_bound)
+    out = PermGroup._build(g.degree, elems, gen_tuples, ground)
     if out.order != total:
         raise ValueError("factors do not commute elementwise; product is not direct")
     return out
@@ -696,7 +706,6 @@ class SubdirectSpec:
 def subdirect_from_homs(spec: SubdirectSpec, budgets: Budgets | None = None) -> PermGroup:
     """Elements g*h of left*right whose quotient labels agree."""
     spec.validate()
-    b = resolve(budgets)
     by_label: dict[Hashable, list[tuple[int, ...]]] = {}
     for h, lab in spec.right_classes.items():
         by_label.setdefault(lab, []).append(h._img)
@@ -709,7 +718,7 @@ def subdirect_from_homs(spec: SubdirectSpec, budgets: Budgets | None = None) -> 
     if len(elems) != expected:
         raise ValueError("labeling sizes are uneven; not a subdirect product")
     ground = tuple(sorted(set(spec.left.ground_set) | set(spec.right.ground_set)))
-    return PermGroup._build(spec.left.degree, elems, None, ground, b.materialization_bound)
+    return PermGroup._build(spec.left.degree, elems, None, ground)
 
 
 def index2_subdirect(
@@ -738,7 +747,6 @@ def index2_subdirect(
         )
     if not set(l0_group.ground_set) <= set(l_group.ground_set):
         raise ValueError("index-2 part moves points outside the second factor")
-    bud = resolve(budgets)
     l0 = set(l0_group.element_images())
     l_minus = [t for t in l_group.element_images() if t not in l0]
     elems = []
@@ -748,7 +756,7 @@ def index2_subdirect(
             elems.append(tuple(bt[j] for j in ht))
     expected = b_group.order * l_group.order // 2
     ground = tuple(sorted(set(b_group.ground_set) | set(l_group.ground_set)))
-    out = PermGroup._build(b_group.degree, elems, None, ground, bud.materialization_bound)
+    out = PermGroup._build(b_group.degree, elems, None, ground)
     if out.order != expected:
         raise ValueError("gluing produced an unexpected order")
     return out
@@ -843,7 +851,7 @@ def conjugate_group(group: PermGroup, s: Permutation) -> PermGroup:
     elems = (conjugate(Permutation._raw(t), s)._img for t in group.element_images())
     gen_tuples = tuple(conjugate(g, s)._img for g in group.generators)
     ground = tuple(sorted(s(p) for p in group.ground_set))
-    return PermGroup._build(group.degree, elems, gen_tuples, ground, 10**9)
+    return PermGroup._build(group.degree, elems, gen_tuples, ground)
 
 
 def _group_fingerprint(group: PermGroup) -> tuple:

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .budgets import Budgets, resolve
 from .closure import closure_chain, galois_closure
-from .perm import PermGroup, _bfs_tuples, are_conjugate_in_symmetric
+from .perm import PermGroup, _dimino_extend, are_conjugate_in_symmetric
 
 __all__ = [
     "SubgroupClass",
@@ -49,7 +49,7 @@ class SubgroupClass:
 
     def member_groups(self, degree: int) -> tuple[PermGroup, ...]:
         return tuple(
-            PermGroup._build(degree, m, None, None, 10**6) for m in self._members
+            PermGroup._build(degree, m, None, None) for m in self._members
         )
 
 
@@ -150,24 +150,27 @@ def all_subgroups(
         return True
 
     register(frozenset([ident]))
-    pending = [frozenset([ident])]
+    # each pending base keeps the short generator list it was grown from
+    pending: list[tuple[frozenset, list]] = [(frozenset([ident]), [])]
     while pending:
-        base = pending.pop()
+        base, base_gens = pending.pop()
         covered = set(base)
         base_list = sorted(base)
         for x in pp_elements:
             if x in covered:
                 continue
-            grown = frozenset(_bfs_tuples(base_list + [x], n, b.materialization_bound))
+            grown_set = set(base)
+            _dimino_extend(grown_set, base_gens, x, b.materialization_bound)
+            grown = frozenset(grown_set)
             if register(grown):
-                pending.append(grown)
+                pending.append((grown, base_gens + [x]))
             # the whole left coset x.base generates the same subgroup
             covered.update(_left_coset(x, base_list))
 
     out_classes = []
     for cls in classes:
         rep_tuples = cls["members"][0]
-        rep = PermGroup._build(n, rep_tuples, None, None, b.materialization_bound)
+        rep = PermGroup._build(n, rep_tuples, None, None)
         out_classes.append(
             SubgroupClass(cls["order"], len(cls["members"]), rep, tuple(cls["members"]))
         )

@@ -380,9 +380,7 @@ def tuple_stabilizer(
     ground = tuple(
         p + 1 for positions in classes.values() if len(positions) > 1 for p in positions
     )
-    return PermGroup._build(
-        n, elems, tuple(gen_tuples), sorted(ground) or None, b.materialization_bound
-    )
+    return PermGroup._build(n, elems, tuple(gen_tuples), sorted(ground) or None)
 
 
 def _factorial(m: int) -> int:

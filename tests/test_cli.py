@@ -169,6 +169,16 @@ def test_verify_main_panel_row(capsys):
     assert "agree" in out
 
 
+def test_verify_main_a8_derives_generators_of_large_projections(capsys):
+    # the block projection of A_8 has 20160 elements; its generators are derived
+    code, out, _ = run(capsys, "verify", "--theorem", "main",
+                       "--group", "catalog:A_8", "-k", "7", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["agree"] is True
+    assert doc["computed_closure_order"] == 40320
+
+
 def test_verify_main_group_without_k(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "main", "--group", "catalog:C_7")
     assert code == 3

@@ -233,6 +233,9 @@ def test_group_equality_is_by_element_set():
 def test_from_elements_validates_closure():
     with pytest.raises(ValueError):
         PermGroup.from_elements([identity(3), parse_perm("(1 2 3)", 3)])
+    # the span of C_4 and (1 2) outgrows the five given elements
+    with pytest.raises(ValueError, match="not closed under composition"):
+        PermGroup.from_elements(cyclic_4().elements + (parse_perm("(1 2)", 4),))
     with pytest.raises(DegreeMismatch):
         PermGroup.from_elements([identity(3), identity(4)])
     v = PermGroup.from_elements(klein_four().elements)
@@ -244,6 +247,12 @@ def test_materialization_budget_is_enforced():
     with pytest.raises(BudgetExceeded) as err:
         generate_group([parse_perm("(1 2)", 4), parse_perm("(1 2 3 4)", 4)], budgets=small)
     assert err.value.budget_name == "materialization"
+    # D_4 fits a bound of exactly 8; below it, the refusal counts the whole group
+    d4_gens = [parse_perm("(1 2 3 4)", 4), parse_perm("(1 3)", 4)]
+    assert generate_group(d4_gens, budgets=Budgets(materialization_bound=8)).order == 8
+    with pytest.raises(BudgetExceeded) as err:
+        generate_group(d4_gens, budgets=Budgets(materialization_bound=7))
+    assert err.value.needed == 8
 
 
 def test_symmetric_and_alternating_on_points():
