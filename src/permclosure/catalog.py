@@ -766,7 +766,7 @@ class PrimitiveClosureReport:
 
 
 def primitive_3closed_report(
-    n: int, workers: int = 1, budgets: Budgets | None = None
+    n: int, budgets: Budgets | None = None
 ) -> PrimitiveClosureReport:
     """Check which cataloged primitive groups of degree n are closed over
     a 3-letter alphabet.  Expected: all of them except the alternating
@@ -777,7 +777,7 @@ def primitive_3closed_report(
     entries = []
     for nm in names:
         g = get_group(nm)
-        closure = galois_closure(g, 3, workers=workers, budgets=b)
+        closure = galois_closure(g, 3, budgets=b)
         entries.append((nm, closure.order == g.order, closure.order))
     expected = (f"A_{n}",) if n >= 4 else ()
     computed_nonclosed = tuple(nm for nm, closed, _ in entries if not closed)

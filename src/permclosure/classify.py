@@ -230,8 +230,7 @@ class MainVerifyReport:
 
 
 def verify_main(
-    group: PermGroup, n: int, k: int, workers: int = 1,
-    budgets: Budgets | None = None,
+    group: PermGroup, n: int, k: int, budgets: Budgets | None = None
 ) -> MainVerifyReport:
     """Compare the shape prediction against the computed closure.
 
@@ -240,7 +239,7 @@ def verify_main(
     equal their closure.  Outside it no claim is checked."""
     form = classify_main(group, n, k, budgets=budgets)
     g = viewed_at_degree(group, n)
-    closure = galois_closure(g, k, workers=workers, budgets=budgets)
+    closure = galois_closure(g, k, budgets=budgets)
     computed_nonclosed = closure.order != g.order
     if form.kind is FormKind.OUT_OF_THEOREM_RANGE:
         return MainVerifyReport(form, closure, False, False, computed_nonclosed, True)
@@ -287,11 +286,11 @@ def wielandt_closure(
 
 
 def check_wielandt_containment(
-    group: PermGroup, k: int, workers: int = 1, budgets: Budgets | None = None
+    group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> bool:
     """Closure at alphabet size k+1 sits inside the orbit closure on
     k-tuples of points."""
-    fine = galois_closure(group, k + 1, workers=workers, budgets=budgets)
+    fine = galois_closure(group, k + 1, budgets=budgets)
     coarse = wielandt_closure(group, k, budgets=budgets)
     return fine.is_subgroup_of(coarse)
 

@@ -3,9 +3,9 @@
 One subcommand per library operation: closures and chains of a single
 group, the degree-up-to-6 survey, theorem verification panels, orbit
 equivalence, invariance groups of function tables, and subgroup
-enumeration.  Structured output is a single JSON document per run and is
-byte-identical across worker counts; wall times appear only under
-``--timings``.
+enumeration.  Structured output is a single JSON document per run; wall
+times appear only under ``--timings``.  ``--workers`` is still accepted and
+validated but computation is single-threaded, so it changes nothing.
 """
 
 from __future__ import annotations
@@ -108,9 +108,7 @@ def _emit(args: argparse.Namespace, lines: list[str], doc: dict) -> None:
 
 def _cmd_closure(args: argparse.Namespace, budgets: Budgets) -> int:
     group = _load_group(args.group, budgets)
-    rep = closure_report(
-        group, args.k, algorithm=args.algorithm, workers=args.workers, budgets=budgets
-    )
+    rep = closure_report(group, args.k, algorithm=args.algorithm, budgets=budgets)
     doc = rep.summary_dict(include_timing=args.timings)
     lines = [
         f"degree: {group.degree}",
@@ -135,7 +133,7 @@ def _cmd_closure(args: argparse.Namespace, budgets: Budgets) -> int:
 
 def _cmd_chain(args: argparse.Namespace, budgets: Budgets) -> int:
     group = _load_group(args.group, budgets)
-    rep = closure_chain(group, workers=args.workers, budgets=budgets)
+    rep = closure_chain(group, budgets=budgets)
     lines = [
         f"degree: {group.degree}",
         f"group order: {group.order}",
@@ -150,7 +148,7 @@ def _cmd_chain(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace, budgets: Budgets) -> int:
-    rep = table1_report(workers=args.workers, budgets=budgets)
+    rep = table1_report(budgets=budgets)
     lines = [f"reference rows ({len(rep.reference_rows)}):"]
     lines += ["  " + r.as_text() for r in rep.reference_rows]
     if rep.missing_reference:
@@ -193,7 +191,7 @@ def _cmd_orbit_equiv(args: argparse.Namespace, budgets: Budgets) -> int:
 
 def _cmd_invariance(args: argparse.Namespace, budgets: Budgets) -> int:
     table = FunctionTable.read(args.table, budgets=budgets)
-    group = invariance_group(table, workers=args.workers, budgets=budgets)
+    group = invariance_group(table, budgets=budgets)
     lines = [
         f"table: {table.n} coordinates, alphabet {table.k}, colors {table.m}",
         f"invariance group order: {group.order}",
@@ -247,7 +245,7 @@ def _verify_main_theorem(args: argparse.Namespace, budgets: Budgets) -> int:
         n = args.n if args.n is not None else group.degree
         if args.k is None:
             raise ParseError("--k is required when --group is given")
-        rep = verify_main(group, n, args.k, workers=args.workers, budgets=budgets)
+        rep = verify_main(group, n, args.k, budgets=budgets)
         lines = [
             f"shape: {rep.form.kind.value}",
             f"applicable: {'yes' if rep.applicable else 'no'}",
@@ -267,7 +265,7 @@ def _verify_main_theorem(args: argparse.Namespace, budgets: Budgets) -> int:
     rows = []
     ok = True
     for name, group in degree7_panel():
-        rep = verify_main(group, n, k, workers=args.workers, budgets=budgets)
+        rep = verify_main(group, n, k, budgets=budgets)
         kind_ok = rep.form.kind is expected[name]
         ok = ok and rep.agree and kind_ok
         rows.append(
@@ -310,7 +308,7 @@ def _verify_seress(args: argparse.Namespace, budgets: Budgets) -> int:
 def _verify_primitive3(args: argparse.Namespace, budgets: Budgets) -> int:
     if args.n is None:
         raise ParseError("--n is required for the closure-over-3 survey")
-    rep = primitive_3closed_report(args.n, workers=args.workers, budgets=budgets)
+    rep = primitive_3closed_report(args.n, budgets=budgets)
     lines = [f"closure over a 3-letter alphabet at degree {rep.degree}:"]
     for name, closed, order in rep.entries:
         state = "closed" if closed else f"NOT closed (closure order {order})"
@@ -337,9 +335,7 @@ def _verify_wielandt(args: argparse.Namespace, budgets: Budgets) -> int:
         for group in cat.all_groups():
             for k in (1, 2, 3):
                 checked += 1
-                if not check_wielandt_containment(
-                    group, k, workers=args.workers, budgets=budgets
-                ):
+                if not check_wielandt_containment(group, k, budgets=budgets):
                     failed += 1
         ok = ok and failed == 0
         lines.append(
@@ -349,7 +345,7 @@ def _verify_wielandt(args: argparse.Namespace, budgets: Budgets) -> int:
         doc["degrees"][str(n)] = {"checked": checked, "failed": failed}
     c4 = get_group("C_4")
     w2 = wielandt_closure(c4, 2, budgets=budgets)
-    g3 = galois_closure(c4, 3, workers=args.workers, budgets=budgets)
+    g3 = galois_closure(c4, 3, budgets=budgets)
     point_ok = w2 == c4
     alpha_ok = g3 == c4
     ok = ok and point_ok and alpha_ok
@@ -393,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker threads for candidate testing (output is identical for any count)",
+        help="accepted for compatibility and ignored: computation is single-threaded",
     )
     common.add_argument(
         "--timings", action="store_true",

@@ -24,9 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -187,22 +186,6 @@ class _IndexTester:
         return True
 
 
-def _filter_parallel(
-    test: Callable[[Permutation], bool],
-    candidates: Sequence[Permutation],
-    workers: int,
-) -> list[Permutation]:
-    """Keep the candidates passing the test, preserving input order for any
-    worker count."""
-    if workers <= 1 or len(candidates) < 64:
-        return [c for c in candidates if test(c)]
-    chunk = max(32, -(-len(candidates) // (workers * 8)))
-    slices = [candidates[i:i + chunk] for i in range(0, len(candidates), chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(lambda sl: [c for c in sl if test(c)], slices))
-    return [c for part in parts for c in part]
-
-
 def _group_from_union(
     base: PermGroup,
     extra_tuples: Iterable[tuple[int, ...]],
@@ -236,7 +219,7 @@ def _check_alphabet(k: int) -> None:
 
 
 def closure_naive(
-    group: PermGroup, k: int, workers: int = 1, budgets: Budgets | None = None
+    group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> ClosureReport:
     """Reference algorithm: test every permutation of the degree."""
     _check_alphabet(k)
@@ -254,7 +237,7 @@ def closure_naive(
         for t in itertools.permutations(range(n))
         if t not in in_g
     ]
-    accepted = _filter_parallel(tester.accepts_coordinate, candidates, workers)
+    accepted = [c for c in candidates if tester.accepts_coordinate(c)]
     closure = _group_from_union(
         group,
         (p._img for p in accepted),
@@ -278,7 +261,7 @@ def _balanced_tuple(n: int, k: int) -> tuple[int, ...]:
 
 
 def closure_pruned(
-    group: PermGroup, k: int, workers: int = 1, budgets: Budgets | None = None
+    group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> ClosureReport:
     """Scan the product set stab(a*) . G for the balanced pattern a*.
 
@@ -312,7 +295,7 @@ def closure_pruned(
     if reps:
         part = cached_orbit_partition(group, k, budgets=b)
         tester = _IndexTester.from_partition(part)
-        accepted = _filter_parallel(tester.accepts_coordinate, reps, workers)
+        accepted = [c for c in reps if tester.accepts_coordinate(c)]
     else:
         accepted = []
     extra = [t for p in accepted for t in cosets[p._img]]
@@ -427,15 +410,12 @@ def closure_report(
     group: PermGroup,
     k: int,
     algorithm: str = "pruned",
-    workers: int = 1,
     budgets: Budgets | None = None,
 ) -> ClosureReport:
     """Dispatch by algorithm name: naive, pruned, or kearnes."""
     if algorithm not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {sorted(_ALGORITHMS)}")
-    if algorithm == "kearnes":
-        return closure_kearnes(group, k, budgets=budgets)
-    return _ALGORITHMS[algorithm](group, k, workers=workers, budgets=budgets)
+    return _ALGORITHMS[algorithm](group, k, budgets=budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +426,13 @@ _closure_cache: dict[tuple[PermGroup, int], PermGroup] = {}
 
 
 def galois_closure(
-    group: PermGroup, k: int, workers: int = 1, budgets: Budgets | None = None
+    group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> PermGroup:
     """The closure itself, via the pruned algorithm, cached per (group, k)."""
     key = (group, k)
     hit = _closure_cache.get(key)
     if hit is None:
-        hit = closure_pruned(group, k, workers=workers, budgets=budgets).closure
+        hit = closure_pruned(group, k, budgets=budgets).closure
         _closure_cache[key] = hit
     return hit
 
@@ -467,7 +447,7 @@ def is_closed(group: PermGroup, k: int, budgets: Budgets | None = None) -> bool:
 
 
 def closure_chain(
-    group: PermGroup, workers: int = 1, budgets: Budgets | None = None
+    group: PermGroup, budgets: Budgets | None = None
 ) -> ChainReport:
     """Closures at k = 2 .. degree.  The sequence is nonincreasing and
     stops at the group itself once k reaches the degree."""
@@ -475,7 +455,7 @@ def closure_chain(
     largest: int | None = None
     distinct: list[PermGroup] = []
     for k in range(2, group.degree + 1):
-        clo = galois_closure(group, k, workers=workers, budgets=budgets)
+        clo = galois_closure(group, k, budgets=budgets)
         entries.append(ChainEntry(k, clo))
         if clo.order != group.order:
             largest = k
@@ -677,7 +657,7 @@ class FunctionTable:
 
 
 def invariance_group(
-    table: FunctionTable, workers: int = 1, budgets: Budgets | None = None
+    table: FunctionTable, budgets: Budgets | None = None
 ) -> PermGroup:
     """All permutations of the coordinates preserving the table's values."""
     b = resolve(budgets)
@@ -687,7 +667,7 @@ def invariance_group(
         raise BudgetExceeded("candidate", nfact, b.candidate_budget)
     tester = _IndexTester(table.space, table.values_array, None)
     candidates = [Permutation._raw(t) for t in itertools.permutations(range(n))]
-    accepted = _filter_parallel(tester.accepts_coordinate, candidates, workers)
+    accepted = [c for c in candidates if tester.accepts_coordinate(c)]
     acc_tups = [p._img for p in accepted]
     trivial = generate_group([], ground_set=range(1, n + 1), degree=n)
     return _group_from_union(trivial, acc_tups, acc_tups, b.materialization_bound)

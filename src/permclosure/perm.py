@@ -454,12 +454,11 @@ class PermGroup:
         elements: Iterable[Permutation],
         ground_set: Iterable[int] | None = None,
         generators: Sequence[Permutation] | None = None,
-        budgets: Budgets | None = None,
     ) -> "PermGroup":
         """Group from a full element list; validates closure under products.
 
         Derives a short generating list unless one is supplied, bounding
-        that work by the element count, so ``budgets`` is not consulted.
+        that work by the element count.
         """
         elems = [p for p in elements]
         if not elems:
@@ -703,7 +702,7 @@ class SubdirectSpec:
                         )
 
 
-def subdirect_from_homs(spec: SubdirectSpec, budgets: Budgets | None = None) -> PermGroup:
+def subdirect_from_homs(spec: SubdirectSpec) -> PermGroup:
     """Elements g*h of left*right whose quotient labels agree."""
     spec.validate()
     by_label: dict[Hashable, list[tuple[int, ...]]] = {}
@@ -722,8 +721,7 @@ def subdirect_from_homs(spec: SubdirectSpec, budgets: Budgets | None = None) -> 
 
 
 def index2_subdirect(
-    b_group: PermGroup, l_group: PermGroup, l0_group: PermGroup,
-    budgets: Budgets | None = None,
+    b_group: PermGroup, l_group: PermGroup, l0_group: PermGroup
 ) -> PermGroup:
     """The index-2 gluing: even part of ``b_group`` paired with ``l0_group``,
     odd part paired with its complement in ``l_group``.

@@ -211,14 +211,14 @@ class ChainCensus:
 
 
 def chain_length_census(
-    n: int, workers: int = 1, budgets: Budgets | None = None
+    n: int, budgets: Budgets | None = None
 ) -> ChainCensus:
     """For every subgroup class of degree n, the number of distinct groups
     in its closure chain, histogrammed."""
     catalog = all_subgroups(n, budgets=budgets)
     hist: dict[int, int] = {}
     for cls in catalog.classes:
-        rep = closure_chain(cls.representative, workers=workers, budgets=budgets)
+        rep = closure_chain(cls.representative, budgets=budgets)
         hist[rep.distinct_count] = hist.get(rep.distinct_count, 0) + 1
     return ChainCensus(n, hist, max(hist) if hist else 1, len(catalog.classes))
 
@@ -290,9 +290,7 @@ def _survey_name_pool(n: int) -> tuple[tuple[str, PermGroup], ...]:
     return survey_candidates(n)
 
 
-def table1_report(
-    workers: int = 1, budgets: Budgets | None = None
-) -> Table1Report:
+def table1_report(budgets: Budgets | None = None) -> Table1Report:
     """Recompute the survey of nontrivial closures for degrees 2..6 and
     align it with the embedded reference rows.
 
@@ -303,7 +301,7 @@ def table1_report(
     non-closed alphabet size; at these degrees it coincides with the
     closure at every smaller alphabet size (asserted)."""
     t0 = time.perf_counter()
-    computed: list[tuple[int, int, str, str, Table1Row]] = []
+    by_key: dict[tuple[int, int, str, str], Table1Row] = {}
     for n in range(2, 7):
         catalog = all_subgroups(n, budgets=budgets)
         pool = _survey_name_pool(n)
@@ -311,7 +309,7 @@ def table1_report(
             rep = cls.representative
             if len(rep.ground_set) != n:
                 continue  # fixed points: the class lives at a smaller degree
-            chain = closure_chain(rep, workers=workers, budgets=budgets)
+            chain = closure_chain(rep, budgets=budgets)
             if chain.largest_nonclosed_k is None:
                 continue
             closure = galois_closure(rep, chain.largest_nonclosed_k, budgets=budgets)
@@ -320,18 +318,15 @@ def table1_report(
                     raise AssertionError(
                         "closure varies along the chain; survey format assumes one"
                     )
-            gname = _match_name(rep, pool)
-            cname = _match_name(closure, pool)
-            row = Table1Row(
-                n, chain.largest_nonclosed_k, gname, cname,
-                rep.order, closure.order, cls.class_size,
+            key = (
+                n, chain.largest_nonclosed_k,
+                _match_name(rep, pool), _match_name(closure, pool),
             )
-            computed.append((n, chain.largest_nonclosed_k, gname, cname, row))
+            if key in by_key:
+                raise AssertionError(f"two survey rows share the key {key}")
+            by_key[key] = Table1Row(*key, rep.order, closure.order, cls.class_size)
 
     reference = reference_table_rows()
-    by_key: dict[tuple[int, int, str, str], Table1Row] = {}
-    for key_n, key_k, gname, cname, row in computed:
-        by_key[(key_n, key_k, gname, cname)] = row
     matched: list[Table1Row] = []
     missing: list[tuple[int, int, str, str]] = []
     used: set[tuple[int, int, str, str]] = set()

@@ -11,13 +11,16 @@ of indices.  Two group actions matter here:
 * the value action on degree^arity, where sigma maps each entry through
   ``sigma`` itself.
 
-Orbit partitions are computed by union-find over per-generator index maps and
-exposed as a label array: ``labels[t]`` is the least index in the orbit of t,
-which is also the lexicographically least member, by the encoding above.
+Orbit partitions are computed by min-label propagation over per-generator
+index maps and exposed as a label array: ``labels[t]`` is the least index in
+the orbit of t, which is also the lexicographically least member, by the
+encoding above.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import OrderedDict
 from typing import Iterable
 
@@ -155,11 +158,10 @@ class OrbitPartition:
     equal exactly when their label arrays do.
     """
 
-    __slots__ = ("space", "parent", "labels", "orbit_count", "_reps", "_counts", "_order")
+    __slots__ = ("space", "labels", "orbit_count", "_reps", "_counts", "_order")
 
-    def __init__(self, space: TupleSpace, parent: np.ndarray, labels: np.ndarray):
+    def __init__(self, space: TupleSpace, labels: np.ndarray):
         self.space = space
-        self.parent = parent
         self.labels = labels
         self._reps = None
         self._counts = None
@@ -243,62 +245,20 @@ class OrbitPartition:
 # building partitions
 
 
-class _UnionFind:
-    """Union by size with path compression, tracking each class minimum."""
-
-    __slots__ = ("parent", "size", "min")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.min = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        if self.min[rb] < self.min[ra]:
-            self.min[ra] = self.min[rb]
-
-
 def _partition_from_index_maps(space: TupleSpace, index_maps: list[np.ndarray]) -> OrbitPartition:
-    uf = _UnionFind(space.size)
-    union = uf.union
-    for imap in index_maps:
-        for t, u in enumerate(imap.tolist()):
-            if t != u:
-                union(t, u)
-    parent = np.array(uf.parent, dtype=np.int64)
-    # resolve to roots by pointer jumping
+    """Min-label propagation with pointer jumping (Shiloach & Vishkin, 1982).
+
+    ``labels[t]`` always lies in the orbit of t and never grows, so once a
+    round changes nothing every label is its orbit's least index.
+    """
+    labels = np.arange(space.size, dtype=np.int64)
     while True:
-        nxt = parent[parent]
-        if np.array_equal(nxt, parent):
-            break
-        parent = nxt
-    minv = np.array(uf.min, dtype=np.int64)
-    labels = minv[parent]
-    return OrbitPartition(space, parent, labels)
-
-
-def _dedup_maps(maps: list[np.ndarray]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for m in maps:
-        if not any(np.array_equal(m, seen) for seen in out):
-            out.append(m)
-    return out
+        before = labels
+        for imap in index_maps:
+            labels = np.minimum(labels, labels[imap])
+            labels = labels[labels]
+        if np.array_equal(labels, before):
+            return OrbitPartition(space, labels)
 
 
 def orbit_partition(
@@ -319,7 +279,7 @@ def orbit_partition(
             continue
         ge = extend_degree(g, space.arity) if g.degree < space.arity else g
         maps.append(space.coordinate_index_map(ge))
-    return _partition_from_index_maps(space, _dedup_maps(maps))
+    return _partition_from_index_maps(space, maps)
 
 
 def kpow_orbit_partition(
@@ -334,7 +294,7 @@ def kpow_orbit_partition(
         if g.is_identity:
             continue
         maps.append(space.value_index_map(g))
-    return _partition_from_index_maps(space, _dedup_maps(maps))
+    return _partition_from_index_maps(space, maps)
 
 
 def tuple_stabilizer(
@@ -355,11 +315,9 @@ def tuple_stabilizer(
         classes.setdefault(v, []).append(pos)
     total = 1
     for positions in classes.values():
-        total *= _factorial(len(positions))
+        total *= math.factorial(len(positions))
     if total > b.materialization_bound:
         raise BudgetExceeded("materialization", total, b.materialization_bound)
-
-    import itertools
 
     per_class = []
     for _, positions in sorted(classes.items()):
@@ -381,13 +339,6 @@ def tuple_stabilizer(
         p + 1 for positions in classes.values() if len(positions) > 1 for p in positions
     )
     return PermGroup._build(n, elems, tuple(gen_tuples), sorted(ground) or None)
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -140,12 +140,6 @@ def test_candidate_budget_refuses_up_front():
     assert err.value.budget_name == "candidate"
 
 
-def test_worker_counts_do_not_change_results():
-    base = closure_pruned(alternating_on(range(1, 6), 5), 2, workers=1)
-    threaded = closure_pruned(alternating_on(range(1, 6), 5), 2, workers=4)
-    assert base.summary_dict() == threaded.summary_dict()
-
-
 # ---------------------------------------------------------------------------
 # closure laws (small samples; the verification suite runs the full battery)
 

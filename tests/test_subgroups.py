@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from permclosure import subgroups
 from permclosure.perm import PermGroup, Permutation, are_conjugate_in_symmetric
 from permclosure.subgroups import (
     EXPECTED_CLASS_COUNTS,
@@ -126,3 +127,9 @@ def test_reference_rows_shape():
         assert group_name and closure_name
     # rows are unique
     assert len(set(rows)) == 19
+
+
+def test_survey_refuses_rows_with_the_same_key(monkeypatch):
+    monkeypatch.setattr(subgroups, "_match_name", lambda group, pool: "X")
+    with pytest.raises(AssertionError, match="share the key"):
+        subgroups.table1_report()

@@ -4,12 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import cyclic_4, grp, klein_four
 from permclosure.budgets import Budgets
 from permclosure.errors import BudgetExceeded, DegreeMismatch
-from permclosure.perm import Permutation, symmetric_on
+from permclosure.perm import (
+    Permutation,
+    extend_degree,
+    generate_group,
+    identity,
+    symmetric_on,
+)
 from permclosure.tuples import (
     TupleSpace,
     act_points,
@@ -115,14 +121,16 @@ def test_tuple_space_budget():
 
 
 def brute_orbits(group, n, k):
-    """Orbit label of each tuple by direct expansion, no index maps."""
+    """Orbit label of each tuple by direct expansion, no index maps.  A group
+    of degree below n fixes the extra coordinates."""
     space = TupleSpace(n, k)
+    elements = [extend_degree(p, n) for p in group.elements]
     labels = {}
     for idx in range(space.size):
         a = space.decode(idx)
         if a in labels:
             continue
-        orbit = {act_tuple(a, p) for p in group.elements}
+        orbit = {act_tuple(a, p) for p in elements}
         least = min(space.encode(b) for b in orbit)
         for b in orbit:
             labels[b] = least
@@ -134,6 +142,50 @@ def test_partition_matches_brute_force(k):
     for group in (cyclic_4(), klein_four(), grp(4, "(1 2 3)"), symmetric_on(range(1, 5), 4)):
         part = orbit_partition(group, TupleSpace(4, k))
         assert part.labels.tolist() == brute_orbits(group, 4, k)
+    # a group of smaller degree leaves the extra coordinates untouched
+    wide = orbit_partition(cyclic_4(), TupleSpace(6, k))
+    assert wide.labels.tolist() == brute_orbits(cyclic_4(), 6, k)
+
+
+@st.composite
+def generator_lists(draw):
+    """One to three random permutations of a common degree from 1 to 6,
+    sometimes followed by a repeat of the first and by the identity."""
+    n = draw(st.integers(1, 6))
+    images = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=3))
+    gens = [Permutation(img) for img in images]
+    if draw(st.booleans()):
+        gens.append(gens[0])
+    if draw(st.booleans()):
+        gens.append(identity(n))
+    return gens
+
+
+def brute_kpow_orbits(group, k):
+    """Orbit label of each k-tuple of points by expansion under the value action."""
+    space = TupleSpace(k, group.degree)
+    labels = {}
+    for idx in range(space.size):
+        r = space.decode(idx)
+        if r not in labels:
+            orbit = {act_points(r, p) for p in group.elements}
+            least = min(space.encode(b) for b in orbit)
+            labels.update((b, least) for b in orbit)
+    return [labels[space.decode(i)] for i in range(space.size)]
+
+
+@settings(max_examples=60)
+@given(gens=generator_lists(), k=st.sampled_from([2, 3]), extra=st.integers(0, 2))
+def test_partition_matches_brute_force_on_random_generators(gens, k, extra):
+    group = generate_group(gens)
+    n = group.degree + extra
+    if k**n > 3**6:
+        n = group.degree
+    part = orbit_partition(group, TupleSpace(n, k))
+    assert part.labels.tolist() == brute_orbits(group, n, k)
+    if group.degree >= 2:
+        kpow = kpow_orbit_partition(group, k)
+        assert kpow.labels.tolist() == brute_kpow_orbits(group, k)
 
 
 def test_known_orbit_counts():
