@@ -12,7 +12,6 @@ from .errors import (
 from .perm import (
     PermGroup,
     Permutation,
-    SubdirectSpec,
     compose,
     conjugate,
     direct_product,
@@ -27,7 +26,6 @@ from .perm import (
     parse_perm,
     read_group_file,
     sign,
-    subdirect_from_homs,
 )
 from .tuples import (
     OrbitPartition,

@@ -5,15 +5,13 @@ Two kinds of names are resolvable through :func:`get_group`:
 * parametric families ``C_n``, ``D_n``, ``A_n``, ``S_n`` for degrees up
   to 10, built on demand (dihedral groups are named by degree, so ``D_5``
   acts on 5 points and has 10 elements);
-* the named groups listed in the packaged ``data/catalog.txt``, whose
-  generator tables are validated on first access against the expected
-  order, transitivity, and primitivity.
+* the named groups of ``_NAMED_SPECS``, each defined once by a generator
+  builder and validated on first access against its expected order,
+  transitivity, and primitivity.
 
 Affine and projective entries are defined arithmetically: points of
 ``AGL(1,q)`` are the field values shifted by one, and the projective
-entries append the point at infinity as the last point.  The catalog file
-itself can be regenerated with :func:`rebuild_catalog_text`; a mismatch
-between the shipped file and the builders is a packaging error.
+entries append the point at infinity as the last point.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from functools import lru_cache
 
 from .budgets import Budgets, resolve
 from .closure import galois_closure, orbit_equivalent
-from .data import load_catalog_text, load_expected_equiv_classes
+from .data import load_expected_equiv_classes
 from .errors import CatalogValidationError, UnknownGroupName
 from .perm import (
     PermGroup,
@@ -37,9 +35,6 @@ from .perm import (
     is_primitive,
     is_transitive,
     parse_perm,
-    format_perm,
-    subdirect_from_homs,
-    SubdirectSpec,
     symmetric_on,
 )
 
@@ -48,7 +43,6 @@ __all__ = [
     "get_group",
     "catalog_entries",
     "catalog_names",
-    "rebuild_catalog_text",
     "survey_candidates",
     "primitive_survey_names",
     "SeressReport",
@@ -298,7 +292,7 @@ def _gens_pgammal_2_9():
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One named group from the packaged catalog."""
+    """One named group of the catalog."""
 
     name: str
     degree: int
@@ -435,61 +429,14 @@ def _normalize_name(name: str) -> str:
     return s
 
 
-def rebuild_catalog_text() -> str:
-    """Regenerate the catalog file content from the arithmetic builders."""
-    lines = [
-        "# Named permutation groups shipped with the package.",
-        "# Fields: name | degree | order | primitive or imprimitive | generators",
-        "# Generators are cycle strings separated by ';'.",
-    ]
-    for name, degree, order, primitive, _desc, builder in _NAMED_SPECS:
-        gens = " ; ".join(format_perm(g) for g in builder())
-        kind = "primitive" if primitive else "imprimitive"
-        lines.append(f"{name} | {degree} | {order} | {kind} | {gens}")
-    return "\n".join(lines) + "\n"
-
-
 @lru_cache(maxsize=1)
 def _catalog() -> dict[str, tuple[CatalogEntry, PermGroup]]:
-    """Parse and validate the packaged catalog file."""
-    known = {
-        _normalize_name(name): (name, degree, order, primitive, desc)
-        for name, degree, order, primitive, desc, _builder in _NAMED_SPECS
-    }
+    """Build every named group from its generators and validate it."""
     out: dict[str, tuple[CatalogEntry, PermGroup]] = {}
-    canonical_seen = set()
-    for lineno, raw in enumerate(load_catalog_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 5:
-            raise CatalogValidationError(
-                f"catalog line {lineno}: expected 5 '|'-separated fields"
-            )
-        name, deg_s, order_s, kind, gens_s = parts
+    for name, degree, order, primitive, desc, builder in _NAMED_SPECS:
         key = _normalize_name(name)
-        if key not in known:
-            raise CatalogValidationError(f"catalog line {lineno}: unknown entry {name!r}")
-        if key in out:
-            raise CatalogValidationError(f"catalog line {lineno}: duplicate entry {name!r}")
-        exp_name, exp_degree, exp_order, exp_primitive, desc = known[key]
-        try:
-            degree, order = int(deg_s), int(order_s)
-        except ValueError:
-            raise CatalogValidationError(
-                f"catalog line {lineno}: degree and order must be integers"
-            ) from None
-        if (degree, order) != (exp_degree, exp_order):
-            raise CatalogValidationError(
-                f"{name}: file says degree {degree} order {order}, "
-                f"expected degree {exp_degree} order {exp_order}"
-            )
-        if kind not in ("primitive", "imprimitive"):
-            raise CatalogValidationError(
-                f"catalog line {lineno}: flag must be primitive or imprimitive"
-            )
-        gens = tuple(parse_perm(s.strip(), degree) for s in gens_s.split(";"))
+        assert key not in out, f"two catalog names normalize to {key!r}"
+        gens = tuple(builder())
         group = generate_group(gens, ground_set=range(1, degree + 1))
         if group.order != order:
             raise CatalogValidationError(
@@ -497,27 +444,19 @@ def _catalog() -> dict[str, tuple[CatalogEntry, PermGroup]]:
             )
         if not is_transitive(group):
             raise CatalogValidationError(f"{name}: generators are not transitive")
-        if is_primitive(group) != (kind == "primitive"):
+        if is_primitive(group) != primitive:
             raise CatalogValidationError(f"{name}: primitivity flag is wrong")
-        entry = CatalogEntry(exp_name, degree, order, exp_primitive, desc, gens)
-        out[key] = (entry, group)
-        canonical_seen.add(key)
-    missing = [
-        spec[0] for spec in _NAMED_SPECS
-        if _normalize_name(spec[0]) not in canonical_seen
-    ]
-    if missing:
-        raise CatalogValidationError(f"catalog file is missing entries: {missing}")
+        out[key] = (CatalogEntry(name, degree, order, primitive, desc, gens), group)
     return out
 
 
 def catalog_entries() -> tuple[CatalogEntry, ...]:
-    """All named entries, validated, in catalog-file order."""
+    """All named entries, validated, in definition order."""
     return tuple(entry for entry, _group in _catalog().values())
 
 
 def catalog_names() -> tuple[str, ...]:
-    """Canonical names of the named entries, in catalog-file order."""
+    """Canonical names of the named entries, in definition order."""
     return tuple(entry.name for entry in catalog_entries())
 
 
@@ -618,15 +557,8 @@ def survey_candidates(n: int) -> tuple[tuple[str, PermGroup], ...]:
     s3_right = symmetric_on((4, 5, 6), 6)
     d4 = generate_group([parse_perm("(1 2 3 4)", 6), parse_perm("(2 4)", 6)])
     c4 = generate_group([parse_perm("(1 2 3 4)", 6)])
-    d4_glued = subdirect_from_homs(
-        SubdirectSpec(
-            left=d4,
-            right=s2,
-            quotient_size=2,
-            left_classes={p: (0 if p._img in set(c4.element_images()) else 1) for p in d4.elements},
-            right_classes={p: (0 if p.is_identity else 1) for p in s2.elements},
-        )
-    )
+    # D_4 on {1..4} glued to S_2 on {5,6} along D_4 / C_4
+    d4_glued = generate_group([parse_perm("(1 2 3 4)", 6), parse_perm("(2 4)(5 6)", 6)])
     return (
         ("PGL(2,5)", get_group("PGL(2,5)")),
         ("A_6", get_group("A_6")),

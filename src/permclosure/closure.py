@@ -175,8 +175,8 @@ class _IndexTester:
         return True
 
     def accepts_value(self, sigma: Permutation) -> bool:
-        vimg = np.array(sigma._img, dtype=np.int64)
         w = self._space.weights
+        vimg = np.array(sigma._img, dtype=w.dtype)
         digits, ordered, labels = self._digits_ordered, self._labels_ordered, self._labels
         step = self._chunk
         for s in range(0, digits.shape[0], step):
@@ -375,28 +375,6 @@ def closure_kearnes(
     return ClosureReport(
         group, k, closure, "kearnes", examined, None, time.perf_counter() - t0
     )
-
-
-def _closure_kearnes_literal(
-    group: PermGroup, k: int, budgets: Budgets | None = None
-) -> PermGroup:
-    """The same intersection taken over every tuple, no representative
-    shortcut.  Test-only cross-check; degree capped at 4."""
-    n = group.degree
-    if n > 4:
-        raise ValueError("literal intersection is for degree at most 4")
-    b = resolve(budgets)
-    space = TupleSpace(n, k, budgets=b)
-    g_eltups = group.element_images()
-    running: set[tuple[int, ...]] | None = None
-    for t in range(space.size):
-        stab = tuple_stabilizer(space.decode(t), degree=n, budgets=b)
-        pset = _product_set(g_eltups, stab.elements)
-        running = pset if running is None else running & pset
-        if len(running) == len(g_eltups):
-            break
-    assert running is not None
-    return PermGroup._build(n, running, None, None)
 
 
 _ALGORITHMS = {

@@ -1,13 +1,14 @@
 """Loaders for the packaged expected-results data files.
 
-The ``data/`` directory ships three plain-text files:
+The ``data/`` directory ships two plain-text files:
 
-* ``catalog.txt`` holds generator tables for the named groups; it is parsed
-  and validated by :mod:`permclosure.catalog`.
 * ``closure_table_deg_le6.txt`` is the reference list of non-closed
   transitive-support groups of degree at most 6 together with their closures.
 * ``orbit_equiv_classes.txt`` records the expected orbit-equivalence classes
   over a 2-letter alphabet for the cataloged primitive groups.
+
+The named groups themselves are defined by generator builders in
+:mod:`permclosure.catalog`, not stored here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from importlib.resources import files
 from .errors import ParseError
 
 __all__ = [
-    "load_catalog_text",
     "load_reference_table",
     "load_expected_equiv_classes",
 ]
@@ -26,11 +26,6 @@ __all__ = [
 
 def _read_data_text(name: str) -> str:
     return (files("permclosure") / "data" / name).read_text(encoding="utf-8")
-
-
-def load_catalog_text() -> str:
-    """Raw text of the packaged named-group catalog."""
-    return _read_data_text("catalog.txt")
 
 
 def _content_lines(text: str):

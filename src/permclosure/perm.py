@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budgets import Budgets, resolve
 from .errors import BudgetExceeded, DegreeMismatch, ParseError
@@ -23,7 +22,6 @@ from .errors import BudgetExceeded, DegreeMismatch, ParseError
 __all__ = [
     "Permutation",
     "PermGroup",
-    "SubdirectSpec",
     "parse_perm",
     "format_perm",
     "identity",
@@ -37,7 +35,6 @@ __all__ = [
     "generate_group",
     "viewed_at_degree",
     "direct_product",
-    "subdirect_from_homs",
     "index2_subdirect",
     "orbits_on_points",
     "full_orbits",
@@ -604,9 +601,11 @@ def symmetric_on(points: Iterable[int], degree: int, budgets: Budgets | None = N
 
 def alternating_on(points: Iterable[int], degree: int, budgets: Budgets | None = None) -> PermGroup:
     """The alternating group on the given points, inside degree n."""
-    full = symmetric_on(points, degree, budgets)
-    even = [t for t in full.element_images() if Permutation._raw(t).sign == 1]
     pts = sorted(set(points))
+    b = resolve(budgets)
+    order = math.factorial(len(pts)) // 2
+    if order > b.materialization_bound:
+        raise BudgetExceeded("materialization", order, b.materialization_bound)
     gen_tuples: list[tuple[int, ...]] = []
     if len(pts) >= 3:
         img = list(range(degree))
@@ -622,7 +621,8 @@ def alternating_on(points: Iterable[int], degree: int, budgets: Budgets | None =
         for a, bpt in zip(cyc, cyc[1:] + cyc[:1]):
             img[a - 1] = bpt - 1
         gen_tuples.append(tuple(img))
-    return PermGroup._build(degree, even, tuple(gen_tuples) or None, pts or None)
+    gens = [Permutation._raw(t) for t in gen_tuples]
+    return generate_group(gens, ground_set=pts or None, degree=degree, budgets=b)
 
 
 # ---------------------------------------------------------------------------
@@ -652,72 +652,6 @@ def direct_product(g: PermGroup, h: PermGroup, budgets: Budgets | None = None) -
     if out.order != total:
         raise ValueError("factors do not commute elementwise; product is not direct")
     return out
-
-
-@dataclass(frozen=True)
-class SubdirectSpec:
-    """A subdirect product glued along homomorphisms onto a common quotient.
-
-    ``left_classes`` and ``right_classes`` send each element of the factor to
-    its quotient label; two elements pair up exactly when their labels agree.
-    """
-
-    left: PermGroup
-    right: PermGroup
-    quotient_size: int
-    left_classes: Mapping[Permutation, Hashable]
-    right_classes: Mapping[Permutation, Hashable]
-
-    def validate(self) -> None:
-        if self.left.degree != self.right.degree:
-            raise DegreeMismatch("factors must share a degree")
-        if set(self.left.ground_set) & set(self.right.ground_set):
-            raise ValueError("factor ground sets overlap")
-        for grp, classes, side in (
-            (self.left, self.left_classes, "left"),
-            (self.right, self.right_classes, "right"),
-        ):
-            if set(classes.keys()) != set(grp.elements):
-                raise ValueError(f"{side} labeling does not cover the factor exactly")
-            labels = set(classes.values())
-            if len(labels) != self.quotient_size:
-                raise ValueError(
-                    f"{side} labeling uses {len(labels)} labels, not {self.quotient_size}"
-                )
-        if set(self.left_classes.values()) != set(self.right_classes.values()):
-            raise ValueError("the two labelings use different label sets")
-        for grp, classes, side in (
-            (self.left, self.left_classes, "left"),
-            (self.right, self.right_classes, "right"),
-        ):
-            table: dict[tuple[Hashable, Hashable], Hashable] = {}
-            for x in grp.elements:
-                for y in grp.elements:
-                    key = (classes[x], classes[y])
-                    lab = classes[compose(x, y)]
-                    if table.setdefault(key, lab) != lab:
-                        raise ValueError(
-                            f"{side} labeling is not a homomorphism: "
-                            f"product label at {key} is ambiguous"
-                        )
-
-
-def subdirect_from_homs(spec: SubdirectSpec) -> PermGroup:
-    """Elements g*h of left*right whose quotient labels agree."""
-    spec.validate()
-    by_label: dict[Hashable, list[tuple[int, ...]]] = {}
-    for h, lab in spec.right_classes.items():
-        by_label.setdefault(lab, []).append(h._img)
-    elems = []
-    for g, lab in spec.left_classes.items():
-        gt = g._img
-        for ht in by_label[lab]:
-            elems.append(tuple(gt[j] for j in ht))
-    expected = spec.left.order * spec.right.order // spec.quotient_size
-    if len(elems) != expected:
-        raise ValueError("labeling sizes are uneven; not a subdirect product")
-    ground = tuple(sorted(set(spec.left.ground_set) | set(spec.right.ground_set)))
-    return PermGroup._build(spec.left.degree, elems, None, ground)
 
 
 def index2_subdirect(

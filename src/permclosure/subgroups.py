@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .budgets import Budgets, resolve
+from .catalog import survey_candidates
 from .closure import closure_chain, galois_closure
+from .data import load_reference_table
 from .perm import PermGroup, _dimino_extend, are_conjugate_in_symmetric
 
 __all__ = [
@@ -278,16 +280,7 @@ def reference_table_rows() -> tuple[tuple[int, int, str, str], ...]:
     """The embedded reference survey: fixed-point-free subgroup classes of
     degree at most 6 that are not closed at alphabet size 2, with the
     largest alphabet size still not closed and the common closure."""
-    from .data import load_reference_table
-
     return load_reference_table()
-
-
-def _survey_name_pool(n: int) -> tuple[tuple[str, PermGroup], ...]:
-    """Named comparison groups for the survey at one degree."""
-    from .catalog import survey_candidates
-
-    return survey_candidates(n)
 
 
 def table1_report(budgets: Budgets | None = None) -> Table1Report:
@@ -304,7 +297,7 @@ def table1_report(budgets: Budgets | None = None) -> Table1Report:
     by_key: dict[tuple[int, int, str, str], Table1Row] = {}
     for n in range(2, 7):
         catalog = all_subgroups(n, budgets=budgets)
-        pool = _survey_name_pool(n)
+        pool = survey_candidates(n)
         for cls in catalog.classes:
             rep = cls.representative
             if len(rep.ground_set) != n:

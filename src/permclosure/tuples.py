@@ -81,10 +81,15 @@ class TupleSpace:
 
     @property
     def weights(self) -> np.ndarray:
-        """Mixed-radix weights, most significant first."""
+        """Mixed-radix weights, most significant first.
+
+        int32 whenever every index fits, so that index maps built from the
+        int32 digit matrix need no int64 copy of it; int64 otherwise.
+        """
         if self._weights is None:
             k = self.alphabet
-            w = np.empty(self.arity, dtype=np.int64)
+            dtype = np.int32 if self.size <= np.iinfo(np.int32).max else np.int64
+            w = np.empty(self.arity, dtype=dtype)
             acc = 1
             for j in range(self.arity - 1, -1, -1):
                 w[j] = acc
@@ -128,9 +133,11 @@ class TupleSpace:
         """Index array I with I[t] = index of the coordinate action of sigma.
 
         Works by permuting the weight vector: moving digit j to weight
-        position ``sigma^-1(j)`` is a single matrix-vector product.
+        position ``sigma^-1(j)`` is a single matrix-vector product.  The
+        product is taken in the weights' dtype and returned as ``intp``,
+        since numpy converts any other index dtype on every gather.
         """
-        return self.digits @ self.coordinate_weights(sigma)
+        return (self.digits @ self.coordinate_weights(sigma)).astype(np.intp)
 
     def coordinate_weights(self, sigma: Permutation) -> np.ndarray:
         """The permuted weight vector used by ``coordinate_index_map``."""
@@ -138,14 +145,14 @@ class TupleSpace:
             raise DegreeMismatch(f"degree {sigma.degree} vs arity {self.arity}")
         inv = sigma.inverse()._img
         w = self.weights
-        return np.array([w[inv[j]] for j in range(self.arity)], dtype=np.int64)
+        return np.array([w[inv[j]] for j in range(self.arity)], dtype=w.dtype)
 
     def value_index_map(self, sigma: Permutation) -> np.ndarray:
         """Index array for the value action of sigma on alphabet points."""
         if sigma.degree != self.alphabet:
             raise DegreeMismatch(f"degree {sigma.degree} vs alphabet {self.alphabet}")
-        vimg = np.array(sigma._img, dtype=np.int64)
-        return vimg[self.digits] @ self.weights
+        vimg = np.array(sigma._img, dtype=self.weights.dtype)
+        return (vimg[self.digits] @ self.weights).astype(np.intp)
 
     def __repr__(self) -> str:
         return f"TupleSpace(arity={self.arity}, alphabet={self.alphabet}, size={self.size})"
@@ -261,9 +268,7 @@ def _partition_from_index_maps(space: TupleSpace, index_maps: list[np.ndarray]) 
             return OrbitPartition(space, labels)
 
 
-def orbit_partition(
-    group: PermGroup, space: TupleSpace, budgets: Budgets | None = None
-) -> OrbitPartition:
+def orbit_partition(group: PermGroup, space: TupleSpace) -> OrbitPartition:
     """Orbits of the coordinate action of the group on the space.
 
     The group's degree must equal the space's arity, or be smaller, in which
@@ -365,7 +370,7 @@ def cached_orbit_partition(
         part = kpow_orbit_partition(group, k, budgets=budgets)
     else:
         space = TupleSpace(group.degree, k, budgets=budgets)
-        part = orbit_partition(group, space, budgets=budgets)
+        part = orbit_partition(group, space)
     _CACHE[key] = part
     while len(_CACHE) > _CACHE_MAX:
         _CACHE.popitem(last=False)

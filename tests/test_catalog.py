@@ -1,9 +1,11 @@
 """The named-group catalog, parametric families, and survey reports."""
 
+import hashlib
 import random
 
 import pytest
 
+from permclosure import catalog
 from permclosure.catalog import (
     MAX_PARAMETRIC_DEGREE,
     catalog_entries,
@@ -11,31 +13,75 @@ from permclosure.catalog import (
     get_group,
     primitive_3closed_report,
     primitive_survey_names,
-    rebuild_catalog_text,
     seress_report,
     survey_candidates,
 )
-from permclosure.data import (
-    load_catalog_text,
-    load_expected_equiv_classes,
-    load_reference_table,
-)
-from permclosure.errors import UnknownGroupName
+from permclosure.cli import main
+from permclosure.data import load_expected_equiv_classes, load_reference_table
+from permclosure.errors import CatalogValidationError, UnknownGroupName
 from permclosure.perm import (
     Permutation,
     are_conjugate_in_symmetric,
     conjugate_group,
+    format_perm,
     is_primitive,
     is_transitive,
+    parse_perm,
 )
 
 
 # ---------------------------------------------------------------------------
-# the shipped catalog file
+# the named entries
+
+# sha256 over "name|degree|order|primitive|generators" lines, one per entry in
+# order, generators in cycle notation joined by ";"; a builder that drifts
+# changes it
+CATALOG_DIGEST = "948e5adb60028ad3ca12e9596f4aa548c752fa4b95d65a930caa84de8d20417c"
 
 
-def test_catalog_file_matches_builders():
-    assert load_catalog_text() == rebuild_catalog_text()
+def test_catalog_entries_match_the_recorded_digest():
+    lines = [
+        f"{e.name}|{e.degree}|{e.order}|{e.primitive}|"
+        + ";".join(format_perm(g) for g in e.generators)
+        for e in catalog_entries()
+    ]
+    assert len(lines) == 20
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CATALOG_DIGEST
+
+
+def _two_triangles():
+    return (parse_perm("(1 2 3)", 6), parse_perm("(4 5 6)", 6))
+
+
+@pytest.fixture()
+def fresh_catalog():
+    catalog._catalog.cache_clear()
+    yield
+    catalog._catalog.cache_clear()
+
+
+@pytest.mark.parametrize("spec, message", [
+    (("AGL(1,5)", 5, 21, True, "", catalog._gens_agl_1_5),
+     "AGL(1,5): generators produce order 20, not 21"),
+    (("F_21", 7, 21, False, "", catalog._gens_f21),
+     "F_21: primitivity flag is wrong"),
+    (("Two triangles", 6, 9, False, "", _two_triangles),
+     "Two triangles: generators are not transitive"),
+])
+def test_a_wrong_spec_is_refused(fresh_catalog, monkeypatch, capsys, spec, message):
+    monkeypatch.setattr(catalog, "_NAMED_SPECS", (spec,))
+    with pytest.raises(CatalogValidationError) as err:
+        catalog_entries()
+    assert str(err.value) == message
+    assert main(["closure", f"catalog:{spec[0]}", "-k", "2"]) == 5
+    assert message in capsys.readouterr().err
+
+
+def test_spec_names_must_normalize_apart(fresh_catalog, monkeypatch):
+    spec = ("AGL(1,5)", 5, 20, True, "", catalog._gens_agl_1_5)
+    monkeypatch.setattr(catalog, "_NAMED_SPECS", (spec, ("agl(1, 5)",) + spec[1:]))
+    with pytest.raises(AssertionError):
+        catalog_entries()
 
 
 def test_every_entry_resolves_with_matching_order():

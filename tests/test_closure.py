@@ -5,11 +5,11 @@ import math
 import pytest
 
 from helpers import cyclic_4, grp, klein_four
-from permclosure.budgets import Budgets
+from permclosure.budgets import Budgets, resolve
 from permclosure.closure import (
     FunctionTable,
     NotRepresentable,
-    _closure_kearnes_literal,
+    _product_set,
     closure_chain,
     closure_kearnes,
     closure_naive,
@@ -26,12 +26,14 @@ from permclosure.closure import (
 )
 from permclosure.errors import BudgetExceeded, DegreeMismatch, ParseError
 from permclosure.perm import (
+    PermGroup,
     alternating_on,
     direct_product,
     generate_group,
     parse_perm,
     symmetric_on,
 )
+from permclosure.tuples import TupleSpace, tuple_stabilizer
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,28 @@ def test_algorithms_agree_on_small_groups(k):
         b = closure_pruned(g, k).closure
         c = closure_kearnes(g, k).closure
         assert a.element_images() == b.element_images() == c.element_images()
+
+
+def _closure_kearnes_literal(
+    group: PermGroup, k: int, budgets: Budgets | None = None
+) -> PermGroup:
+    """The same intersection taken over every tuple, no representative
+    shortcut.  Test-only cross-check; degree capped at 4."""
+    n = group.degree
+    if n > 4:
+        raise ValueError("literal intersection is for degree at most 4")
+    b = resolve(budgets)
+    space = TupleSpace(n, k, budgets=b)
+    g_eltups = group.element_images()
+    running: set[tuple[int, ...]] | None = None
+    for t in range(space.size):
+        stab = tuple_stabilizer(space.decode(t), degree=n, budgets=b)
+        pset = _product_set(g_eltups, stab.elements)
+        running = pset if running is None else running & pset
+        if len(running) == len(g_eltups):
+            break
+    assert running is not None
+    return PermGroup._build(n, running, None, None)
 
 
 def test_intersection_shortcut_matches_literal_intersection(s4_catalog):

@@ -265,6 +265,36 @@ def test_symmetric_and_alternating_on_points():
     assert symmetric_on(range(1, 5), 4).order == 24
 
 
+_SCATTERED = ((), (5,), (3, 7), (2, 5, 8), (2, 4, 5, 8), (1, 3, 4, 6, 8),
+              (1, 2, 4, 5, 7, 8), (1, 2, 3, 5, 6, 7, 8))
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_alternating_on_is_the_even_part_of_symmetric_on(m):
+    for pts in (tuple(range(1, m + 1)), _SCATTERED[m]):
+        a = alternating_on(pts, 8)
+        even = [t for t in symmetric_on(pts, 8).element_images()
+                if Permutation._raw(t).sign == 1]
+        assert a.element_images() == tuple(even), pts
+        assert a.ground_set == pts and a.degree == 8
+        expected_gens = []
+        if m >= 3:
+            expected_gens.append("(%d %d %d)" % pts[:3])
+        if m >= 4:
+            cyc = pts if m % 2 else pts[1:]
+            expected_gens.append("(" + " ".join(map(str, cyc)) + ")")
+        assert [format_perm(g) for g in a.generators] == expected_gens, pts
+
+
+def test_alternating_on_refuses_before_materializing():
+    assert alternating_on(range(1, 6), 5, Budgets(materialization_bound=60)).order == 60
+    with pytest.raises(BudgetExceeded) as err:
+        alternating_on(range(1, 6), 5, Budgets(materialization_bound=59))
+    assert (err.value.budget_name, err.value.needed, err.value.allowed) == (
+        "materialization", 60, 59
+    )
+
+
 def test_viewed_at_degree_and_shift_group():
     g = grp(3, "(1 2 3)")
     wide = viewed_at_degree(g, 6)

@@ -116,6 +116,17 @@ def test_tuple_space_budget():
         TupleSpace(0, 2)
 
 
+def test_weights_are_int32_while_every_index_fits():
+    wide = Budgets(tuple_budget=2**32)
+    assert TupleSpace(30, 2, budgets=wide).weights.dtype == np.int32
+    assert TupleSpace(31, 2, budgets=wide).weights.dtype == np.int64
+    space = TupleSpace(4, 3)
+    sigma = Permutation([2, 3, 4, 1])
+    assert space.coordinate_weights(sigma).dtype == np.int32
+    assert space.coordinate_index_map(sigma).dtype == np.intp
+    assert space.value_index_map(Permutation([2, 3, 1])).dtype == np.intp
+
+
 # ---------------------------------------------------------------------------
 # orbit partitions
 
