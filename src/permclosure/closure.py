@@ -6,14 +6,18 @@ permutations sigma such that every tuple lands inside its own G-orbit.
 Three interchangeable algorithms are provided:
 
 * ``closure_naive``   scans all of the symmetric group;
-* ``closure_pruned``  scans only the product set stab(a*) . G for one
+* ``closure_pruned``  searches only the product set stab(a*) . G for one
   well-chosen tuple a* (the most balanced value pattern), which provably
-  contains the closure, testing one representative per left coset of G;
+  contains the closure.  The set is never built: its left cosets of G
+  other than G are represented by the least element of each left coset
+  of H = G ∩ stab(a*) in stab(a*) other than H, found by min-label
+  propagation over the lexicographic ranks of stab(a*);
 * ``closure_kearnes`` intersects the product sets stab(a) . G over
   representative tuples a, one per set partition of the coordinates into
   at most k classes.  Oracle grade: degree capped at 6.
 
 All three agree exactly; the test suite checks that on a wide panel.
+Candidates are tested in numpy batches against the orbit labels.
 Derived conveniences: closure chains in k, orbit equivalence, thickness
 certificates, invariance groups of concrete colorings, and the least
 codomain size over which a closed group is an invariance group.
@@ -35,6 +39,7 @@ from .perm import PermGroup, Permutation, _greedy_span, format_perm, generate_gr
 from .tuples import (
     OrbitPartition,
     TupleSpace,
+    _min_labels,
     cached_orbit_partition,
     tuple_stabilizer,
 )
@@ -140,16 +145,26 @@ class ChainReport:
 # the membership test
 
 
+# Most cells (tuple rows times candidates, or rows times arity) in any
+# temporary array of the batched coordinate test.
+_TEST_CELLS = 1 << 18
+# Rows in the first chunk of the test order; later chunks double.
+_FIRST_ROWS = 16
+# Rows per chunk of the one-candidate value-action test.
+_VALUE_ROWS = 8192
+# Permutations per block when the whole symmetric group is streamed.
+_PERMUTATION_BLOCK = 1 << 15
+
+
 class _IndexTester:
-    """Early-exit test that an index map preserves a label array.
+    """Early-exit test that permutations preserve a label array.
 
     Rows are visited small-orbit-first so mismatches surface quickly.
     """
 
-    __slots__ = ("_space", "_labels", "_digits_ordered", "_labels_ordered", "_chunk")
+    __slots__ = ("_space", "_labels", "_digits_ordered", "_labels_ordered")
 
-    def __init__(self, space: TupleSpace, labels: np.ndarray, order: np.ndarray | None,
-                 chunk: int = 8192):
+    def __init__(self, space: TupleSpace, labels: np.ndarray, order: np.ndarray | None):
         self._space = space
         self._labels = labels
         if order is None:
@@ -158,32 +173,143 @@ class _IndexTester:
         else:
             self._digits_ordered = space.digits[order]
             self._labels_ordered = labels[order]
-        self._chunk = chunk
 
     @classmethod
     def from_partition(cls, part: OrbitPartition) -> "_IndexTester":
         return cls(part.space, part.labels, part.test_order())
 
-    def accepts_coordinate(self, sigma: Permutation) -> bool:
-        wp = self._space.coordinate_weights(sigma)
+    def accepted_rows(self, images: np.ndarray) -> np.ndarray:
+        """Indices, ascending, of the rows of ``images`` (one permutation
+        per row, as 0-based images) whose coordinate action preserves the
+        labels.
+
+        Candidates go in blocks against chunks of the test order that
+        double in size; a candidate leaves at its first failing chunk.
+        The index arithmetic runs in float64, which is exact below 2**53
+        and lets numpy use BLAS.
+        """
         digits, ordered, labels = self._digits_ordered, self._labels_ordered, self._labels
-        step = self._chunk
-        for s in range(0, digits.shape[0], step):
-            idx = digits[s:s + step] @ wp
-            if not np.array_equal(labels[idx], ordered[s:s + step]):
-                return False
-        return True
+        size, arity = digits.shape
+        weights = self._space.weights.astype(np.float64)
+        block = _TEST_CELLS // max(_FIRST_ROWS, arity)
+        kept = [np.empty(0, dtype=np.intp)]
+        for start in range(0, images.shape[0], block):
+            alive = np.arange(start, min(start + block, images.shape[0]))
+            # sigma moves digit j to weight position sigma^-1(j)
+            permuted = weights[np.argsort(images[alive], axis=1)]
+            lo, rows = 0, _FIRST_ROWS
+            while alive.size and lo < size:
+                hi = min(size, lo + rows)
+                idx = (digits[lo:hi].astype(np.float64) @ permuted.T).astype(np.intp)
+                ok = (labels[idx] == ordered[lo:hi, None]).all(axis=0)
+                alive, permuted = alive[ok], permuted[ok]
+                lo = hi
+                rows = min(2 * rows, _TEST_CELLS // max(alive.size, arity))
+            kept.append(alive)
+        return np.concatenate(kept)
 
     def accepts_value(self, sigma: Permutation) -> bool:
         w = self._space.weights
         vimg = np.array(sigma._img, dtype=w.dtype)
         digits, ordered, labels = self._digits_ordered, self._labels_ordered, self._labels
-        step = self._chunk
+        step = _VALUE_ROWS
         for s in range(0, digits.shape[0], step):
             idx = vimg[digits[s:s + step]] @ w
             if not np.array_equal(labels[idx], ordered[s:s + step]):
                 return False
         return True
+
+
+def _point_dtype(degree: int) -> np.dtype:
+    """The smallest unsigned dtype holding the 0-based points of the degree."""
+    return np.min_scalar_type(max(degree - 1, 0))
+
+
+def _image_rows(eltups: Sequence[tuple[int, ...]], degree: int) -> np.ndarray:
+    """Image tuples as one small-int array, one row each."""
+    flat = np.fromiter(
+        itertools.chain.from_iterable(eltups), dtype=_point_dtype(degree),
+        count=len(eltups) * degree,
+    )
+    return flat.reshape(len(eltups), degree)
+
+
+def _lex_ranks(perms: np.ndarray) -> np.ndarray:
+    """Rank of each row among all permutations of its length in
+    lexicographic order, read off its Lehmer code."""
+    m = perms.shape[1]
+    ranks = np.zeros(perms.shape[0], dtype=np.int64)
+    for i in range(m - 1):
+        smaller_later = (perms[:, i + 1:] < perms[:, i:i + 1]).sum(axis=1)
+        ranks += smaller_later * math.factorial(m - 1 - i)
+    return ranks
+
+
+def _rows_outside(group: PermGroup) -> Iterator[np.ndarray]:
+    """The permutations of the group's degree that lie outside it, in
+    lexicographic order, as blocks of image rows."""
+    n = group.degree
+    inside = _lex_ranks(_image_rows(group.element_images(), n))
+    perms = itertools.permutations(range(n))
+    for start in itertools.count(0, _PERMUTATION_BLOCK):
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(perms, _PERMUTATION_BLOCK)),
+            dtype=_point_dtype(n),
+        )
+        if not flat.size:
+            return
+        rows = flat.reshape(-1, n)
+        yield rows[~np.isin(np.arange(start, start + len(rows)), inside)]
+
+
+class _YoungSubgroup:
+    """The stabilizer of a tuple whose value classes are consecutive runs
+    of the given sizes: the product of the symmetric groups on the runs.
+
+    Elements are indexed by lexicographic rank.  Since the runs are
+    consecutive, sorted order is the product, in order, of each run's
+    lexicographically ordered permutations, so a rank is a mixed-radix
+    number whose digits are in-run Lehmer ranks.
+    """
+
+    __slots__ = ("degree", "order", "_runs")
+
+    def __init__(self, sizes: Sequence[int], degree: int):
+        self.degree = degree
+        self._runs = [
+            np.array(list(itertools.permutations(range(m))), dtype=_point_dtype(degree))
+            .reshape(-1, m)
+            for m in sizes
+        ]
+        self.order = math.prod(len(perms) for perms in self._runs)
+
+    def contains(self, rows: np.ndarray) -> np.ndarray:
+        """Which image rows map every run onto itself."""
+        run_of = np.repeat(np.arange(len(self._runs)), [p.shape[1] for p in self._runs])
+        return (run_of[rows] == run_of).all(axis=1)
+
+    def rank_map(self, h: tuple[int, ...]) -> np.ndarray:
+        """For every rank r, the rank of (element r) . h, h applied first."""
+        imap = np.zeros(1, dtype=np.intp)
+        off = 0
+        for perms in self._runs:
+            m = perms.shape[1]
+            local = np.array(h[off:off + m]) - off
+            imap = (imap[:, None] * len(perms) + _lex_ranks(perms[:, local])).ravel()
+            off += m
+        return imap
+
+    def rows(self, ranks: np.ndarray) -> np.ndarray:
+        """The elements of the given ranks as 0-based image rows."""
+        out = np.empty((ranks.size, self.degree), dtype=_point_dtype(self.degree))
+        rest = ranks
+        off = self.degree
+        for perms in reversed(self._runs):
+            m = perms.shape[1]
+            off -= m
+            rest, digit = np.divmod(rest, len(perms))
+            out[:, off:off + m] = perms[digit] + off
+        return out
 
 
 def _group_from_union(
@@ -231,79 +357,73 @@ def closure_naive(
         raise BudgetExceeded("candidate", nfact, b.candidate_budget)
     part = cached_orbit_partition(group, k, budgets=b)
     tester = _IndexTester.from_partition(part)
-    in_g = group._elemset
-    candidates = [
-        Permutation._raw(t)
-        for t in itertools.permutations(range(n))
-        if t not in in_g
-    ]
-    accepted = [c for c in candidates if tester.accepts_coordinate(c)]
-    closure = _group_from_union(
-        group,
-        (p._img for p in accepted),
-        (p._img for p in accepted),
-        b.materialization_bound,
-    )
+    accepted: list[tuple[int, ...]] = []
+    for rows in _rows_outside(group):
+        accepted.extend(map(tuple, rows[tester.accepted_rows(rows)].tolist()))
+    closure = _group_from_union(group, accepted, accepted, b.materialization_bound)
     return ClosureReport(
         group, k, closure, "naive", nfact, None, time.perf_counter() - t0
     )
 
 
-def _balanced_tuple(n: int, k: int) -> tuple[int, ...]:
-    """The most balanced value pattern: n positions split into min(k, n)
-    consecutive blocks with sizes as equal as possible, larger blocks first."""
+def _balanced_sizes(n: int, k: int) -> list[int]:
+    """Class sizes of the most balanced value pattern: n positions split
+    into min(k, n) consecutive blocks with sizes as equal as possible,
+    larger blocks first."""
     kk = min(k, n)
     q, r = divmod(n, kk)
-    out: list[int] = []
-    for j in range(kk):
-        out.extend([j + 1] * (q + 1 if j < r else q))
-    return tuple(out)
+    return [q + 1 if j < r else q for j in range(kk)]
 
 
 def closure_pruned(
     group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> ClosureReport:
-    """Scan the product set stab(a*) . G for the balanced pattern a*.
+    """Search the product set stab(a*) . G for the balanced pattern a*.
 
     That set provably contains the closure, and the closure is a union of
     left cosets of G, so one test per coset representative settles the
-    whole coset.  ``candidates_examined`` is the size of the deduplicated
-    product set."""
+    whole coset.  gamma in stab(a*) lies in an earlier coset gamma'.G
+    exactly when it lies in gamma'.H, H = G ∩ stab(a*).  So the
+    representatives are the least elements of the left cosets of H in
+    stab(a*) other than H, in sorted order: min-label propagation over
+    the maps rank(gamma) -> rank(gamma.h), one per generator h of H.
+    Neither stab(a*) nor the product set is materialized, and
+    ``candidates_examined`` is the product set's size |G|.|stab(a*)|/|H|.
+    Only accepted cosets are built, for the closure."""
     _check_alphabet(k)
     t0 = time.perf_counter()
     b = resolve(budgets)
     n = group.degree
-    a_star = _balanced_tuple(n, k)
-    stab = tuple_stabilizer(a_star, degree=n, budgets=b)
-    pool_bound = min(stab.order * group.order, math.factorial(n))
+    sizes = _balanced_sizes(n, k)
+    a_star = tuple(v for v, m in enumerate(sizes, start=1) for _ in range(m))
+    stab_order = math.prod(math.factorial(m) for m in sizes)
+    if stab_order > b.materialization_bound:
+        raise BudgetExceeded("materialization", stab_order, b.materialization_bound)
+    pool_bound = min(stab_order * group.order, math.factorial(n))
     if pool_bound > b.candidate_budget:
         raise BudgetExceeded("candidate", pool_bound, b.candidate_budget)
 
-    g_eltups = group.element_images()
-    seen = set(g_eltups)
-    reps: list[Permutation] = []
-    cosets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for gamma in stab.elements:
-        gimg = gamma._img
-        if gimg in seen:
-            continue
-        coset = [tuple(gimg[v] for v in ht) for ht in g_eltups]
-        seen.update(coset)
-        reps.append(gamma)
-        cosets[gimg] = coset
+    stab = _YoungSubgroup(sizes, n)
+    g_rows = _image_rows(group.element_images(), n)
+    h_eltups = [tuple(t) for t in g_rows[stab.contains(g_rows)].tolist()]
+    h_gens, _ = _greedy_span(h_eltups, n, b.materialization_bound, len(h_eltups))
+    labels = _min_labels(stab.order, [stab.rank_map(h) for h in h_gens])
+    reps = stab.rows(np.flatnonzero(labels == np.arange(stab.order))[1:])
 
-    if reps:
+    if len(reps):
         part = cached_orbit_partition(group, k, budgets=b)
         tester = _IndexTester.from_partition(part)
-        accepted = [c for c in reps if tester.accepts_coordinate(c)]
+        accepted = reps[tester.accepted_rows(reps)]
     else:
-        accepted = []
-    extra = [t for p in accepted for t in cosets[p._img]]
+        accepted = reps
+    # the coset gamma.G of each accepted gamma, G applied first
+    extra = map(tuple, accepted[:, g_rows].reshape(-1, n).tolist())
     closure = _group_from_union(
-        group, extra, (p._img for p in accepted), b.materialization_bound
+        group, extra, map(tuple, accepted.tolist()), b.materialization_bound
     )
+    examined = group.order * (len(reps) + 1)
     return ClosureReport(
-        group, k, closure, "pruned", len(seen), a_star, time.perf_counter() - t0
+        group, k, closure, "pruned", examined, a_star, time.perf_counter() - t0
     )
 
 
@@ -400,14 +520,16 @@ def closure_report(
 # cached convenience layer
 
 
-_closure_cache: dict[tuple[PermGroup, int], PermGroup] = {}
+_closure_cache: dict[tuple[PermGroup, tuple[int, ...], int], PermGroup] = {}
 
 
 def galois_closure(
     group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> PermGroup:
-    """The closure itself, via the pruned algorithm, cached per (group, k)."""
-    key = (group, k)
+    """The closure itself, via the pruned algorithm, cached per (group,
+    ground set, k): groups compare equal regardless of their ground sets,
+    but the closure's ground set contains the group's."""
+    key = (group, group.ground_set, k)
     hit = _closure_cache.get(key)
     if hit is None:
         hit = closure_pruned(group, k, budgets=budgets).closure
@@ -644,11 +766,11 @@ def invariance_group(
     if nfact > b.candidate_budget:
         raise BudgetExceeded("candidate", nfact, b.candidate_budget)
     tester = _IndexTester(table.space, table.values_array, None)
-    candidates = [Permutation._raw(t) for t in itertools.permutations(range(n))]
-    accepted = [c for c in candidates if tester.accepts_coordinate(c)]
-    acc_tups = [p._img for p in accepted]
     trivial = generate_group([], ground_set=range(1, n + 1), degree=n)
-    return _group_from_union(trivial, acc_tups, acc_tups, b.materialization_bound)
+    accepted: list[tuple[int, ...]] = []
+    for rows in _rows_outside(trivial):
+        accepted.extend(map(tuple, rows[tester.accepted_rows(rows)].tolist()))
+    return _group_from_union(trivial, accepted, accepted, b.materialization_bound)
 
 
 def orbit_coloring(group: PermGroup, k: int, budgets: Budgets | None = None) -> FunctionTable:
@@ -736,13 +858,9 @@ def min_codomain_report(
     nfact = math.factorial(n)
     if nfact > b.candidate_budget:
         raise BudgetExceeded("candidate", nfact, b.candidate_budget)
-    space = part.space
-    in_g = group._elemset
-    outside_maps = [
-        space.coordinate_index_map(Permutation._raw(t))
-        for t in itertools.permutations(range(n))
-        if t not in in_g
-    ]
+    # blocks, so that a coloring is rejected at the first block accepting it
+    outside = list(_rows_outside(group))
+    outside_count = sum(len(rows) for rows in outside)
     ranks = np.searchsorted(part.representatives, part.labels)
     tested: dict[int, int] = {}
     work = 0
@@ -752,7 +870,7 @@ def min_codomain_report(
             if len(blocks) != m:
                 continue
             count += 1
-            work += max(1, len(outside_maps))
+            work += max(1, outside_count)
             if work > b.candidate_budget:
                 raise BudgetExceeded("candidate", work, b.candidate_budget)
             block_of = np.empty(r, dtype=np.int32)
@@ -760,7 +878,8 @@ def min_codomain_report(
                 for o in members:
                     block_of[o] = bi + 1
             vals = block_of[ranks]
-            if any(np.array_equal(vals[imap], vals) for imap in outside_maps):
+            tester = _IndexTester(part.space, vals, None)
+            if any(tester.accepted_rows(rows).size for rows in outside):
                 continue
             tested[m] = count
             witness = FunctionTable(n, k, m, vals, budgets=b)

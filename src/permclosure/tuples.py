@@ -252,20 +252,25 @@ class OrbitPartition:
 # building partitions
 
 
-def _partition_from_index_maps(space: TupleSpace, index_maps: list[np.ndarray]) -> OrbitPartition:
-    """Min-label propagation with pointer jumping (Shiloach & Vishkin, 1982).
+def _min_labels(size: int, index_maps: list[np.ndarray]) -> np.ndarray:
+    """Orbit labels of 0..size-1 under the maps: min-label propagation with
+    pointer jumping (Shiloach & Vishkin, 1982).
 
     ``labels[t]`` always lies in the orbit of t and never grows, so once a
     round changes nothing every label is its orbit's least index.
     """
-    labels = np.arange(space.size, dtype=np.int64)
+    labels = np.arange(size, dtype=np.int64)
     while True:
         before = labels
         for imap in index_maps:
             labels = np.minimum(labels, labels[imap])
             labels = labels[labels]
         if np.array_equal(labels, before):
-            return OrbitPartition(space, labels)
+            return labels
+
+
+def _partition_from_index_maps(space: TupleSpace, index_maps: list[np.ndarray]) -> OrbitPartition:
+    return OrbitPartition(space, _min_labels(space.size, index_maps))
 
 
 def orbit_partition(group: PermGroup, space: TupleSpace) -> OrbitPartition:

@@ -1,15 +1,24 @@
 """Closure algorithms, closure laws, function tables, and representability."""
 
+import hashlib
+import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from helpers import cyclic_4, grp, klein_four
+from permclosure import closure as closure_module
+from permclosure import tuples as tuples_module
 from permclosure.budgets import Budgets, resolve
+from permclosure.catalog import get_group
 from permclosure.closure import (
     FunctionTable,
     NotRepresentable,
+    _IndexTester,
     _product_set,
+    clear_closure_cache,
     closure_chain,
     closure_kearnes,
     closure_naive,
@@ -27,13 +36,21 @@ from permclosure.closure import (
 from permclosure.errors import BudgetExceeded, DegreeMismatch, ParseError
 from permclosure.perm import (
     PermGroup,
+    Permutation,
     alternating_on,
     direct_product,
+    format_perm,
     generate_group,
     parse_perm,
     symmetric_on,
 )
-from permclosure.tuples import TupleSpace, tuple_stabilizer
+from permclosure.subgroups import all_subgroups
+from permclosure.tuples import (
+    TupleSpace,
+    cached_orbit_partition,
+    clear_partition_cache,
+    tuple_stabilizer,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +155,16 @@ def test_alphabet_size_one_is_rejected():
             fn(cyclic_4(), 1)
 
 
+def test_closure_cache_tells_ground_sets_apart():
+    a = generate_group([parse_perm("(1 2)", 4)])
+    b = generate_group([parse_perm("(1 2)", 4)], ground_set=[1, 2, 3, 4])
+    assert a == b and a.ground_set != b.ground_set
+    clear_closure_cache()
+    assert galois_closure(a, 2).ground_set == (1, 2)
+    assert galois_closure(b, 2).ground_set == (1, 2, 3, 4)
+    assert galois_closure(b, 2).ground_set == closure_pruned(b, 2).closure.ground_set
+
+
 def test_closure_report_dispatch():
     rep = closure_report(cyclic_4(), 2, algorithm="naive")
     assert rep.algorithm == "naive" and rep.pruning_tuple is None
@@ -162,6 +189,117 @@ def test_candidate_budget_refuses_up_front():
     with pytest.raises(BudgetExceeded) as err:
         closure_naive(symmetric_on(range(1, 6), 5), 2, budgets=Budgets(candidate_budget=100))
     assert err.value.budget_name == "candidate"
+
+
+# ---------------------------------------------------------------------------
+# the pruned algorithm without the product set
+
+# sha256 over "degree|k|class index|candidates_examined|closure generators"
+# lines of closure_pruned, recorded while the pruned algorithm still built the
+# product set stab(a*).G tuple by tuple
+PANEL_DIGEST = "87bd8c366f354f6c5cbde6f26b0e2c1c5f4f31b3606deb39253f9132886598f1"
+
+
+@pytest.fixture(scope="module")
+def class_panel():
+    """(degree, class index, representative) for every subgroup class of
+    degree 2 to 6."""
+    return [
+        (n, idx, cls.representative)
+        for n in range(2, 7)
+        for idx, cls in enumerate(all_subgroups(n).classes)
+    ]
+
+
+def test_pruned_panel_matches_the_recorded_digest(class_panel):
+    lines = []
+    for n, idx, g in class_panel:
+        for k in range(2, n + 1):
+            rep = closure_pruned(g, k)
+            gens = " ".join(format_perm(p) for p in rep.closure.generators)
+            lines.append(f"{n}|{k}|{idx}|{rep.candidates_examined}|{gens}")
+    assert len(lines) == 399
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PANEL_DIGEST
+
+
+def test_pruned_equals_naive_on_the_panel(class_panel):
+    for n, idx, g in class_panel:
+        for k in range(2, n + 1):
+            naive = closure_naive(g, k).closure
+            pruned = closure_pruned(g, k).closure
+            assert naive.element_images() == pruned.element_images(), (n, idx, k)
+
+
+def _dihedral(n: int) -> PermGroup:
+    rotation = parse_perm("(" + " ".join(map(str, range(1, n + 1))) + ")", n)
+    flip = parse_perm("".join(f"({i} {n + 2 - i})" for i in range(2, (n + 3) // 2)), n)
+    return generate_group([rotation, flip])
+
+
+def test_d12_is_refused_before_anything_is_materialized(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pruned algorithm must not build a stabilizer")
+
+    monkeypatch.setattr(tuples_module, "tuple_stabilizer", refuse)
+    monkeypatch.setattr(closure_module, "tuple_stabilizer", refuse)
+    d12 = _dihedral(12)
+    assert d12.order == 24
+    with pytest.raises(BudgetExceeded) as err:
+        closure_pruned(d12, 2)
+    assert (err.value.budget_name, err.value.needed, err.value.allowed) == (
+        "candidate", 12441600, 10000000,
+    )
+
+
+def test_materialization_budget_is_checked_before_the_candidate_budget():
+    with pytest.raises(BudgetExceeded) as err:
+        closure_pruned(_dihedral(12), 2, budgets=Budgets(materialization_bound=518399))
+    assert (err.value.budget_name, err.value.needed) == ("materialization", 518400)
+
+
+def test_c12_at_two_letters_is_closed():
+    c12 = grp(12, "(1 2 3 4 5 6 7 8 9 10 11 12)")
+    clear_partition_cache()
+    tracemalloc.start()
+    try:
+        rep = closure_pruned(c12, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.closure.order == 12
+    assert rep.candidates_examined == 6220800
+    assert peak < 150 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the batched candidate test
+
+
+def _accepts_by_index_map(space, labels, row) -> bool:
+    imap = space.coordinate_index_map(Permutation([v + 1 for v in row.tolist()]))
+    return bool(np.array_equal(labels[imap], labels))
+
+
+def test_tester_with_no_candidates():
+    part = cached_orbit_partition(cyclic_4(), 2)
+    out = _IndexTester.from_partition(part).accepted_rows(np.empty((0, 4), dtype=np.uint8))
+    assert out.size == 0 and out.dtype == np.intp
+
+
+@pytest.mark.parametrize("cells", [64, closure_module._TEST_CELLS])
+def test_tester_matches_one_map_at_a_time(monkeypatch, cells):
+    """All of S_4 against C_4's orbits at k = 2 and 3.  With 64 cells a
+    block holds 4 candidates, so accepted rows fall in several blocks."""
+    monkeypatch.setattr(closure_module, "_TEST_CELLS", cells)
+    rows = np.array(list(itertools.permutations(range(4))), dtype=np.uint8)
+    for k in (2, 3):
+        part = cached_orbit_partition(cyclic_4(), k)
+        got = _IndexTester.from_partition(part).accepted_rows(rows)
+        want = [i for i, row in enumerate(rows)
+                if _accepts_by_index_map(part.space, part.labels, row)]
+        assert got.tolist() == want
+        assert got[0] == 0  # the identity row
+    assert want == [0, 9, 16, 18]  # C_4 itself at k = 3, in blocks 0, 2 and 4
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +449,29 @@ def test_klein_four_needs_three_colors():
     assert invariance_group(rep.witness) == klein_four()
     d = rep.summary_dict()
     assert d["representable"] is True and d["min_codomain"] == 3
+
+
+def test_min_codomain_reports_are_unchanged_and_small():
+    """Summaries recorded while every outside permutation kept its own
+    index map; ASL(3,2) at k = 2 then peaked at about 85 MB."""
+    klein = min_codomain_report(klein_four(), 2).summary_dict()
+    assert klein == {
+        "degree": 4, "k": 2, "group_order": 4, "colorings_tested": {"1": 1, "2": 63, "3": 17},
+        "representable": True, "min_codomain": 3,
+    }
+    clear_closure_cache()
+    clear_partition_cache()
+    tracemalloc.start()
+    try:
+        asl = min_codomain_report(get_group("ASL(3,2)"), 2).summary_dict()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert asl == {
+        "degree": 8, "k": 2, "group_order": 1344, "colorings_tested": {"1": 1, "2": 16},
+        "representable": True, "min_codomain": 2,
+    }
+    assert peak < 16 * 2**20
 
 
 def test_nonclosed_groups_are_never_representable():
