@@ -25,19 +25,23 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .budgets import Budgets, resolve
 from .closure import _group_from_union, _IndexTester, galois_closure
 from .errors import BudgetExceeded, DegreeMismatch
 from .perm import (
     PermGroup,
     Permutation,
+    _image_rows,
+    _is_odd,
+    _lex_ranks,
     alternating_on,
     direct_product,
     full_orbits,
     generate_group,
     index2_subdirect,
     parse_perm,
-    restrict_to,
     symmetric_on,
     viewed_at_degree,
 )
@@ -111,10 +115,17 @@ class NonClosedForm:
         return out
 
 
+def _restricted_rows(group: PermGroup, points: tuple[int, ...]) -> np.ndarray:
+    """Image rows of the action on an invariant point set, identity elsewhere."""
+    idx = np.array(points, dtype=np.intp) - 1
+    rows = np.tile(np.arange(group.degree, dtype=group._rows.dtype), (group.order, 1))
+    rows[:, idx] = group._rows[:, idx]
+    return rows
+
+
 def _projection(group: PermGroup, points: tuple[int, ...]) -> PermGroup:
     """The action induced on an invariant point set, identity elsewhere."""
-    elems = {restrict_to(p, points)._img for p in group.elements}
-    return PermGroup._build(group.degree, elems, None, points or None)
+    return PermGroup._build(group.degree, _restricted_rows(group, points), None, points or None)
 
 
 def classify_main(
@@ -181,26 +192,23 @@ def classify_main(
         and g.order * 2 == bfact * on_complement.order
         and on_complement.order % 2 == 0
     ):
-        half_tuples = {
-            restrict_to(p, complement)._img
-            for p in g.elements
-            if restrict_to(p, block).sign == 1
-        }
-        if len(half_tuples) * 2 == on_complement.order:
-            try:
-                half = PermGroup._build(n, half_tuples, None, complement or None)
-                rebuilt = index2_subdirect(sym_block, on_complement, half)
-            except ValueError:
-                rebuilt = None
-            if rebuilt is not None and rebuilt == g:
-                return NonClosedForm(
-                    FormKind.PROPER_SUBDIRECT, n, k, d, threshold,
-                    block=block, complement=complement,
-                    complement_factor=on_complement,
-                    complement_half=half,
-                    predicted_closure=direct_product(sym_block, on_complement),
-                    note=note or "index-2 gluing of the symmetric block with the complement action",
-                )
+        even = ~_is_odd(_lex_ranks(_restricted_rows(g, block)), n)
+        half_rows = _restricted_rows(g, complement)[even]
+        try:
+            # index2_subdirect refuses a half that is not of index 2
+            half = PermGroup._build(n, half_rows, None, complement or None)
+            rebuilt = index2_subdirect(sym_block, on_complement, half)
+        except ValueError:
+            rebuilt = None
+        if rebuilt is not None and rebuilt == g:
+            return NonClosedForm(
+                FormKind.PROPER_SUBDIRECT, n, k, d, threshold,
+                block=block, complement=complement,
+                complement_factor=on_complement,
+                complement_half=half,
+                predicted_closure=direct_product(sym_block, on_complement),
+                note=note or "index-2 gluing of the symmetric block with the complement action",
+            )
 
     return NonClosedForm(
         FormKind.PREDICTED_CLOSED, n, k, d, threshold,
@@ -273,6 +281,7 @@ def wielandt_closure(
         raise BudgetExceeded("candidate", pool, b.candidate_budget)
     part = cached_orbit_partition(group, k, budgets=b, value_action=True)
     tester = _IndexTester.from_partition(part)
+    inside = set(group.element_images())
     accepted: list[tuple[int, ...]] = []
     for combo in itertools.product(*(itertools.permutations(o) for o in orbits)):
         img = list(range(n))
@@ -280,9 +289,10 @@ def wielandt_closure(
             for p, v in zip(orbit, images):
                 img[p - 1] = v - 1
         sigma = Permutation._raw(tuple(img))
-        if tester.accepts_value(sigma):
+        if sigma._img not in inside and tester.accepts_value(sigma):
             accepted.append(sigma._img)
-    return _group_from_union(group, accepted, sorted(accepted), b.materialization_bound)
+    extra = _image_rows(sorted(accepted), n)
+    return _group_from_union(group, extra, extra, b.materialization_bound)
 
 
 def check_wielandt_containment(

@@ -35,7 +35,18 @@ import numpy as np
 
 from .budgets import Budgets, resolve
 from .errors import BudgetExceeded, DegreeMismatch, ParseError
-from .perm import PermGroup, Permutation, _greedy_span, format_perm, generate_group
+from .perm import (
+    PermGroup,
+    Permutation,
+    _dimino_extend,
+    _greedy_span,
+    _image_rows,
+    _lex_ranks,
+    _moved_points,
+    _point_dtype,
+    format_perm,
+    generate_group,
+)
 from .tuples import (
     OrbitPartition,
     TupleSpace,
@@ -185,12 +196,12 @@ class _IndexTester:
 
         Candidates go in blocks against chunks of the test order that
         double in size; a candidate leaves at its first failing chunk.
-        The index arithmetic runs in float64, which is exact below 2**53
-        and lets numpy use BLAS.
+        The indices are integer products, which are exact and, unlike
+        floating-point ones, do not go through a multithreaded BLAS.
         """
         digits, ordered, labels = self._digits_ordered, self._labels_ordered, self._labels
         size, arity = digits.shape
-        weights = self._space.weights.astype(np.float64)
+        weights = self._space.weights.astype(np.intp)
         block = _TEST_CELLS // max(_FIRST_ROWS, arity)
         kept = [np.empty(0, dtype=np.intp)]
         for start in range(0, images.shape[0], block):
@@ -200,7 +211,7 @@ class _IndexTester:
             lo, rows = 0, _FIRST_ROWS
             while alive.size and lo < size:
                 hi = min(size, lo + rows)
-                idx = (digits[lo:hi].astype(np.float64) @ permuted.T).astype(np.intp)
+                idx = digits[lo:hi].astype(np.intp) @ permuted.T
                 ok = (labels[idx] == ordered[lo:hi, None]).all(axis=0)
                 alive, permuted = alive[ok], permuted[ok]
                 lo = hi
@@ -220,36 +231,10 @@ class _IndexTester:
         return True
 
 
-def _point_dtype(degree: int) -> np.dtype:
-    """The smallest unsigned dtype holding the 0-based points of the degree."""
-    return np.min_scalar_type(max(degree - 1, 0))
-
-
-def _image_rows(eltups: Sequence[tuple[int, ...]], degree: int) -> np.ndarray:
-    """Image tuples as one small-int array, one row each."""
-    flat = np.fromiter(
-        itertools.chain.from_iterable(eltups), dtype=_point_dtype(degree),
-        count=len(eltups) * degree,
-    )
-    return flat.reshape(len(eltups), degree)
-
-
-def _lex_ranks(perms: np.ndarray) -> np.ndarray:
-    """Rank of each row among all permutations of its length in
-    lexicographic order, read off its Lehmer code."""
-    m = perms.shape[1]
-    ranks = np.zeros(perms.shape[0], dtype=np.int64)
-    for i in range(m - 1):
-        smaller_later = (perms[:, i + 1:] < perms[:, i:i + 1]).sum(axis=1)
-        ranks += smaller_later * math.factorial(m - 1 - i)
-    return ranks
-
-
 def _rows_outside(group: PermGroup) -> Iterator[np.ndarray]:
     """The permutations of the group's degree that lie outside it, in
     lexicographic order, as blocks of image rows."""
     n = group.degree
-    inside = _lex_ranks(_image_rows(group.element_images(), n))
     perms = itertools.permutations(range(n))
     for start in itertools.count(0, _PERMUTATION_BLOCK):
         flat = np.fromiter(
@@ -259,7 +244,7 @@ def _rows_outside(group: PermGroup) -> Iterator[np.ndarray]:
         if not flat.size:
             return
         rows = flat.reshape(-1, n)
-        yield rows[~np.isin(np.arange(start, start + len(rows)), inside)]
+        yield rows[~np.isin(np.arange(start, start + len(rows)), group._ranks)]
 
 
 class _YoungSubgroup:
@@ -313,26 +298,66 @@ class _YoungSubgroup:
 
 
 def _group_from_union(
-    base: PermGroup,
-    extra_tuples: Iterable[tuple[int, ...]],
-    gen_candidates: Iterable[tuple[int, ...]],
-    cap: int,
+    base: PermGroup, extra: np.ndarray, candidates: np.ndarray, cap: int
 ) -> PermGroup:
-    """The group formed by base's elements plus the extras (already known to
-    be closed), with a short generating list grown greedily: base's own
-    generators first, then the candidates."""
-    degree = base.degree
-    eltups = set(base.element_images())
-    eltups.update(extra_tuples)
-    gen_list, have = _greedy_span(
-        itertools.chain((g._img for g in base.generators), gen_candidates),
-        degree, cap, len(eltups),
+    """The group formed by base's elements plus the extra image rows,
+    distinct and outside base (already known to be closed), with a short
+    generating list grown greedily: base's own generators first, then the
+    candidate rows, which lie among the extra ones."""
+    order = base.order + len(extra)
+    if order > cap:
+        raise BudgetExceeded("materialization", order, cap)
+    gens = tuple(_greedy_extension(base, candidates, order, cap))
+    if not len(extra):
+        return PermGroup._build(base.degree, base._rows, gens, base.ground_set or None, base._ranks)
+    ranks, first = np.unique(
+        np.concatenate([base._ranks, _lex_ranks(extra)]), return_index=True
     )
-    if len(have) != len(eltups):
+    if len(ranks) != order:
+        raise AssertionError("extra rows repeat or meet the base group")
+    rows = np.concatenate([base._rows, extra])[first]
+    ground = sorted(set(base.ground_set) | set(_moved_points(extra)))
+    return PermGroup._build(base.degree, rows, gens, ground or None, ranks)
+
+
+def _greedy_extension(
+    base: PermGroup, candidates: np.ndarray, order: int, cap: int
+) -> list[tuple[int, ...]]:
+    """The generators ``_greedy_span`` keeps when it scans base's
+    generators, then the candidates (none of them in base), up to a group
+    of the given order, computed without spanning base again.
+
+    The span of all of base's generators is base, so only proper prefixes
+    need spanning, and its last generator is kept exactly when they fall
+    short.  While the span is base, a kept candidate spans the whole group
+    when the index is prime (Lagrange), so no element set is built."""
+    base_gens = [g._img for g in base.generators]
+    gens, elems = _greedy_span(base_gens[:-1], base.degree, cap, base.order)
+    if len(elems) < base.order:
+        gens.append(base_gens[-1])
+    size, elems = base.order, None
+    for row in candidates:
+        if size == order:
+            break
+        c = tuple(row.tolist())
+        if elems is None:
+            if _is_prime(order // size):
+                gens.append(c)
+                size = order
+                break
+            elems = set(base.element_images())
+        elif c in elems:
+            continue
+        _dimino_extend(elems, gens, c, cap)
+        gens.append(c)
+        size = len(elems)
+    if size != order:
         raise AssertionError("generator candidates failed to span the closure")
-    moved = {i + 1 for t in eltups for i, v in enumerate(t) if v != i}
-    ground = sorted(set(base.ground_set) | moved)
-    return PermGroup._build(degree, eltups, tuple(gen_list), ground or None)
+    return gens
+
+
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % p for p in range(2, math.isqrt(m) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +382,7 @@ def closure_naive(
         raise BudgetExceeded("candidate", nfact, b.candidate_budget)
     part = cached_orbit_partition(group, k, budgets=b)
     tester = _IndexTester.from_partition(part)
-    accepted: list[tuple[int, ...]] = []
-    for rows in _rows_outside(group):
-        accepted.extend(map(tuple, rows[tester.accepted_rows(rows)].tolist()))
+    accepted = np.concatenate([rows[tester.accepted_rows(rows)] for rows in _rows_outside(group)])
     closure = _group_from_union(group, accepted, accepted, b.materialization_bound)
     return ClosureReport(
         group, k, closure, "naive", nfact, None, time.perf_counter() - t0
@@ -404,7 +427,7 @@ def closure_pruned(
         raise BudgetExceeded("candidate", pool_bound, b.candidate_budget)
 
     stab = _YoungSubgroup(sizes, n)
-    g_rows = _image_rows(group.element_images(), n)
+    g_rows = group._rows
     h_eltups = [tuple(t) for t in g_rows[stab.contains(g_rows)].tolist()]
     h_gens, _ = _greedy_span(h_eltups, n, b.materialization_bound, len(h_eltups))
     labels = _min_labels(stab.order, [stab.rank_map(h) for h in h_gens])
@@ -417,10 +440,8 @@ def closure_pruned(
     else:
         accepted = reps
     # the coset gamma.G of each accepted gamma, G applied first
-    extra = map(tuple, accepted[:, g_rows].reshape(-1, n).tolist())
-    closure = _group_from_union(
-        group, extra, map(tuple, accepted.tolist()), b.materialization_bound
-    )
+    cosets = accepted[:, g_rows].reshape(-1, n)
+    closure = _group_from_union(group, cosets, accepted, b.materialization_bound)
     examined = group.order * (len(reps) + 1)
     return ClosureReport(
         group, k, closure, "pruned", examined, a_star, time.perf_counter() - t0
@@ -491,7 +512,8 @@ def closure_kearnes(
         if len(running) == len(g_eltups):
             break
     assert running is not None
-    closure = _group_from_union(group, running, sorted(running), b.materialization_bound)
+    extra = _image_rows(sorted(running - set(g_eltups)), n)
+    closure = _group_from_union(group, extra, extra, b.materialization_bound)
     return ClosureReport(
         group, k, closure, "kearnes", examined, None, time.perf_counter() - t0
     )
@@ -767,9 +789,7 @@ def invariance_group(
         raise BudgetExceeded("candidate", nfact, b.candidate_budget)
     tester = _IndexTester(table.space, table.values_array, None)
     trivial = generate_group([], ground_set=range(1, n + 1), degree=n)
-    accepted: list[tuple[int, ...]] = []
-    for rows in _rows_outside(trivial):
-        accepted.extend(map(tuple, rows[tester.accepted_rows(rows)].tolist()))
+    accepted = np.concatenate([rows[tester.accepted_rows(rows)] for rows in _rows_outside(trivial)])
     return _group_from_union(trivial, accepted, accepted, b.materialization_bound)
 
 

@@ -1,12 +1,16 @@
 """Permutations on {1..n}, group materialization, and product constructions.
 
 Points are 1-indexed in every public interface.  Internally a permutation is
-an immutable tuple of 0-based images, and a group is the sorted tuple of its
-elements' image tuples; equality, hashing and membership all work on that
-canonical form.  Groups are materialized element by element with Dimino's
-algorithm, which adds a generator by adding whole cosets of the group
-generated so far, and are capped by a materialization budget, so everything
-here is meant for small degrees, not for stabilizer-chain scale.
+an immutable tuple of 0-based images.  A group keeps its elements as one
+small-int array of image rows in lexicographic order, beside their int64
+lexicographic ranks among all permutations of the degree; equality, hashing,
+membership and subgroup tests work on the ranks, and image tuples and
+Permutation objects are built only when a caller asks for them.  Symmetric
+and alternating groups are written straight into that array.  Other groups
+are materialized with Dimino's algorithm, which adds a generator by adding
+whole cosets of the group generated so far, on sets of image tuples.
+Everything is capped by a materialization budget, so it is meant for small
+degrees, not for stabilizer-chain scale.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .budgets import Budgets, resolve
 from .errors import BudgetExceeded, DegreeMismatch, ParseError
@@ -213,10 +219,7 @@ def viewed_at_degree(group: "PermGroup", degree: int) -> "PermGroup":
         return group
     if degree < group.degree:
         raise ValueError(f"cannot shrink degree {group.degree} to {degree}")
-    pad = tuple(range(group.degree, degree))
-    elems = (t + pad for t in group.element_images())
-    gens = tuple(t + pad for t in (g._img for g in group.generators))
-    return PermGroup._build(degree, elems, gens, group.ground_set or None)
+    return shift_group(group, 0, degree)
 
 
 def shift_group(group: "PermGroup", offset: int, degree: int) -> "PermGroup":
@@ -224,14 +227,16 @@ def shift_group(group: "PermGroup", offset: int, degree: int) -> "PermGroup":
     given degree; all other points are fixed."""
     if offset < 0 or group.degree + offset > degree:
         raise ValueError("shifted group does not fit inside the degree")
-    head = tuple(range(offset))
-    tail = tuple(range(offset + group.degree, degree))
-    elems = (head + tuple(v + offset for v in t) + tail for t in group.element_images())
+    rows = np.tile(np.arange(degree, dtype=_point_dtype(degree)), (group.order, 1))
+    rows[:, offset:offset + group.degree] = group._rows
+    rows[:, offset:offset + group.degree] += offset
     gens = tuple(
-        head + tuple(v + offset for v in g._img) + tail for g in group.generators
+        tuple(range(offset)) + tuple(v + offset for v in g._img)
+        + tuple(range(offset + group.degree, degree))
+        for g in group.generators
     )
     ground = tuple(p + offset for p in group.ground_set)
-    return PermGroup._build(degree, elems, gens, ground or None)
+    return PermGroup._build(degree, rows, gens, ground or None)
 
 
 def restrict_to(p: Permutation, points: Iterable[int]) -> Permutation:
@@ -382,29 +387,114 @@ def _greedy_span(
     return gens, elems
 
 
+# ---------------------------------------------------------------------------
+# element arrays
+
+
+def _point_dtype(degree: int) -> np.dtype:
+    """The smallest unsigned dtype holding the 0-based points of the degree."""
+    return np.min_scalar_type(max(degree - 1, 0))
+
+
+def _image_rows(eltups: Collection[tuple[int, ...]], degree: int) -> np.ndarray:
+    """Image tuples as one small-int array, one row each."""
+    flat = np.fromiter(
+        itertools.chain.from_iterable(eltups), dtype=_point_dtype(degree),
+        count=len(eltups) * degree,
+    )
+    return flat.reshape(len(eltups), degree)
+
+
+def _lex_ranks(rows: np.ndarray) -> np.ndarray:
+    """Rank of each row among all permutations of its length in
+    lexicographic order, read off its Lehmer code.  The ranks are int64 up
+    to degree 20 and Python ints beyond, where n! outgrows int64."""
+    n = rows.shape[1]
+    dtype = np.int64 if n <= 20 else object
+    ranks = np.zeros(rows.shape[0], dtype=dtype)
+    for i in range(n - 1):
+        smaller_later = (rows[:, i + 1:] < rows[:, i:i + 1]).sum(axis=1)
+        ranks += smaller_later.astype(dtype) * math.factorial(n - 1 - i)
+    return ranks
+
+
+def _moved_points(rows: np.ndarray) -> tuple[int, ...]:
+    """The 1-based points that some row moves."""
+    moved = (rows != np.arange(rows.shape[1])).any(axis=0)
+    return tuple((np.flatnonzero(moved) + 1).tolist())
+
+
+def _lex_rank(img: tuple[int, ...]) -> int:
+    """``_lex_ranks`` of one image tuple, without numpy's per-call cost."""
+    n = len(img)
+    rank = used = 0
+    for i, v in enumerate(img):
+        # the later entries below v are those of 0..v-1 not used earlier
+        rank = rank * (n - i) + v - (used & ((1 << v) - 1)).bit_count()
+        used |= 1 << v
+    return rank
+
+
+def _is_odd(ranks: np.ndarray, degree: int) -> np.ndarray:
+    """Which permutations of the given lex ranks are odd.  The factorial
+    digits of a rank are the Lehmer code, whose sum counts inversions."""
+    inversions = np.zeros_like(ranks)
+    for i in range(degree - 1):
+        inversions += ranks // math.factorial(degree - 1 - i) % (degree - i)
+    return inversions % 2 == 1
+
+
+def _symmetric_rows(points: Sequence[int], degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of the sorted 1-based points, fixing the rest, as
+    image rows in lexicographic order, and their lex ranks."""
+    idx = [p - 1 for p in points]
+    count = math.factorial(len(idx))
+    local = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(idx)),
+        dtype=_point_dtype(degree), count=count * len(idx),
+    ).reshape(count, len(idx))
+    # the moved columns run in lex order and every other column is constant
+    rows = np.tile(np.arange(degree, dtype=local.dtype), (count, 1))
+    rows[:, idx] = local
+    ranks = np.arange(count, dtype=np.int64) if len(idx) == degree else _lex_ranks(rows)
+    return rows, ranks
+
+
 class PermGroup:
     """A fully materialized permutation group on a ground set inside {1..n}.
 
+    The elements are one small-int array of 0-based image rows in
+    lexicographic order, beside the rows' lexicographic ranks among all
+    permutations of the degree.  Membership is a binary search on the
+    ranks; tuples and Permutation objects are built only when asked for.
+
     The ground set defaults to the moved points; pass one explicitly to
     view a group as acting on chosen points (a trivial group on {1,2}, say).
+    Equality and hashing see the degree and the elements, not the ground
+    set: the same permutations form the same group however it is viewed.
+    Whatever depends on the ground set keys on it explicitly, as the
+    closure cache keys on (group, ground set, k).
     """
 
-    __slots__ = ("_degree", "_ground", "_gens", "_eltups", "_elemset", "_hash", "_perms")
+    __slots__ = ("_degree", "_ground", "_gens", "_rows", "_ranks", "_eltups", "_hash", "_perms")
 
     def __init__(
         self,
         degree: int,
-        eltups: tuple[tuple[int, ...], ...],
-        elemset: frozenset[tuple[int, ...]],
+        rows: np.ndarray,
+        ranks: np.ndarray,
         gens: tuple[Permutation, ...],
         ground: tuple[int, ...],
     ):
         # internal constructor: use generate_group / from_elements instead
         self._degree = degree
-        self._eltups = eltups
-        self._elemset = elemset
+        self._rows = rows.astype(_point_dtype(degree), copy=False)
+        self._ranks = ranks
+        self._rows.flags.writeable = False
+        self._ranks.flags.writeable = False
         self._gens = gens
         self._ground = ground
+        self._eltups = None
         self._hash = None
         self._perms = None
 
@@ -412,19 +502,20 @@ class PermGroup:
     def _build(
         cls,
         degree: int,
-        elems: Iterable[tuple[int, ...]],
+        rows: np.ndarray,
         gen_tuples: Sequence[tuple[int, ...]] | None,
         ground: Iterable[int] | None,
+        ranks: np.ndarray | None = None,
     ) -> "PermGroup":
-        elem_set = frozenset(elems)
-        eltups = tuple(sorted(elem_set))
-        if not eltups:
+        """The group of the image rows.  Without ``ranks`` the rows are
+        sorted and deduplicated here; with them they must be sorted and
+        distinct already.  Without ``gen_tuples`` generators are derived."""
+        if ranks is None:
+            ranks, first = np.unique(_lex_ranks(rows), return_index=True)
+            rows = rows[first]
+        if not len(ranks):
             raise ValueError("a group needs at least the identity element")
-        moved = set()
-        for t in eltups:
-            for i, v in enumerate(t):
-                if v != i:
-                    moved.add(i + 1)
+        moved = set(_moved_points(rows))
         if ground is None:
             ground_t = tuple(sorted(moved))
         else:
@@ -434,16 +525,18 @@ class PermGroup:
                 raise ValueError(f"ground set omits moved points {missing}")
             if ground_t and not (1 <= ground_t[0] and ground_t[-1] <= degree):
                 raise ValueError(f"ground set outside 1..{degree}")
+        group = cls(degree, rows, ranks, (), ground_t)
         if gen_tuples is None:
             # a span that outgrows or leaves the set shows it is not a group
+            eltups = group.element_images()
             try:
                 gen_tuples, span = _greedy_span(eltups, degree, len(eltups), len(eltups))
             except BudgetExceeded:
                 span = None
-            if span != elem_set:
+            if span != set(eltups):
                 raise ValueError("element set is not closed under composition")
-        gens = tuple(Permutation._raw(t) for t in gen_tuples)
-        return cls(degree, eltups, elem_set, gens, ground_t)
+        group._gens = tuple(Permutation._raw(t) for t in gen_tuples)
+        return group
 
     @classmethod
     def from_elements(
@@ -471,7 +564,8 @@ class PermGroup:
             for g in gen_tuples:
                 if g not in pool:
                     raise ValueError("a supplied generator is not among the elements")
-        return cls._build(degree, (p._img for p in elems), gen_tuples, ground_set)
+        rows = _image_rows([p._img for p in elems], degree)
+        return cls._build(degree, rows, gen_tuples, ground_set)
 
     # -- basic views
 
@@ -489,50 +583,57 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return len(self._eltups)
+        return len(self._ranks)
 
     @property
     def is_trivial(self) -> bool:
-        return len(self._eltups) == 1
+        return len(self._ranks) == 1
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple; built lazily and cached."""
         if self._perms is None:
-            self._perms = tuple(Permutation._raw(t) for t in self._eltups)
+            self._perms = tuple(map(Permutation._raw, self.element_images()))
         return self._perms
 
     def element_images(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted 0-based image tuples; the canonical form of the group."""
+        """Sorted 0-based image tuples; built lazily and cached."""
+        if self._eltups is None:
+            self._eltups = tuple(map(tuple, self._rows.tolist()))
         return self._eltups
 
     def __contains__(self, p: Permutation) -> bool:
-        return isinstance(p, Permutation) and p._img in self._elemset
+        if not isinstance(p, Permutation) or p.degree != self._degree:
+            return False
+        rank = _lex_rank(p._img)
+        i = int(np.searchsorted(self._ranks, rank))
+        return i < len(self._ranks) and self._ranks[i] == rank
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self._eltups)
+        return len(self._ranks)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PermGroup)
             and self._degree == other._degree
-            and self._eltups == other._eltups
+            and np.array_equal(self._ranks, other._ranks)
         )
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         if not isinstance(other, PermGroup) or self._degree != other._degree:
             raise DegreeMismatch("subgroup test requires equal degrees")
-        return self._elemset <= other._elemset
+        return bool(np.isin(self._ranks, other._ranks).all())
 
     def __le__(self, other: "PermGroup") -> bool:
         return self.is_subgroup_of(other)
 
     def __hash__(self) -> int:
+        # the rows determine the ranks and have one dtype per degree
         if self._hash is None:
-            self._hash = hash((self._degree, self._eltups))
+            self._hash = hash((self._degree, self._rows.tobytes()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -569,23 +670,19 @@ def generate_group(
             deg = degree
     gen_tuples = tuple(g._img for g in gens)
     _, elems = _greedy_span(gen_tuples, deg, b.materialization_bound)
-    return PermGroup._build(deg, elems, gen_tuples, ground_set)
+    return PermGroup._build(deg, _image_rows(elems, deg), gen_tuples, ground_set)
+
+
+def _check_order(order: int, budgets: Budgets | None) -> None:
+    bound = resolve(budgets).materialization_bound
+    if order > bound:
+        raise BudgetExceeded("materialization", order, bound)
 
 
 def symmetric_on(points: Iterable[int], degree: int, budgets: Budgets | None = None) -> PermGroup:
     """The full symmetric group on the given points, inside degree n."""
     pts = sorted(set(points))
-    b = resolve(budgets)
-    if math.factorial(len(pts)) > b.materialization_bound:
-        raise BudgetExceeded(
-            "materialization", math.factorial(len(pts)), b.materialization_bound
-        )
-    elems = []
-    for images in itertools.permutations(pts):
-        img = list(range(degree))
-        for p, v in zip(pts, images):
-            img[p - 1] = v - 1
-        elems.append(tuple(img))
+    _check_order(math.factorial(len(pts)), budgets)
     gen_tuples = []
     if len(pts) >= 2:
         img = list(range(degree))
@@ -596,16 +693,15 @@ def symmetric_on(points: Iterable[int], degree: int, budgets: Budgets | None = N
         for a, bpt in zip(pts, pts[1:] + pts[:1]):
             img[a - 1] = bpt - 1
         gen_tuples.append(tuple(img))
-    return PermGroup._build(degree, elems, tuple(gen_tuples), pts or None)
+    rows, ranks = _symmetric_rows(pts, degree)
+    return PermGroup._build(degree, rows, tuple(gen_tuples), pts or None, ranks)
 
 
 def alternating_on(points: Iterable[int], degree: int, budgets: Budgets | None = None) -> PermGroup:
-    """The alternating group on the given points, inside degree n."""
+    """The alternating group on the given points, inside degree n: the
+    even part of the symmetric group, selected by inversion parity."""
     pts = sorted(set(points))
-    b = resolve(budgets)
-    order = math.factorial(len(pts)) // 2
-    if order > b.materialization_bound:
-        raise BudgetExceeded("materialization", order, b.materialization_bound)
+    _check_order(math.factorial(len(pts)) // 2, budgets)
     gen_tuples: list[tuple[int, ...]] = []
     if len(pts) >= 3:
         img = list(range(degree))
@@ -621,8 +717,9 @@ def alternating_on(points: Iterable[int], degree: int, budgets: Budgets | None =
         for a, bpt in zip(cyc, cyc[1:] + cyc[:1]):
             img[a - 1] = bpt - 1
         gen_tuples.append(tuple(img))
-    gens = [Permutation._raw(t) for t in gen_tuples]
-    return generate_group(gens, ground_set=pts or None, degree=degree, budgets=b)
+    rows, ranks = _symmetric_rows(pts, degree)
+    even = ~_is_odd(ranks, degree)
+    return PermGroup._build(degree, rows[even], tuple(gen_tuples), pts or None, ranks[even])
 
 
 # ---------------------------------------------------------------------------
@@ -638,17 +735,13 @@ def direct_product(g: PermGroup, h: PermGroup, budgets: Budgets | None = None) -
     overlap = set(g.ground_set) & set(h.ground_set)
     if overlap:
         raise ValueError(f"ground sets overlap on {sorted(overlap)}")
-    b = resolve(budgets)
     total = g.order * h.order
-    if total > b.materialization_bound:
-        raise BudgetExceeded("materialization", total, b.materialization_bound)
-    elems = []
-    for gt in g.element_images():
-        for ht in h.element_images():
-            elems.append(tuple(gt[j] for j in ht))
+    _check_order(total, budgets)
+    # row (a, b) is g_a . h_b, h_b applied first
+    rows = g._rows[:, h._rows].reshape(total, g.degree)
     ground = tuple(sorted(set(g.ground_set) | set(h.ground_set)))
     gen_tuples = tuple(p._img for p in g.generators + h.generators)
-    out = PermGroup._build(g.degree, elems, gen_tuples, ground)
+    out = PermGroup._build(g.degree, rows, gen_tuples, ground)
     if out.order != total:
         raise ValueError("factors do not commute elementwise; product is not direct")
     return out
@@ -670,7 +763,7 @@ def index2_subdirect(
     bsize = len(b_group.ground_set)
     if bsize < 2 or b_group.order != math.factorial(bsize):
         raise ValueError("first factor must be the full symmetric group on its ground set")
-    if not set(l0_group.element_images()) < set(l_group.element_images()):
+    if l0_group.order >= l_group.order or not l0_group.is_subgroup_of(l_group):
         raise ValueError("index-2 part is not a proper subgroup of the second factor")
     if l0_group.order * 2 != l_group.order:
         raise ValueError(
@@ -679,16 +772,16 @@ def index2_subdirect(
         )
     if not set(l0_group.ground_set) <= set(l_group.ground_set):
         raise ValueError("index-2 part moves points outside the second factor")
-    l0 = set(l0_group.element_images())
-    l_minus = [t for t in l_group.element_images() if t not in l0]
-    elems = []
-    for bt in b_group.element_images():
-        side = l0_group.element_images() if Permutation._raw(bt).sign == 1 else l_minus
-        for ht in side:
-            elems.append(tuple(bt[j] for j in ht))
+    n = b_group.degree
+    l_minus = l_group._rows[~np.isin(l_group._ranks, l0_group._ranks)]
+    odd = _is_odd(b_group._ranks, n)
+    rows = np.concatenate([
+        b_group._rows[~odd][:, l0_group._rows].reshape(-1, n),
+        b_group._rows[odd][:, l_minus].reshape(-1, n),
+    ])
     expected = b_group.order * l_group.order // 2
     ground = tuple(sorted(set(b_group.ground_set) | set(l_group.ground_set)))
-    out = PermGroup._build(b_group.degree, elems, None, ground)
+    out = PermGroup._build(n, rows, None, ground)
     if out.order != expected:
         raise ValueError("gluing produced an unexpected order")
     return out
@@ -780,10 +873,13 @@ def conjugate_group(group: PermGroup, s: Permutation) -> PermGroup:
     """The relabeled group s * G * s^-1."""
     if s.degree != group.degree:
         raise DegreeMismatch("conjugating element has the wrong degree")
-    elems = (conjugate(Permutation._raw(t), s)._img for t in group.element_images())
+    # s.t.s^-1 maps s(i) to s(t(i))
+    si = np.array(s._img, dtype=np.intp)
+    rows = np.empty_like(group._rows)
+    rows[:, si] = si[group._rows]
     gen_tuples = tuple(conjugate(g, s)._img for g in group.generators)
     ground = tuple(sorted(s(p) for p in group.ground_set))
-    return PermGroup._build(group.degree, elems, gen_tuples, ground)
+    return PermGroup._build(group.degree, rows, gen_tuples, ground)
 
 
 def _group_fingerprint(group: PermGroup) -> tuple:

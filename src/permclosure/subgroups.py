@@ -21,7 +21,7 @@ from .budgets import Budgets, resolve
 from .catalog import survey_candidates
 from .closure import closure_chain, galois_closure
 from .data import load_reference_table
-from .perm import PermGroup, _dimino_extend, are_conjugate_in_symmetric
+from .perm import PermGroup, _dimino_extend, _image_rows, are_conjugate_in_symmetric
 
 __all__ = [
     "SubgroupClass",
@@ -51,7 +51,8 @@ class SubgroupClass:
 
     def member_groups(self, degree: int) -> tuple[PermGroup, ...]:
         return tuple(
-            PermGroup._build(degree, m, None, None) for m in self._members
+            PermGroup._build(degree, _image_rows(m, degree), None, None)
+            for m in self._members
         )
 
 
@@ -172,7 +173,7 @@ def all_subgroups(
     out_classes = []
     for cls in classes:
         rep_tuples = cls["members"][0]
-        rep = PermGroup._build(n, rep_tuples, None, None)
+        rep = PermGroup._build(n, _image_rows(rep_tuples, n), None, None)
         out_classes.append(
             SubgroupClass(cls["order"], len(cls["members"]), rep, tuple(cls["members"]))
         )

@@ -19,7 +19,6 @@ encoding above.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import OrderedDict
 from typing import Iterable
@@ -28,7 +27,7 @@ import numpy as np
 
 from .budgets import Budgets, resolve
 from .errors import BudgetExceeded, DegreeMismatch
-from .perm import PermGroup, Permutation, extend_degree
+from .perm import PermGroup, Permutation, _symmetric_rows, extend_degree
 
 __all__ = [
     "TupleSpace",
@@ -177,9 +176,6 @@ class OrbitPartition:
 
     # -- queries
 
-    def canonical_index(self, t: int) -> int:
-        return int(self.labels[t])
-
     def canonical_tuple(self, a: Iterable[int]) -> tuple[int, ...]:
         return self.space.decode(int(self.labels[self.space.encode(a)]))
 
@@ -199,11 +195,6 @@ class OrbitPartition:
         if self._counts is None:
             self.representatives
         return self._counts
-
-    def size_of_orbit_of(self, t: int) -> int:
-        reps = self.representatives
-        pos = int(np.searchsorted(reps, self.labels[t]))
-        return int(self._counts[pos])
 
     def equals(self, other: "OrbitPartition") -> bool:
         if self.space.arity != other.space.arity or self.space.alphabet != other.space.alphabet:
@@ -314,7 +305,7 @@ def tuple_stabilizer(
     permutations of positions that hold equal values.
 
     Generated by adjacent transpositions inside each value class; elements
-    are enumerated directly as products over the classes.
+    are written directly as products of the classes' symmetric groups.
     """
     n = len(a) if degree is None else degree
     if degree is not None and len(a) != degree:
@@ -329,16 +320,10 @@ def tuple_stabilizer(
     if total > b.materialization_bound:
         raise BudgetExceeded("materialization", total, b.materialization_bound)
 
-    per_class = []
-    for _, positions in sorted(classes.items()):
-        per_class.append([dict(zip(positions, perm)) for perm in itertools.permutations(positions)])
-    elems = []
-    for combo in itertools.product(*per_class):
-        img = list(range(n))
-        for mapping in combo:
-            for src, dst in mapping.items():
-                img[src] = dst
-        elems.append(tuple(img))
+    rows = _symmetric_rows((), n)[0]
+    for positions in classes.values():
+        # classes move disjoint points, so their products commute
+        rows = rows[:, _symmetric_rows([p + 1 for p in positions], n)[0]].reshape(-1, n)
     gen_tuples = []
     for _, positions in sorted(classes.items()):
         for x, y in zip(positions, positions[1:]):
@@ -348,7 +333,7 @@ def tuple_stabilizer(
     ground = tuple(
         p + 1 for positions in classes.values() if len(positions) > 1 for p in positions
     )
-    return PermGroup._build(n, elems, tuple(gen_tuples), sorted(ground) or None)
+    return PermGroup._build(n, rows, tuple(gen_tuples), sorted(ground) or None)
 
 
 # ---------------------------------------------------------------------------

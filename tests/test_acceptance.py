@@ -271,13 +271,13 @@ def test_c08_klein_four_codomain():
 
 
 @criterion("c09", "pairwise orbit-equivalence classes of the primitive catalog "
-                  "match expectations at degrees 5, 6, 8, and 9")
+                  "match expectations at degrees 5, 6, 8, 9 and 10")
 def test_c09_equivalence_classes():
     for n in (5, 6):
         report = seress_report(n)
         assert report.matches, n
         assert report.wall_time < 60, n
-    for n in (8, 9):
+    for n in (8, 9, 10):
         report = seress_report(n)
         assert report.matches, n
         assert report.wall_time < 1800, n

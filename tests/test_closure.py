@@ -130,7 +130,7 @@ def _closure_kearnes_literal(
         if len(running) == len(g_eltups):
             break
     assert running is not None
-    return PermGroup._build(n, running, None, None)
+    return PermGroup.from_elements(Permutation._raw(t) for t in running)
 
 
 def test_intersection_shortcut_matches_literal_intersection(s4_catalog):

@@ -42,8 +42,12 @@ def _cases() -> dict[str, list[str]]:
     cases["closure-D_5-2-kearnes"] = [
         "closure", "catalog:D_5", "-k", "2", "--algorithm", "kearnes",
     ]
+    # closures whose generators are picked from a large closure's elements
+    for name, k in (("A_7", 3), ("S_7", 2), ("A_9", 3)):
+        cases[f"closure-{name}-{k}-pruned"] = ["closure", f"catalog:{name}", "-k", str(k)]
     cases["invariance-majority"] = ["invariance", "{table}"]
     cases["chain-A_5"] = ["chain", "catalog:A_5"]
+    cases["verify-primitive3-9"] = ["verify", "--theorem", "primitive3", "--n", "9"]
     return cases
 
 

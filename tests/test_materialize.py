@@ -1,15 +1,28 @@
 """Group materialization by Dimino's algorithm: orders against sympy, the
 element-list round trip, the greedy generator choice, and the budget of a
-closure rebuild."""
+closure rebuild.  The element arrays behind each group are checked against
+the tuple-set definitions they replace."""
 
+import itertools
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import grp
 from permclosure.budgets import Budgets
-from permclosure.closure import closure_pruned
+from permclosure.closure import _group_from_union, closure_pruned
 from permclosure.errors import BudgetExceeded
-from permclosure.perm import PermGroup, Permutation, compose, generate_group
+from permclosure.perm import (
+    PermGroup,
+    Permutation,
+    _greedy_span,
+    alternating_on,
+    compose,
+    generate_group,
+    symmetric_on,
+)
 
 
 @st.composite
@@ -18,6 +31,86 @@ def generator_sets(draw):
     n = draw(st.integers(1, 7))
     images = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4))
     return [Permutation(img) for img in images]
+
+
+def _span(gens, n):
+    """The image tuples the generators span, by breadth-first closure."""
+    ident = tuple(range(n))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        grown = [tuple(t[j] for j in g) for t in frontier for g in gens]
+        frontier = [x for x in dict.fromkeys(grown) if x not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@st.composite
+def group_cases(draw):
+    """A group with its element tuples by definition and its ground set if
+    one was given: random generators of degree at most 7, or the symmetric
+    or alternating group on scattered points inside degree at most 8."""
+    kind = draw(st.sampled_from(("generated", "symmetric", "alternating")))
+    if kind == "generated":
+        gens = draw(generator_sets())
+        return generate_group(gens), _span([g._img for g in gens], gens[0].degree), None
+    n = draw(st.integers(1, 8))
+    pts = tuple(sorted(draw(st.lists(st.integers(1, n), unique=True, max_size=7))))
+    elems = set()
+    for images in itertools.permutations(pts):
+        img = list(range(n))
+        for p, v in zip(pts, images):
+            img[p - 1] = v - 1
+        if kind == "symmetric" or Permutation._raw(tuple(img)).sign == 1:
+            elems.add(tuple(img))
+    build = symmetric_on if kind == "symmetric" else alternating_on
+    return build(pts, n), elems, pts
+
+
+@settings(max_examples=60)
+@given(case=group_cases(), data=st.data())
+def test_element_arrays_match_the_tuple_definitions(case, data):
+    g, elems, ground = case
+    n = g.degree
+    assert g.element_images() == tuple(sorted(elems))
+    assert [p._img for p in g.elements] == sorted(elems)
+    if ground is None:
+        ground = tuple(sorted({i + 1 for t in elems for i, v in enumerate(t) if v != i}))
+    assert g.ground_set == ground
+    probes = data.draw(st.lists(st.permutations(range(n)), max_size=20))
+    for t in [*map(tuple, probes), *sorted(elems)[::max(1, len(elems) // 50)]]:
+        assert (Permutation._raw(t) in g) == (t in elems)
+    assert Permutation._raw(tuple(range(n + 1))) not in g
+    # a subgroup from some of the elements, and any group of the degree
+    inner = data.draw(st.lists(st.sampled_from(sorted(elems)), max_size=3))
+    outer = data.draw(st.lists(st.permutations(range(n)).map(tuple), max_size=3))
+    for gens in (inner, outer):
+        h = generate_group([Permutation._raw(t) for t in gens], degree=n)
+        h_elems = _span(gens, n)
+        assert h.is_subgroup_of(g) == (h_elems <= elems)
+        assert g.is_subgroup_of(h) == (elems <= h_elems)
+        assert (h == g) == (h_elems == elems)
+        if h == g:
+            assert hash(h) == hash(g)
+    same = PermGroup.from_elements(reversed(g.elements), ground_set=range(1, n + 1))
+    assert same == g and hash(same) == hash(g)
+
+
+@settings(max_examples=40)
+@given(case=group_cases())
+def test_element_array_orders_match_sympy(case, sympy_group, sympy_perm):
+    g = case[0]
+    gens = g.generators or (Permutation._raw(tuple(range(g.degree))),)
+    assert g.order == sympy_group(*(sympy_perm(list(p._img)) for p in gens)).order()
+
+
+def test_groups_past_degree_twenty_rank_by_python_ints():
+    # 21! outgrows int64, so ranks there are exact Python integers
+    cycle = Permutation([*range(2, 23), 1])
+    g = generate_group([cycle])
+    assert g.order == 22 and g._ranks.dtype == object
+    assert compose(cycle, cycle) in g and Permutation([2, 1, *range(3, 23)]) not in g
+    assert PermGroup.from_elements(g.elements) == g
+    assert generate_group([compose(cycle, cycle)]) <= g
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +159,22 @@ def test_derived_generators_are_the_greedy_choice(gens):
         kept += 1
         span = generate_group(derived[:kept], degree=g.degree)
     assert kept == len(derived)
+
+
+@settings(max_examples=60)
+@given(gens=generator_sets())
+def test_closure_rebuild_keeps_the_greedy_generators(gens):
+    """The rebuild spans only proper prefixes of the base's generators, yet
+    keeps what one greedy scan over them and the candidates keeps."""
+    n = gens[0].degree
+    g = generate_group(gens + [compose(gens[-1], gens[0])])  # a redundant last one
+    everything = symmetric_on(range(1, n + 1), n)
+    outside = everything._rows[~np.isin(everything._ranks, g._ranks)]
+    for extra in (outside[:0], outside):
+        scan = itertools.chain((p._img for p in g.generators), map(tuple, extra.tolist()))
+        expected, _ = _greedy_span(scan, n, math.factorial(n), g.order + len(extra))
+        rebuilt = _group_from_union(g, extra, extra, math.factorial(n))
+        assert [p._img for p in rebuilt.generators] == expected
 
 
 def test_closure_rebuild_respects_the_materialization_bound():

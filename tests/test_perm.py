@@ -230,6 +230,14 @@ def test_group_equality_is_by_element_set():
     assert a != klein_four()
 
 
+def test_equality_and_hash_ignore_the_ground_set():
+    # a group is its permutations; the closure cache keys on the ground set
+    narrow = grp(4, "(1 2)")
+    wide = generate_group([parse_perm("(1 2)", 4)], ground_set=range(1, 5))
+    assert narrow.ground_set == (1, 2) and wide.ground_set == (1, 2, 3, 4)
+    assert narrow == wide and hash(narrow) == hash(wide)
+
+
 def test_from_elements_validates_closure():
     with pytest.raises(ValueError):
         PermGroup.from_elements([identity(3), parse_perm("(1 2 3)", 3)])
