@@ -42,6 +42,7 @@ from .perm import (
     _greedy_span,
     _image_rows,
     _lex_ranks,
+    _min_labels,
     _moved_points,
     _point_dtype,
     format_perm,
@@ -50,7 +51,6 @@ from .perm import (
 from .tuples import (
     OrbitPartition,
     TupleSpace,
-    _min_labels,
     cached_orbit_partition,
     tuple_stabilizer,
 )

@@ -141,7 +141,7 @@ class Permutation:
 
     @property
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))
 
     @property
     def sign(self) -> int:
@@ -791,25 +791,30 @@ def index2_subdirect(
 # orbits, transitivity, primitivity
 
 
+def _min_labels(size: int, index_maps: list[np.ndarray]) -> np.ndarray:
+    """Orbit labels of 0..size-1 under the maps: min-label propagation with
+    pointer jumping (Shiloach & Vishkin, 1982).
+
+    ``labels[t]`` always lies in the orbit of t and never grows, so once a
+    round changes nothing every label is its orbit's least index.
+    """
+    labels = np.arange(size, dtype=np.int64)
+    while True:
+        before = labels
+        for imap in index_maps:
+            labels = np.minimum(labels, labels[imap])
+            labels = labels[labels]
+        if np.array_equal(labels, before):
+            return labels
+
+
 def orbits_on_points(group: PermGroup) -> tuple[tuple[int, ...], ...]:
     """Orbits of the ground set, each sorted, ordered by least point."""
-    parent = {p: p for p in group.ground_set}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in group.generators:
-        for p in group.ground_set:
-            a, b = find(p), find(g(p))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+    labels = _min_labels(group.degree, [np.array(g._img) for g in group.generators])
     buckets: dict[int, list[int]] = {}
     for p in group.ground_set:
-        buckets.setdefault(find(p), []).append(p)
-    return tuple(tuple(sorted(v)) for _, v in sorted(buckets.items()))
+        buckets.setdefault(int(labels[p - 1]), []).append(p)
+    return tuple(tuple(v) for _, v in sorted(buckets.items()))
 
 
 def full_orbits(group: PermGroup, degree: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -882,33 +887,45 @@ def conjugate_group(group: PermGroup, s: Permutation) -> PermGroup:
     return PermGroup._build(group.degree, rows, gen_tuples, ground)
 
 
-def _group_fingerprint(group: PermGroup) -> tuple:
-    types: dict[tuple[int, ...], int] = {}
-    for p in group.elements:
-        ct = p.cycle_type()
-        types[ct] = types.get(ct, 0) + 1
-    return (group.order, tuple(sorted(types.items())))
+def _conjugate_ranks(group: PermGroup) -> np.ndarray:
+    """The distinct conjugates s * G * s^-1 over the whole symmetric group,
+    one row of sorted lex ranks each, rows in lexicographic order.
+
+    The (n!, |G|) rank matrix is filled one element of G at a time, so the
+    (n!, n) relabeled rows are the largest temporary.
+    """
+    n = group.degree
+    s, _ = _symmetric_rows(range(1, n + 1), n)
+    s_inv = np.argsort(s, axis=1)
+    out = np.empty((len(s), group.order), dtype=np.int64)
+    for j, h in enumerate(group._rows):
+        # s.h.s^-1 maps s(i) to s(h(i))
+        out[:, j] = _lex_ranks(np.take_along_axis(s, h[s_inv], axis=1))
+    out.sort(axis=1)
+    # lexsort plus adjacent differences: np.unique(axis=0) compares rows as
+    # structured records, 20x slower on S_6
+    out = out[np.lexsort(out.T[::-1])]
+    return out[np.r_[True, (out[1:] != out[:-1]).any(axis=1)]]
 
 
 def are_conjugate_in_symmetric(g: PermGroup, h: PermGroup) -> bool:
     """Conjugacy inside the symmetric group of their common degree.
 
-    Cheap fingerprints first, then a brute scan over relabelings; meant for
-    degree at most 6 or so.
+    Equal groups and groups of different orders are answered at once.
+    Otherwise h's ranks are looked up among the rank rows of all n!
+    conjugates of g.  Those n! * |G| ranks must fit the default
+    materialization bound of 10!: every group up to degree 6, groups of
+    order at most 720 at degree 7 and at most 90 at degree 8.  Larger
+    cases raise BudgetExceeded before anything is allocated.
     """
     if g.degree != h.degree:
         raise DegreeMismatch("conjugacy test requires equal degrees")
     if g == h:
         return True
-    if _group_fingerprint(g) != _group_fingerprint(h):
+    if g.order != h.order:
         return False
-    target = set(h.element_images())
-    for simg in itertools.permutations(range(g.degree)):
-        s = Permutation._raw(simg)
-        if all(conjugate(p, s)._img in target for p in g.generators):
-            if {conjugate(p, s)._img for p in g.elements} == target:
-                return True
-    return False
+    _check_order(math.factorial(g.degree) * g.order, None)
+    return bool((_conjugate_ranks(g) == h._ranks).all(axis=1).any())
 
 
 # ---------------------------------------------------------------------------

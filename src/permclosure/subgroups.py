@@ -5,23 +5,34 @@ Enumeration works up to conjugacy: starting from the cyclic subgroups,
 each known class representative is extended by one element of prime-power
 order at a time (subgroups are generated by their prime-power elements,
 so the layered extension reaches every class).  Registering a class
-stores the full conjugate orbit, which makes duplicate detection a set
-lookup and yields exact class sizes.
+conjugates its first group by all n! permutations at once, as a matrix of
+lex ranks (``perm._conjugate_ranks``); the distinct sorted rank rows are
+the class's members, so class sizes are exact and a later duplicate is a
+set lookup.  That matrix has n! * |G| entries, which bounds the design to
+the supported degrees.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .budgets import Budgets, resolve
 from .catalog import survey_candidates
 from .closure import closure_chain, galois_closure
 from .data import load_reference_table
-from .perm import PermGroup, _dimino_extend, _image_rows, are_conjugate_in_symmetric
+from .perm import (
+    PermGroup,
+    Permutation,
+    _conjugate_ranks,
+    _dimino_extend,
+    _image_rows,
+    _symmetric_rows,
+    are_conjugate_in_symmetric,
+)
 
 __all__ = [
     "SubgroupClass",
@@ -42,18 +53,17 @@ EXPECTED_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 19, 6: 56}
 @dataclass(frozen=True)
 class SubgroupClass:
     """One conjugacy class of subgroups: a canonical representative and
-    the full list of member element-sets."""
+    every member, as its sorted lex ranks among the permutations of the
+    degree, members in lexicographic order."""
 
     order: int
     class_size: int
     representative: PermGroup
-    _members: tuple[tuple[tuple[int, ...], ...], ...]
+    _members: tuple[tuple[int, ...], ...]
 
     def member_groups(self, degree: int) -> tuple[PermGroup, ...]:
-        return tuple(
-            PermGroup._build(degree, _image_rows(m, degree), None, None)
-            for m in self._members
-        )
+        rows, _ = _symmetric_rows(range(1, degree + 1), degree)
+        return tuple(_group_of_ranks(rows, m) for m in self._members)
 
 
 @dataclass(frozen=True)
@@ -70,35 +80,20 @@ class SubgroupCatalog:
         return tuple(out)
 
     def class_of(self, group: PermGroup) -> SubgroupClass:
-        key = tuple(group.element_images())
-        for cls in self.classes:
-            if key in cls._members:
-                return cls
+        # ranks alone cannot tell the degrees apart
+        if group.degree == self.degree:
+            key = tuple(group._ranks.tolist())
+            for cls in self.classes:
+                if key in cls._members:
+                    return cls
         raise LookupError("group is not a subgroup at this degree")
 
 
-def _conj_tuple(t: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
-    # relabeling of the image tuple t along s
-    out = [0] * len(t)
-    for i, v in enumerate(t):
-        out[s[i]] = s[v]
-    return tuple(out)
-
-
-def _perm_order(t: tuple[int, ...]) -> int:
-    seen = [False] * len(t)
-    order = 1
-    for start in range(len(t)):
-        if seen[start]:
-            continue
-        length = 0
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = t[p]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+def _group_of_ranks(sn_rows: np.ndarray, ranks: tuple[int, ...]) -> PermGroup:
+    """The group whose elements are the permutations of the given sorted
+    ranks, picked from the lex-ordered rows of the symmetric group."""
+    idx = np.array(ranks, dtype=np.int64)
+    return PermGroup._build(sn_rows.shape[1], sn_rows[idx], None, None, idx)
 
 
 def _is_prime_power(m: int) -> bool:
@@ -128,28 +123,24 @@ def all_subgroups(
     if _extension_order == "forward" and n in _catalog_cache:
         return _catalog_cache[n]
     b = resolve(budgets)
-    sn = sorted(itertools.permutations(range(n)))
-    ident = tuple(range(n))
-    pp_elements = [t for t in sn if _is_prime_power(_perm_order(t))]
+    sn_rows, _ = _symmetric_rows(range(1, n + 1), n)
+    sn = list(map(tuple, sn_rows.tolist()))  # sn[r] has lex rank r
+    ident = sn[0]
+    pp_elements = [t for t in sn if _is_prime_power(Permutation._raw(t).order)]
     if _extension_order == "reversed":
         pp_elements = list(reversed(pp_elements))
 
-    classes: list[dict] = []
-    seen: dict[frozenset, int] = {}
+    classes: list[SubgroupClass] = []
+    seen: set[frozenset] = set()
 
     def register(h: frozenset) -> bool:
         if h in seen:
             return False
-        members = {h}
-        for s in sn:
-            members.add(frozenset(_conj_tuple(t, s) for t in h))
-        idx = len(classes)
-        for m in members:
-            seen[m] = idx
-        classes.append({
-            "order": len(h),
-            "members": sorted(tuple(sorted(m)) for m in members),
-        })
+        group = PermGroup._build(n, _image_rows(h, n), (), None)
+        members = tuple(map(tuple, _conjugate_ranks(group).tolist()))
+        seen.update(frozenset(sn[r] for r in m) for m in members)
+        rep = _group_of_ranks(sn_rows, members[0])
+        classes.append(SubgroupClass(len(h), len(members), rep, members))
         return True
 
     register(frozenset([ident]))
@@ -170,15 +161,8 @@ def all_subgroups(
             # the whole left coset x.base generates the same subgroup
             covered.update(_left_coset(x, base_list))
 
-    out_classes = []
-    for cls in classes:
-        rep_tuples = cls["members"][0]
-        rep = PermGroup._build(n, _image_rows(rep_tuples, n), None, None)
-        out_classes.append(
-            SubgroupClass(cls["order"], len(cls["members"]), rep, tuple(cls["members"]))
-        )
-    out_classes.sort(key=lambda c: (c.order, c.class_size, c._members[0]))
-    catalog = SubgroupCatalog(n, tuple(out_classes), sum(c.class_size for c in out_classes))
+    classes.sort(key=lambda c: (c.order, c.class_size, c._members[0]))
+    catalog = SubgroupCatalog(n, tuple(classes), sum(c.class_size for c in classes))
     if catalog.total_subgroups != EXPECTED_TOTALS[n]:
         raise AssertionError(
             f"enumeration found {catalog.total_subgroups} subgroups at degree {n}, "

@@ -27,7 +27,7 @@ import numpy as np
 
 from .budgets import Budgets, resolve
 from .errors import BudgetExceeded, DegreeMismatch
-from .perm import PermGroup, Permutation, _symmetric_rows, extend_degree
+from .perm import PermGroup, Permutation, _min_labels, _symmetric_rows, extend_degree
 
 __all__ = [
     "TupleSpace",
@@ -241,23 +241,6 @@ class OrbitPartition:
 
 # ---------------------------------------------------------------------------
 # building partitions
-
-
-def _min_labels(size: int, index_maps: list[np.ndarray]) -> np.ndarray:
-    """Orbit labels of 0..size-1 under the maps: min-label propagation with
-    pointer jumping (Shiloach & Vishkin, 1982).
-
-    ``labels[t]`` always lies in the orbit of t and never grows, so once a
-    round changes nothing every label is its orbit's least index.
-    """
-    labels = np.arange(size, dtype=np.int64)
-    while True:
-        before = labels
-        for imap in index_maps:
-            labels = np.minimum(labels, labels[imap])
-            labels = labels[labels]
-        if np.array_equal(labels, before):
-            return labels
 
 
 def _partition_from_index_maps(space: TupleSpace, index_maps: list[np.ndarray]) -> OrbitPartition:

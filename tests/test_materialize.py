@@ -21,6 +21,7 @@ from permclosure.perm import (
     alternating_on,
     compose,
     generate_group,
+    orbits_on_points,
     symmetric_on,
 )
 
@@ -129,6 +130,9 @@ def test_order_matches_sympy(gens, sympy_group, sympy_perm):
     g = generate_group(gens)
     reference = sympy_group(*(sympy_perm([v - 1 for v in p.images]) for p in gens))
     assert g.order == reference.order()
+    # the ground set is the moved points, so sympy's fixed singletons drop out
+    orbits = sorted(tuple(sorted(p + 1 for p in o)) for o in reference.orbits() if len(o) > 1)
+    assert orbits_on_points(g) == tuple(orbits)
     # a set holding the generators and closed under them is the group they span
     assert all(p in g for p in gens)
     assert all(compose(e, p) in g for e in g.elements for p in gens)

@@ -2,12 +2,16 @@
 
 import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import cyclic_4, grp, klein_four
+from permclosure import perm
 from permclosure.budgets import Budgets
+from permclosure.catalog import catalog_names, get_group
 from permclosure.errors import BudgetExceeded, DegreeMismatch, ParseError
 from permclosure.perm import (
     PermGroup,
@@ -16,6 +20,7 @@ from permclosure.perm import (
     are_conjugate_in_symmetric,
     compose,
     conjugate,
+    conjugate_group,
     direct_product,
     extend_degree,
     format_perm,
@@ -34,6 +39,7 @@ from permclosure.perm import (
     symmetric_on,
     viewed_at_degree,
 )
+from permclosure.subgroups import all_subgroups
 
 
 def perms_of(n):
@@ -374,6 +380,91 @@ def test_conjugacy_in_the_symmetric_group():
     other = grp(4, "(1 3 2 4)")
     assert are_conjugate_in_symmetric(cyclic_4(), other)
     assert not are_conjugate_in_symmetric(cyclic_4(), klein_four())
+
+
+def _group_fingerprint(group: PermGroup) -> tuple:
+    types: dict[tuple[int, ...], int] = {}
+    for p in group.elements:
+        ct = p.cycle_type()
+        types[ct] = types.get(ct, 0) + 1
+    return (group.order, tuple(sorted(types.items())))
+
+
+def _are_conjugate_by_relabeling(g: PermGroup, h: PermGroup) -> bool:
+    """Conjugacy inside the symmetric group of their common degree.
+
+    Cheap fingerprints first, then a brute scan over relabelings; meant for
+    degree at most 6 or so.
+    """
+    if g.degree != h.degree:
+        raise DegreeMismatch("conjugacy test requires equal degrees")
+    if g == h:
+        return True
+    if _group_fingerprint(g) != _group_fingerprint(h):
+        return False
+    target = set(h.element_images())
+    for simg in itertools.permutations(range(g.degree)):
+        s = Permutation._raw(simg)
+        if all(conjugate(p, s)._img in target for p in g.generators):
+            if {conjugate(p, s)._img for p in g.elements} == target:
+                return True
+    return False
+
+
+def test_conjugacy_matches_the_relabeling_scan_on_degree_four_subgroups():
+    members = all_subgroups(4).all_groups()
+    verdicts = set()
+    for g, h in itertools.product(members, repeat=2):
+        verdict = are_conjugate_in_symmetric(g, h)
+        assert verdict == _are_conjugate_by_relabeling(g, h)
+        verdicts.add((g.order == h.order, verdict))
+    # both verdicts occur between distinct groups of one order
+    assert {(True, True), (True, False)} <= verdicts
+
+
+def test_conjugacy_matches_the_relabeling_scan_on_catalog_groups():
+    rng = random.Random(11)
+    named = [get_group(name) for name in catalog_names()]
+    named += [get_group(f"{kind}_{n}") for kind in "CDAS" for n in range(3, 8)]
+    by_degree: dict[int, list[PermGroup]] = {}
+    for g in named:
+        if g.degree <= 7:
+            by_degree.setdefault(g.degree, []).append(g)
+    for groups in by_degree.values():
+        for g, h in itertools.product(groups, repeat=2):
+            images = list(range(1, h.degree + 1))
+            rng.shuffle(images)
+            relabeled = conjugate_group(h, Permutation(images))
+            verdict = are_conjugate_in_symmetric(g, relabeled)
+            assert verdict == _are_conjugate_by_relabeling(g, relabeled)
+            if g is h:
+                assert verdict
+
+
+def test_conjugacy_refuses_before_allocating(monkeypatch):
+    g = get_group("ASL(3,2)")
+    h = conjugate_group(g, parse_perm("(1 2)", 8))
+    assert g != h
+
+    def unreachable(*args):
+        raise AssertionError("the rank matrix was started")
+
+    monkeypatch.setattr(perm, "_symmetric_rows", unreachable)
+    monkeypatch.setattr(perm, "_conjugate_ranks", unreachable)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            are_conjugate_in_symmetric(g, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.budget_name == "materialization"
+    assert err.value.needed == 40320 * 1344
+    assert err.value.allowed == math.factorial(10)
+    assert peak < 1 << 20
+    # the cheap answers need no rank matrix
+    assert are_conjugate_in_symmetric(g, g)
+    assert not are_conjugate_in_symmetric(g, get_group("AGL(1,8)"))
 
 
 # ---------------------------------------------------------------------------

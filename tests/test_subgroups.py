@@ -6,7 +6,12 @@ import math
 import pytest
 
 from permclosure import subgroups
-from permclosure.perm import PermGroup, Permutation, are_conjugate_in_symmetric
+from permclosure.perm import (
+    PermGroup,
+    Permutation,
+    _conjugate_ranks,
+    are_conjugate_in_symmetric,
+)
 from permclosure.subgroups import (
     EXPECTED_CLASS_COUNTS,
     EXPECTED_TOTALS,
@@ -75,6 +80,14 @@ def test_members_are_conjugate_and_distinct(s4_catalog):
         for m in members[:3]:
             assert m.order == cls.order
             assert are_conjugate_in_symmetric(m, cls.representative)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_conjugate_ranks_are_the_class_members(n):
+    for cls in all_subgroups(n).classes:
+        rows = _conjugate_ranks(cls.representative)
+        assert rows.shape == (cls.class_size, cls.order)
+        assert tuple(map(tuple, rows.tolist())) == cls._members
 
 
 def test_class_lookup(s4_catalog):
