@@ -20,7 +20,6 @@ used by the verification suite.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,9 +32,10 @@ from .errors import BudgetExceeded, DegreeMismatch
 from .perm import (
     PermGroup,
     Permutation,
-    _image_rows,
     _is_odd,
     _lex_ranks,
+    _point_dtype,
+    _symmetric_rows,
     alternating_on,
     direct_product,
     full_orbits,
@@ -270,28 +270,23 @@ def wielandt_closure(
     Candidates are restricted to permutations preserving every point
     orbit setwise, which is sound: orbits of constant tuples recover the
     point orbits, so any permutation with the same tuple orbits preserves
-    them."""
+    them.  They are built at once, as the product of the symmetric groups
+    on the orbits, and tested in one batch under the value action."""
     b = resolve(budgets)
     n = group.degree
     orbits = full_orbits(group, n)
-    pool = 1
-    for o in orbits:
-        pool *= math.factorial(len(o))
+    pool = math.prod(math.factorial(len(o)) for o in orbits)
     if pool > b.candidate_budget:
         raise BudgetExceeded("candidate", pool, b.candidate_budget)
     part = cached_orbit_partition(group, k, budgets=b, value_action=True)
-    tester = _IndexTester.from_partition(part)
-    inside = set(group.element_images())
-    accepted: list[tuple[int, ...]] = []
-    for combo in itertools.product(*(itertools.permutations(o) for o in orbits)):
-        img = list(range(n))
-        for orbit, images in zip(orbits, combo):
-            for p, v in zip(orbit, images):
-                img[p - 1] = v - 1
-        sigma = Permutation._raw(tuple(img))
-        if sigma._img not in inside and tester.accepts_value(sigma):
-            accepted.append(sigma._img)
-    extra = _image_rows(sorted(accepted), n)
+    cand = np.arange(n, dtype=_point_dtype(n))[None, :]
+    for o in orbits:
+        # the orbits are disjoint, so each product c.s is the row c[s]
+        cand = cand[:, _symmetric_rows(o, n)[0]].reshape(-1, n)
+    ranks = _lex_ranks(cand)
+    order = np.argsort(ranks)
+    cand = cand[order[~np.isin(ranks[order], group._ranks)]]
+    extra = cand[_IndexTester.from_partition(part, value_action=True).accepted_rows(cand)]
     return _group_from_union(group, extra, extra, b.materialization_bound)
 
 

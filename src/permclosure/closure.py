@@ -161,38 +161,33 @@ class ChainReport:
 _TEST_CELLS = 1 << 18
 # Rows in the first chunk of the test order; later chunks double.
 _FIRST_ROWS = 16
-# Rows per chunk of the one-candidate value-action test.
-_VALUE_ROWS = 8192
 # Permutations per block when the whole symmetric group is streamed.
 _PERMUTATION_BLOCK = 1 << 15
 
 
 class _IndexTester:
-    """Early-exit test that permutations preserve a label array.
+    """Early-exit test that permutations preserve a label array, under the
+    coordinate action or, when built for it, the value action.
 
     Rows are visited small-orbit-first so mismatches surface quickly.
     """
 
-    __slots__ = ("_space", "_labels", "_digits_ordered", "_labels_ordered")
+    __slots__ = ("_space", "_labels", "_digits_ordered", "_labels_ordered", "_value_action")
 
-    def __init__(self, space: TupleSpace, labels: np.ndarray, order: np.ndarray | None):
+    def __init__(self, space: TupleSpace, labels: np.ndarray, order=slice(None), value_action=False):
         self._space = space
         self._labels = labels
-        if order is None:
-            self._digits_ordered = space.digits
-            self._labels_ordered = labels
-        else:
-            self._digits_ordered = space.digits[order]
-            self._labels_ordered = labels[order]
+        self._value_action = value_action
+        self._digits_ordered = space.digits[order]
+        self._labels_ordered = labels[order]
 
     @classmethod
-    def from_partition(cls, part: OrbitPartition) -> "_IndexTester":
-        return cls(part.space, part.labels, part.test_order())
+    def from_partition(cls, part: OrbitPartition, value_action: bool = False) -> "_IndexTester":
+        return cls(part.space, part.labels, part.test_order(), value_action)
 
     def accepted_rows(self, images: np.ndarray) -> np.ndarray:
         """Indices, ascending, of the rows of ``images`` (one permutation
-        per row, as 0-based images) whose coordinate action preserves the
-        labels.
+        per row, as 0-based images) whose action preserves the labels.
 
         Candidates go in blocks against chunks of the test order that
         double in size; a candidate leaves at its first failing chunk.
@@ -206,29 +201,21 @@ class _IndexTester:
         kept = [np.empty(0, dtype=np.intp)]
         for start in range(0, images.shape[0], block):
             alive = np.arange(start, min(start + block, images.shape[0]))
-            # sigma moves digit j to weight position sigma^-1(j)
-            permuted = weights[np.argsort(images[alive], axis=1)]
+            # in the coordinate action sigma moves digit j to weight position sigma^-1(j)
+            moved = images[alive] if self._value_action else weights[np.argsort(images[alive], axis=1)]
             lo, rows = 0, _FIRST_ROWS
             while alive.size and lo < size:
                 hi = min(size, lo + rows)
-                idx = digits[lo:hi].astype(np.intp) @ permuted.T
+                if self._value_action:
+                    idx = (moved[:, digits[lo:hi]] @ weights).T
+                else:
+                    idx = digits[lo:hi].astype(np.intp) @ moved.T
                 ok = (labels[idx] == ordered[lo:hi, None]).all(axis=0)
-                alive, permuted = alive[ok], permuted[ok]
+                alive, moved = alive[ok], moved[ok]
                 lo = hi
                 rows = min(2 * rows, _TEST_CELLS // max(alive.size, arity))
             kept.append(alive)
         return np.concatenate(kept)
-
-    def accepts_value(self, sigma: Permutation) -> bool:
-        w = self._space.weights
-        vimg = np.array(sigma._img, dtype=w.dtype)
-        digits, ordered, labels = self._digits_ordered, self._labels_ordered, self._labels
-        step = _VALUE_ROWS
-        for s in range(0, digits.shape[0], step):
-            idx = vimg[digits[s:s + step]] @ w
-            if not np.array_equal(labels[idx], ordered[s:s + step]):
-                return False
-        return True
 
 
 def _rows_outside(group: PermGroup) -> Iterator[np.ndarray]:
@@ -787,7 +774,7 @@ def invariance_group(
     nfact = math.factorial(n)
     if nfact > b.candidate_budget:
         raise BudgetExceeded("candidate", nfact, b.candidate_budget)
-    tester = _IndexTester(table.space, table.values_array, None)
+    tester = _IndexTester(table.space, table.values_array)
     trivial = generate_group([], ground_set=range(1, n + 1), degree=n)
     accepted = np.concatenate([rows[tester.accepted_rows(rows)] for rows in _rows_outside(trivial)])
     return _group_from_union(trivial, accepted, accepted, b.materialization_bound)
@@ -898,7 +885,7 @@ def min_codomain_report(
                 for o in members:
                     block_of[o] = bi + 1
             vals = block_of[ranks]
-            tester = _IndexTester(part.space, vals, None)
+            tester = _IndexTester(part.space, vals)
             if any(tester.accepted_rows(rows).size for rows in outside):
                 continue
             tested[m] = count

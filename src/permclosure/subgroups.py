@@ -1,37 +1,37 @@
 """Exhaustive subgroup enumeration of small symmetric groups, the survey
 of nontrivial closures at degree up to 6, and chain-length statistics.
 
-Enumeration works up to conjugacy: starting from the cyclic subgroups,
-each known class representative is extended by one element of prime-power
-order at a time (subgroups are generated by their prime-power elements,
-so the layered extension reaches every class).  Registering a class
-conjugates its first group by all n! permutations at once, as a matrix of
-lex ranks (``perm._conjugate_ranks``); the distinct sorted rank rows are
-the class's members, so class sizes are exact and a later duplicate is a
-set lookup.  That matrix has n! * |G| entries, which bounds the design to
-the supported degrees.
+Enumeration works up to conjugacy, on lex ranks throughout: a subgroup
+is its sorted rank array, and products come from S_n's multiplication
+table by rank.  From the trivial group, each class representative is
+extended by one prime-power element at a time; subgroups are generated by
+such elements, so this reaches every class.  A new class's members are the
+distinct sorted rank rows of its first group conjugated by all n!
+permutations at once (``perm._conjugate_ranks``, an n! * |G| matrix that
+bounds the design to the supported degrees).  One index from every
+member's rank tuple to its class finds repeats, answers ``class_of`` and
+names the survey rows.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budgets import Budgets, resolve
+from .budgets import Budgets
 from .catalog import survey_candidates
 from .closure import closure_chain, galois_closure
 from .data import load_reference_table
 from .perm import (
     PermGroup,
     Permutation,
+    _check_order,
     _conjugate_ranks,
-    _dimino_extend,
-    _image_rows,
+    _lex_ranks,
     _symmetric_rows,
-    are_conjugate_in_symmetric,
 )
 
 __all__ = [
@@ -71,22 +71,19 @@ class SubgroupCatalog:
     degree: int
     classes: tuple[SubgroupClass, ...]
     total_subgroups: int
+    # every member's rank tuple, mapped to its class
+    _index: dict[tuple[int, ...], SubgroupClass] = field(compare=False, repr=False)
 
     def all_groups(self) -> tuple[PermGroup, ...]:
         """Every individual subgroup, not just class representatives."""
-        out: list[PermGroup] = []
-        for cls in self.classes:
-            out.extend(cls.member_groups(self.degree))
-        return tuple(out)
+        return tuple(g for cls in self.classes for g in cls.member_groups(self.degree))
 
     def class_of(self, group: PermGroup) -> SubgroupClass:
         # ranks alone cannot tell the degrees apart
-        if group.degree == self.degree:
-            key = tuple(group._ranks.tolist())
-            for cls in self.classes:
-                if key in cls._members:
-                    return cls
-        raise LookupError("group is not a subgroup at this degree")
+        cls = self._index.get(tuple(group._ranks.tolist())) if group.degree == self.degree else None
+        if cls is None:
+            raise LookupError("group is not a subgroup at this degree")
+        return cls
 
 
 def _group_of_ranks(sn_rows: np.ndarray, ranks: tuple[int, ...]) -> PermGroup:
@@ -110,59 +107,81 @@ def _is_prime_power(m: int) -> bool:
 _catalog_cache: dict[int, SubgroupCatalog] = {}
 
 
+def _span(mul: np.ndarray, base: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Sorted ranks of the group generated by the sorted ranks ``base`` and
+    the generator ranks ``gens``, which also generate base: a breadth-first
+    closure under right multiplication over a mask of all n! ranks.  Every
+    ``PermGroup`` is built by Dimino's algorithm (``perm._dimino_extend``);
+    this exists only for enumeration, where all of S_n (n <= 6) fits in a 720-row table."""
+    member = np.zeros(len(mul), dtype=bool)
+    member[base] = True
+    frontier = base
+    while len(frontier):
+        before = member.copy()
+        member[mul[frontier[:, None], gens]] = True
+        frontier = np.flatnonzero(member > before)
+    return np.flatnonzero(member)
+
+
 def all_subgroups(
     n: int, budgets: Budgets | None = None, _extension_order: str = "forward"
 ) -> SubgroupCatalog:
     """All subgroups of the symmetric group of degree n, up to conjugacy.
 
-    Supported for n up to 6.  ``_extension_order`` reverses the candidate
-    scan; the result must not depend on it (checked in the test suite).
+    Supported for n up to 6.  Raises BudgetExceeded up front when the
+    materialization bound is below n!, as the spans reach S_n itself.
+    ``_extension_order`` reverses the candidate scan; the result must not
+    depend on it (checked in the test suite).
     """
     if not 1 <= n <= 6:
         raise ValueError("subgroup enumeration is supported for degree 1..6")
+    _check_order(math.factorial(n), budgets)
     if _extension_order == "forward" and n in _catalog_cache:
         return _catalog_cache[n]
-    b = resolve(budgets)
-    sn_rows, _ = _symmetric_rows(range(1, n + 1), n)
-    sn = list(map(tuple, sn_rows.tolist()))  # sn[r] has lex rank r
-    ident = sn[0]
-    pp_elements = [t for t in sn if _is_prime_power(Permutation._raw(t).order)]
+    sn_rows, _ = _symmetric_rows(range(1, n + 1), n)  # row r has lex rank r
+    mul = np.empty((len(sn_rows), len(sn_rows)), dtype=np.int16)
+    for a, row in enumerate(sn_rows):
+        mul[a] = _lex_ranks(row[sn_rows])  # rank of a.b, applying b first
+    pp_elements = [
+        r for r, img in enumerate(sn_rows.tolist())
+        if _is_prime_power(Permutation._raw(tuple(img)).order)
+    ]
     if _extension_order == "reversed":
-        pp_elements = list(reversed(pp_elements))
+        pp_elements.reverse()
 
     classes: list[SubgroupClass] = []
-    seen: set[frozenset] = set()
+    index: dict[tuple[int, ...], SubgroupClass] = {}
 
-    def register(h: frozenset) -> bool:
-        if h in seen:
+    def register(ranks: np.ndarray) -> bool:
+        if tuple(ranks.tolist()) in index:
             return False
-        group = PermGroup._build(n, _image_rows(h, n), (), None)
+        group = PermGroup._build(n, sn_rows[ranks], (), None, ranks)
         members = tuple(map(tuple, _conjugate_ranks(group).tolist()))
-        seen.update(frozenset(sn[r] for r in m) for m in members)
         rep = _group_of_ranks(sn_rows, members[0])
-        classes.append(SubgroupClass(len(h), len(members), rep, members))
+        cls = SubgroupClass(len(ranks), len(members), rep, members)
+        classes.append(cls)
+        index.update(dict.fromkeys(members, cls))
         return True
 
-    register(frozenset([ident]))
+    trivial = np.zeros(1, dtype=np.intp)
+    register(trivial)
     # each pending base keeps the short generator list it was grown from
-    pending: list[tuple[frozenset, list]] = [(frozenset([ident]), [])]
+    pending: list[tuple[np.ndarray, list[int]]] = [(trivial, [])]
     while pending:
         base, base_gens = pending.pop()
-        covered = set(base)
-        base_list = sorted(base)
+        covered = np.zeros(len(mul), dtype=bool)
+        covered[base] = True
         for x in pp_elements:
-            if x in covered:
+            if covered[x]:
                 continue
-            grown_set = set(base)
-            _dimino_extend(grown_set, base_gens, x, b.materialization_bound)
-            grown = frozenset(grown_set)
+            grown = _span(mul, base, np.array(base_gens + [x]))
             if register(grown):
                 pending.append((grown, base_gens + [x]))
             # the whole left coset x.base generates the same subgroup
-            covered.update(_left_coset(x, base_list))
+            covered[mul[x, base]] = True
 
     classes.sort(key=lambda c: (c.order, c.class_size, c._members[0]))
-    catalog = SubgroupCatalog(n, tuple(classes), sum(c.class_size for c in classes))
+    catalog = SubgroupCatalog(n, tuple(classes), sum(c.class_size for c in classes), index)
     if catalog.total_subgroups != EXPECTED_TOTALS[n]:
         raise AssertionError(
             f"enumeration found {catalog.total_subgroups} subgroups at degree {n}, "
@@ -171,10 +190,6 @@ def all_subgroups(
     if _extension_order == "forward":
         _catalog_cache[n] = catalog
     return catalog
-
-
-def _left_coset(x: tuple[int, ...], base_list: list) -> list:
-    return [tuple(x[v] for v in h) for h in base_list]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +297,9 @@ def table1_report(budgets: Budgets | None = None) -> Table1Report:
     by_key: dict[tuple[int, int, str, str], Table1Row] = {}
     for n in range(2, 7):
         catalog = all_subgroups(n, budgets=budgets)
-        pool = survey_candidates(n)
+        names: dict[tuple[int, ...], list[str]] = {}
+        for name, cand in survey_candidates(n):
+            names.setdefault(catalog.class_of(cand)._members[0], []).append(name)
         for cls in catalog.classes:
             rep = cls.representative
             if len(rep.ground_set) != n:
@@ -298,7 +315,7 @@ def table1_report(budgets: Budgets | None = None) -> Table1Report:
                     )
             key = (
                 n, chain.largest_nonclosed_k,
-                _match_name(rep, pool), _match_name(closure, pool),
+                _match_name(cls, names), _match_name(catalog.class_of(closure), names),
             )
             if key in by_key:
                 raise AssertionError(f"two survey rows share the key {key}")
@@ -329,10 +346,11 @@ def table1_report(budgets: Budgets | None = None) -> Table1Report:
     return report
 
 
-def _match_name(group: PermGroup, pool: Iterable[tuple[str, PermGroup]]) -> str:
-    hits = [name for name, cand in pool if are_conjugate_in_symmetric(group, cand)]
+def _match_name(cls: SubgroupClass, names: dict[tuple[int, ...], list[str]]) -> str:
+    """The one survey name of the class; ``names`` is keyed by first members."""
+    hits = names.get(cls._members[0], [])
     if len(hits) == 1:
         return hits[0]
     if not hits:
-        return f"unrecognized (order {group.order})"
+        return f"unrecognized (order {cls.order})"
     raise AssertionError(f"ambiguous naming: {hits}")

@@ -1,5 +1,6 @@
 """Shape classification of non-closed groups and the point-tuple closure."""
 
+import numpy as np
 import pytest
 
 from helpers import cyclic_4, grp
@@ -13,6 +14,8 @@ from permclosure.classify import (
     wielandt_closure,
 )
 from permclosure.closure import galois_closure
+from permclosure.subgroups import all_subgroups
+from permclosure.tuples import kpow_orbit_partition
 from permclosure.perm import (
     alternating_on,
     direct_product,
@@ -115,6 +118,26 @@ def test_point_tuple_closure_grows_the_dihedral_group():
     d4 = grp(4, "(1 2 3 4)", "(1 3)")
     assert wielandt_closure(d4, 2) == d4
     assert wielandt_closure(d4, 1).order == 24
+
+
+def _wielandt_by_brute_force(group, k):
+    """Ranks of every permutation of the degree whose value action keeps
+    the group's orbits on k-tuples of points."""
+    part = kpow_orbit_partition(group, k)
+    n = group.degree
+    return [
+        r for r, sigma in enumerate(symmetric_on(range(1, n + 1), n).elements)
+        if np.array_equal(part.labels[part.space.value_index_map(sigma)], part.labels)
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_point_tuple_closure_matches_brute_force(n):
+    catalog = all_subgroups(n)
+    groups = catalog.all_groups() if n == 4 else [c.representative for c in catalog.classes]
+    for g in groups:
+        for k in (1, 2, 3):
+            assert wielandt_closure(g, k)._ranks.tolist() == _wielandt_by_brute_force(g, k)
 
 
 def test_containment_between_the_two_closures():

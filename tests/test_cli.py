@@ -1,9 +1,11 @@
 """Command-line interface: output shapes, exit codes, and determinism."""
 
 import json
+import math
 
 import pytest
 
+from permclosure import subgroups
 from permclosure.cli import main
 
 
@@ -142,6 +144,23 @@ def test_enumerate_lists_classes(capsys):
     assert code == 0
     assert "30 in 11 conjugacy classes" in out
     assert out.splitlines()[-1].strip().startswith("24 |")
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_enumerate_refuses_a_bound_below_the_symmetric_group(capsys, monkeypatch, n):
+    """The refusal comes before anything is built, cached degree or not."""
+    bound = str(math.factorial(n))
+    code, out, _ = run(capsys, "enumerate", "--n", str(n), "--materialization-bound", bound)
+    assert code == 0 and out
+
+    def fail(*args):
+        raise AssertionError("built rows before checking the bound")
+
+    monkeypatch.setattr(subgroups, "_symmetric_rows", fail)
+    code, _, err = run(capsys, "enumerate", "--n", str(n),
+                       "--materialization-bound", str(math.factorial(n) - 1))
+    assert code == 4
+    assert f"need {bound}," in err and "--materialization-bound" in err
 
 
 def test_verify_theorem_choice_is_validated(capsys):

@@ -302,6 +302,22 @@ def test_tester_matches_one_map_at_a_time(monkeypatch, cells):
     assert want == [0, 9, 16, 18]  # C_4 itself at k = 3, in blocks 0, 2 and 4
 
 
+@pytest.mark.parametrize("cells", [64, closure_module._TEST_CELLS])
+def test_value_action_tester_matches_one_map_at_a_time(monkeypatch, cells):
+    """All of S_4 against C_4's orbits on k-tuples of points, k = 1..3."""
+    monkeypatch.setattr(closure_module, "_TEST_CELLS", cells)
+    rows = np.array(list(itertools.permutations(range(4))), dtype=np.uint8)
+    for k in (1, 2, 3):
+        part = cached_orbit_partition(cyclic_4(), k, value_action=True)
+        got = _IndexTester.from_partition(part, value_action=True).accepted_rows(rows)
+        want = [i for i, row in enumerate(rows) if np.array_equal(
+            part.labels[part.space.value_index_map(Permutation([v + 1 for v in row.tolist()]))],
+            part.labels,
+        )]
+        assert got.tolist() == want
+    assert want == [0, 9, 16, 18]  # C_4 itself at k = 3, in blocks 0, 2 and 4
+
+
 # ---------------------------------------------------------------------------
 # closure laws (small samples; the verification suite runs the full battery)
 

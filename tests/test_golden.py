@@ -48,6 +48,9 @@ def _cases() -> dict[str, list[str]]:
     cases["invariance-majority"] = ["invariance", "{table}"]
     cases["chain-A_5"] = ["chain", "catalog:A_5"]
     cases["verify-primitive3-9"] = ["verify", "--theorem", "primitive3", "--n", "9"]
+    # every subgroup class of degree up to 6, named against the survey pool
+    cases["table1"] = ["table1"]
+    cases["verify-wielandt"] = ["verify", "--theorem", "wielandt"]
     return cases
 
 

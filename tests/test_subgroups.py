@@ -1,16 +1,23 @@
 """Subgroup enumeration of small symmetric groups and the closure survey."""
 
+import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from permclosure import subgroups
 from permclosure.perm import (
     PermGroup,
     Permutation,
     _conjugate_ranks,
+    _lex_rank,
+    _symmetric_rows,
     are_conjugate_in_symmetric,
+    conjugate_group,
+    generate_group,
 )
 from permclosure.subgroups import (
     EXPECTED_CLASS_COUNTS,
@@ -109,6 +116,36 @@ def test_enumeration_ignores_scan_order():
         assert key(forward) == key(backward)
 
 
+def test_class_of_finds_every_member():
+    for n in (1, 2, 3, 4, 5):
+        catalog = all_subgroups(n)
+        for group in catalog.all_groups():
+            assert tuple(group._ranks.tolist()) in catalog.class_of(group)._members
+
+
+@functools.cache
+def _multiplication_table(n):
+    """mul[a, b] is the rank of a.b, applying b first, by definition."""
+    rows = [tuple(r) for r in _symmetric_rows(range(1, n + 1), n)[0].tolist()]
+    return np.array([[_lex_rank(tuple(a[v] for v in b)) for b in rows] for a in rows])
+
+
+@st.composite
+def rank_generators(draw):
+    """Zero to three random permutations of a common degree from 1 to 6."""
+    n = draw(st.integers(1, 6))
+    return n, draw(st.lists(st.permutations(range(n)), max_size=3))
+
+
+@given(rank_generators())
+def test_span_from_the_identity_is_the_generated_group(case):
+    n, images = case
+    gens = np.array([_lex_rank(tuple(img)) for img in images], dtype=np.intp)
+    span = subgroups._span(_multiplication_table(n), np.zeros(1, dtype=np.intp), gens)
+    group = generate_group([Permutation._raw(tuple(img)) for img in images], degree=n)
+    assert span.tolist() == group._ranks.tolist()
+
+
 # ---------------------------------------------------------------------------
 # chain statistics
 
@@ -145,4 +182,20 @@ def test_reference_rows_shape():
 def test_survey_refuses_rows_with_the_same_key(monkeypatch):
     monkeypatch.setattr(subgroups, "_match_name", lambda group, pool: "X")
     with pytest.raises(AssertionError, match="share the key"):
+        subgroups.table1_report()
+
+
+def test_survey_refuses_ambiguous_names(monkeypatch):
+    """Two survey candidates in one class leave the class without a name."""
+    real = subgroups.survey_candidates
+
+    def with_conjugate_duplicate(n):
+        pool = real(n)
+        if n == 4:
+            c4 = dict(pool)["C_4"]
+            pool += (("C_4'", conjugate_group(c4, Permutation([2, 1, 3, 4]))),)
+        return pool
+
+    monkeypatch.setattr(subgroups, "survey_candidates", with_conjugate_duplicate)
+    with pytest.raises(AssertionError, match="ambiguous naming"):
         subgroups.table1_report()
