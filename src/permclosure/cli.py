@@ -169,10 +169,7 @@ def _cmd_orbit_equiv(args: argparse.Namespace, budgets: Budgets) -> int:
     g = _load_group(args.group1, budgets)
     h = _load_group(args.group2, budgets)
     equal = orbit_equivalent(g, h, args.k, budgets=budgets)
-    counts = [
-        int(cached_orbit_partition(x, args.k, budgets=budgets).representatives.size)
-        for x in (g, h)
-    ]
+    counts = [cached_orbit_partition(x, args.k, budgets=budgets).orbit_count for x in (g, h)]
     lines = [
         f"degree: {g.degree}",
         f"alphabet: {args.k}",

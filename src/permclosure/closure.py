@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -51,6 +52,7 @@ from .perm import (
 from .tuples import (
     OrbitPartition,
     TupleSpace,
+    _orbit_ranks,
     cached_orbit_partition,
     tuple_stabilizer,
 )
@@ -529,20 +531,26 @@ def closure_report(
 # cached convenience layer
 
 
-_closure_cache: dict[tuple[PermGroup, tuple[int, ...], int], PermGroup] = {}
+_closure_cache: OrderedDict[tuple[PermGroup, tuple[int, ...], int], PermGroup] = OrderedDict()
+# table1 leaves 243 closures and the verify theorems 576: neither evicts
+_CLOSURE_CACHE_MAX = 1024
 
 
 def galois_closure(
     group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> PermGroup:
-    """The closure itself, via the pruned algorithm, cached per (group,
+    """The closure itself, via the pruned algorithm, LRU-cached per (group,
     ground set, k): groups compare equal regardless of their ground sets,
     but the closure's ground set contains the group's."""
     key = (group, group.ground_set, k)
     hit = _closure_cache.get(key)
-    if hit is None:
-        hit = closure_pruned(group, k, budgets=budgets).closure
-        _closure_cache[key] = hit
+    if hit is not None:
+        _closure_cache.move_to_end(key)
+        return hit
+    hit = closure_pruned(group, k, budgets=budgets).closure
+    _closure_cache[key] = hit
+    while len(_closure_cache) > _CLOSURE_CACHE_MAX:
+        _closure_cache.popitem(last=False)
     return hit
 
 
@@ -785,9 +793,8 @@ def orbit_coloring(group: PermGroup, k: int, budgets: Budgets | None = None) -> 
     coloring invariant under the group, realizing the closure as an
     invariance group."""
     part = cached_orbit_partition(group, k, budgets=budgets)
-    reps = part.representatives
-    ranks = np.searchsorted(reps, part.labels).astype(np.int32)
-    return FunctionTable(group.degree, k, int(reps.size), ranks + 1, budgets=budgets)
+    ranks = _orbit_ranks(part.labels).astype(np.int32)
+    return FunctionTable(group.degree, k, part.orbit_count, ranks + 1, budgets=budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +875,7 @@ def min_codomain_report(
     # blocks, so that a coloring is rejected at the first block accepting it
     outside = list(_rows_outside(group))
     outside_count = sum(len(rows) for rows in outside)
-    ranks = np.searchsorted(part.representatives, part.labels)
+    ranks = _orbit_ranks(part.labels)
     tested: dict[int, int] = {}
     work = 0
     for m in range(1, r + 1):

@@ -11,10 +11,11 @@ of indices.  Two group actions matter here:
 * the value action on degree^arity, where sigma maps each entry through
   ``sigma`` itself.
 
-Orbit partitions are computed by min-label propagation over per-generator
-index maps and exposed as a label array: ``labels[t]`` is the least index in
-the orbit of t, which is also the lexicographically least member, by the
-encoding above.
+Index maps come straight from the tuple cube ``arange(size)`` reshaped to
+``(alphabet,) * arity``: an axis transpose for the coordinate action, an
+outer sum over the weights for the value action.  Min-label propagation over
+them gives the orbit partition as a label array: ``labels[t]`` is the least
+index, hence the lexicographically least member, of the orbit of t.
 """
 
 from __future__ import annotations
@@ -80,11 +81,9 @@ class TupleSpace:
 
     @property
     def weights(self) -> np.ndarray:
-        """Mixed-radix weights, most significant first.
-
-        int32 whenever every index fits, so that index maps built from the
-        int32 digit matrix need no int64 copy of it; int64 otherwise.
-        """
+        """Mixed-radix weights, most significant first: int32 whenever
+        every index fits, int64 otherwise.  Only the candidate test in
+        ``closure`` multiplies them with ``digits``."""
         if self._weights is None:
             k = self.alphabet
             dtype = np.int32 if self.size <= np.iinfo(np.int32).max else np.int64
@@ -98,13 +97,15 @@ class TupleSpace:
 
     @property
     def digits(self) -> np.ndarray:
-        """Row t holds the 0-based digits of index t, shape (size, arity)."""
+        """Row t holds the 0-based digits of index t, shape (size, arity),
+        int32.  Column j is written through the cube view, along whose axis
+        j alone digit j varies."""
         if self._digits is None:
-            idx = np.arange(self.size, dtype=np.int64)
-            d = np.empty((self.size, self.arity), dtype=np.int32)
-            for j in range(self.arity - 1, -1, -1):
-                d[:, j] = idx % self.alphabet
-                idx //= self.alphabet
+            n, k = self.arity, self.alphabet
+            d = np.empty((self.size, n), dtype=np.int32)
+            cube = d.reshape((k,) * n + (n,))
+            for j in range(n):
+                cube[..., j] = np.arange(k, dtype=np.int32).reshape((-1,) + (1,) * (n - 1 - j))
             self._digits = d
         return self._digits
 
@@ -131,27 +132,25 @@ class TupleSpace:
     def coordinate_index_map(self, sigma: Permutation) -> np.ndarray:
         """Index array I with I[t] = index of the coordinate action of sigma.
 
-        Works by permuting the weight vector: moving digit j to weight
-        position ``sigma^-1(j)`` is a single matrix-vector product.  The
-        product is taken in the weights' dtype and returned as ``intp``,
-        since numpy converts any other index dtype on every gather.
+        Entry i of the image of a is ``a[sigma(i)]``, so I is the tuple cube
+        with its axes permuted by sigma^-1: one strided copy.  It is
+        ``intp``, since numpy converts any other index dtype on every gather.
         """
-        return (self.digits @ self.coordinate_weights(sigma)).astype(np.intp)
-
-    def coordinate_weights(self, sigma: Permutation) -> np.ndarray:
-        """The permuted weight vector used by ``coordinate_index_map``."""
         if sigma.degree != self.arity:
             raise DegreeMismatch(f"degree {sigma.degree} vs arity {self.arity}")
-        inv = sigma.inverse()._img
-        w = self.weights
-        return np.array([w[inv[j]] for j in range(self.arity)], dtype=w.dtype)
+        cube = np.arange(self.size, dtype=np.intp).reshape((self.alphabet,) * self.arity)
+        return cube.transpose(sigma.inverse()._img).ravel()
 
     def value_index_map(self, sigma: Permutation) -> np.ndarray:
-        """Index array for the value action of sigma on alphabet points."""
+        """Index array for the value action of sigma on alphabet points:
+        the outer sum over positions j of ``sigma(a_j) * weights[j]``."""
         if sigma.degree != self.alphabet:
             raise DegreeMismatch(f"degree {sigma.degree} vs alphabet {self.alphabet}")
-        vimg = np.array(sigma._img, dtype=self.weights.dtype)
-        return (vimg[self.digits] @ self.weights).astype(np.intp)
+        vimg = np.array(sigma._img, dtype=np.intp)
+        imap = np.zeros((), dtype=np.intp)
+        for w in self.weights.tolist():
+            imap = np.add.outer(imap, vimg * w)
+        return imap.ravel()
 
     def __repr__(self) -> str:
         return f"TupleSpace(arity={self.arity}, alphabet={self.alphabet}, size={self.size})"
@@ -160,19 +159,20 @@ class TupleSpace:
 class OrbitPartition:
     """Orbits of a tuple space under a group action.
 
-    ``labels[t]`` is the least tuple index in the orbit of t; orbits compare
-    equal exactly when their label arrays do.
+    ``labels[t]`` is the least tuple index in the orbit of t, as built by
+    ``_min_labels``; orbits compare equal exactly when their label arrays do.
+    Every statistic here rests on that invariant: the orbits' least members
+    are the fixed points of ``labels``, and an orbit's size is its label's count.
     """
 
-    __slots__ = ("space", "labels", "orbit_count", "_reps", "_counts", "_order")
+    __slots__ = ("space", "labels", "orbit_count", "representatives", "_order")
 
     def __init__(self, space: TupleSpace, labels: np.ndarray):
         self.space = space
         self.labels = labels
-        self._reps = None
-        self._counts = None
+        self.representatives = np.flatnonzero(labels == np.arange(space.size))
+        self.orbit_count = int(self.representatives.size)
         self._order = None
-        self.orbit_count = int(np.unique(labels).size)
 
     # -- queries
 
@@ -185,16 +185,9 @@ class OrbitPartition:
         )
 
     @property
-    def representatives(self) -> np.ndarray:
-        if self._reps is None:
-            self._reps, self._counts = np.unique(self.labels, return_counts=True)
-        return self._reps
-
-    @property
     def orbit_sizes(self) -> np.ndarray:
-        if self._counts is None:
-            self.representatives
-        return self._counts
+        """Orbit sizes, in the order of ``representatives``."""
+        return np.bincount(self.labels, minlength=self.space.size)[self.representatives]
 
     def equals(self, other: "OrbitPartition") -> bool:
         if self.space.arity != other.space.arity or self.space.alphabet != other.space.alphabet:
@@ -211,8 +204,7 @@ class OrbitPartition:
         """Indices ordered for early-exit scanning: small orbits first,
         each orbit's canonical member leading, ties by index."""
         if self._order is None:
-            reps = self.representatives
-            sizes = self._counts[np.searchsorted(reps, self.labels)]
+            sizes = np.bincount(self.labels, minlength=self.space.size)[self.labels]
             idx = np.arange(self.space.size)
             not_canon = (self.labels != idx).astype(np.int8)
             self._order = np.lexsort((idx, not_canon, sizes))
@@ -221,7 +213,7 @@ class OrbitPartition:
     def census(self, max_listed: int = 64) -> dict:
         """A deterministic summary used by reports and the CLI."""
         reps = self.representatives
-        sizes = self._counts
+        sizes = self.orbit_sizes
         hist: dict[int, int] = {}
         for s in sizes.tolist():
             hist[s] = hist.get(s, 0) + 1
@@ -241,6 +233,11 @@ class OrbitPartition:
 
 # ---------------------------------------------------------------------------
 # building partitions
+
+
+def _orbit_ranks(labels: np.ndarray) -> np.ndarray:
+    """Rank of each index's orbit, in the order of least members."""
+    return (np.cumsum(labels == np.arange(labels.size)) - 1)[labels]
 
 
 def _partition_from_index_maps(space: TupleSpace, index_maps: list[np.ndarray]) -> OrbitPartition:
@@ -273,11 +270,7 @@ def kpow_orbit_partition(
     if k < 1:
         raise ValueError("k must be at least 1")
     space = TupleSpace(k, group.degree, budgets=budgets)
-    maps = []
-    for g in group.generators:
-        if g.is_identity:
-            continue
-        maps.append(space.value_index_map(g))
+    maps = [space.value_index_map(g) for g in group.generators if not g.is_identity]
     return _partition_from_index_maps(space, maps)
 
 

@@ -165,6 +165,24 @@ def test_closure_cache_tells_ground_sets_apart():
     assert galois_closure(b, 2).ground_set == closure_pruned(b, 2).closure.ground_set
 
 
+def test_closure_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(closure_module, "_CLOSURE_CACHE_MAX", 2)
+    clear_closure_cache()
+    cache = closure_module._closure_cache
+    first, second, third = cyclic_4(), klein_four(), grp(4, "(1 2 3)")
+    galois_closure(first, 2)
+    galois_closure(second, 2)
+    assert [key[0] for key in cache] == [first, second]
+    # a re-read moves its entry to the end, so the third closure evicts the second
+    hit = galois_closure(first, 2)
+    assert [key[0] for key in cache] == [second, first]
+    galois_closure(third, 2)
+    assert [key[0] for key in cache] == [first, third]
+    assert galois_closure(first, 2) is hit
+    clear_closure_cache()
+    assert not cache
+
+
 def test_closure_report_dispatch():
     rep = closure_report(cyclic_4(), 2, algorithm="naive")
     assert rep.algorithm == "naive" and rep.pruning_tuple is None

@@ -51,19 +51,29 @@ def _cases() -> dict[str, list[str]]:
     # every subgroup class of degree up to 6, named against the survey pool
     cases["table1"] = ["table1"]
     cases["verify-wielandt"] = ["verify", "--theorem", "wielandt"]
+    # orbit counts read off the partitions; classify and orbit colorings
+    for g, h, k in (("PSL(2,8)", "PGammaL(2,8)", 4), ("AGL(1,9)", "AGammaL(1,9)", 3), ("A_5", "S_5", 3)):
+        cases[f"orbit-equiv-{g}-{h}-{k}"] = ["orbit-equiv", f"catalog:{g}", f"catalog:{h}", "-k", str(k)]
+    cases["verify-main"] = ["verify", "--theorem", "main"]
     return cases
 
 
 CASES = _cases()
 
+# cases whose command exits nonzero on purpose: these pairs are not orbit equivalent
+EXIT_CODES = {
+    "orbit-equiv-PSL(2,8)-PGammaL(2,8)-4": 1,
+    "orbit-equiv-AGL(1,9)-AGammaL(1,9)-3": 1,
+}
 
-def json_digest(argv: list[str], table_path: str) -> str:
+
+def json_digest(argv: list[str], table_path: str, expected_code: int = 0) -> str:
     """sha256 of the stdout of ``permclosure ARGV --format json``, run in-process."""
     buf = io.StringIO()
     argv = [a.replace("{table}", table_path) for a in argv] + ["--format", "json"]
     with contextlib.redirect_stdout(buf):
         code = main(argv)
-    assert code == 0, (argv, code)
+    assert code == expected_code, (argv, code)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
@@ -86,7 +96,7 @@ def test_golden_covers_every_case(golden):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_json_output_is_unchanged(case, golden, table_path):
-    assert json_digest(CASES[case], table_path) == golden[case]
+    assert json_digest(CASES[case], table_path, EXIT_CODES.get(case, 0)) == golden[case]
 
 
 if __name__ == "__main__":
@@ -94,7 +104,10 @@ if __name__ == "__main__":
         path = os.path.join(tmp, "majority.tbl")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(MAJORITY_TABLE)
-        record = {case: json_digest(argv, path) for case, argv in sorted(CASES.items())}
+        record = {
+            case: json_digest(argv, path, EXIT_CODES.get(case, 0))
+            for case, argv in sorted(CASES.items())
+        }
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -11,6 +11,7 @@ from permclosure.budgets import Budgets
 from permclosure.errors import BudgetExceeded, DegreeMismatch
 from permclosure.perm import (
     Permutation,
+    _min_labels,
     extend_degree,
     generate_group,
     identity,
@@ -18,6 +19,7 @@ from permclosure.perm import (
 )
 from permclosure.tuples import (
     TupleSpace,
+    _orbit_ranks,
     act_points,
     act_tuple,
     cached_orbit_partition,
@@ -122,9 +124,73 @@ def test_weights_are_int32_while_every_index_fits():
     assert TupleSpace(31, 2, budgets=wide).weights.dtype == np.int64
     space = TupleSpace(4, 3)
     sigma = Permutation([2, 3, 4, 1])
-    assert space.coordinate_weights(sigma).dtype == np.int32
     assert space.coordinate_index_map(sigma).dtype == np.intp
     assert space.value_index_map(Permutation([2, 3, 1])).dtype == np.intp
+
+
+# The digit matrix and index maps as they were once built, by divmod and by
+# products with (permuted) weight vectors: oracles for the cube constructions.
+
+
+def divmod_digits(space):
+    idx = np.arange(space.size, dtype=np.int64)
+    d = np.empty((space.size, space.arity), dtype=np.int32)
+    for j in range(space.arity - 1, -1, -1):
+        d[:, j] = idx % space.alphabet
+        idx //= space.alphabet
+    return d
+
+
+def permuted_weights(space, sigma):
+    inv = sigma.inverse()._img
+    w = space.weights
+    return np.array([w[inv[j]] for j in range(space.arity)], dtype=w.dtype)
+
+
+def all_perms(n):
+    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+@pytest.mark.parametrize("arity, alphabet", [(1, 2), (4, 3), (3, 9), (9, 2)])
+def test_digits_match_divmod_construction(arity, alphabet):
+    space = TupleSpace(arity, alphabet)
+    assert space.digits.dtype == np.int32
+    assert np.array_equal(space.digits, divmod_digits(space))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_coordinate_index_map_matches_weight_product(k):
+    for m in range(1, 5):
+        for sigma in all_perms(m):
+            # a permutation of degree m acts on every arity n >= m, as in orbit_partition
+            for n in range(m, 5):
+                space = TupleSpace(n, k)
+                wide = extend_degree(sigma, n)
+                want = (divmod_digits(space) @ permuted_weights(space, wide)).astype(np.intp)
+                got = space.coordinate_index_map(wide)
+                assert got.dtype == np.intp and np.array_equal(got, want)
+                if m < n and not sigma.is_identity:
+                    labels = orbit_partition(generate_group([sigma]), space).labels
+                    assert np.array_equal(labels, _min_labels(space.size, [want]))
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_value_index_map_matches_weight_product(arity):
+    for n in range(2, 5):
+        space = TupleSpace(arity, n)
+        for sigma in all_perms(n):
+            vimg = np.array(sigma._img, dtype=space.weights.dtype)
+            want = vimg[divmod_digits(space)] @ space.weights
+            got = space.value_index_map(sigma)
+            assert got.dtype == np.intp and np.array_equal(got, want)
+
+
+def test_index_maps_check_degrees():
+    space = TupleSpace(4, 3)
+    with pytest.raises(DegreeMismatch):
+        space.coordinate_index_map(Permutation([2, 3, 1]))
+    with pytest.raises(DegreeMismatch):
+        space.value_index_map(Permutation([2, 3, 4, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +263,29 @@ def test_partition_matches_brute_force_on_random_generators(gens, k, extra):
     if group.degree >= 2:
         kpow = kpow_orbit_partition(group, k)
         assert kpow.labels.tolist() == brute_kpow_orbits(group, k)
+
+
+@settings(max_examples=60)
+@given(gens=generator_lists(), k=st.sampled_from([2, 3]), value_action=st.booleans())
+def test_orbit_statistics_match_unique_counts(gens, k, value_action):
+    """Statistics read off the least labels equal those of a hash pass."""
+    group = generate_group(gens)
+    if value_action:
+        if group.degree < 2:
+            return
+        part = kpow_orbit_partition(group, k)
+    else:
+        part = orbit_partition(group, TupleSpace(group.degree, k))
+    labels, idx = part.labels, np.arange(part.space.size)
+    assert np.array_equal(labels[labels], labels) and np.all(labels <= idx)
+    reps, counts = np.unique(labels, return_counts=True)
+    assert part.orbit_count == reps.size
+    assert np.array_equal(part.representatives, reps)
+    assert np.array_equal(part.orbit_sizes, counts)
+    assert np.array_equal(_orbit_ranks(labels), np.searchsorted(reps, labels))
+    sizes = counts[np.searchsorted(reps, labels)]
+    want = np.lexsort((idx, (labels != idx).astype(np.int8), sizes))
+    assert np.array_equal(part.test_order(), want)
 
 
 def test_known_orbit_counts():
