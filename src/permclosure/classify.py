@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .budgets import Budgets, resolve
-from .closure import _group_from_union, _IndexTester, galois_closure
+from .closure import _accepted_rows, _group_from_union, galois_closure
 from .errors import BudgetExceeded, DegreeMismatch
 from .perm import (
     PermGroup,
@@ -286,7 +286,7 @@ def wielandt_closure(
     ranks = _lex_ranks(cand)
     order = np.argsort(ranks)
     cand = cand[order[~np.isin(ranks[order], group._ranks)]]
-    extra = cand[_IndexTester.from_partition(part, value_action=True).accepted_rows(cand)]
+    extra = cand[_accepted_rows(part.space, part.labels, cand, value_action=True)]
     return _group_from_union(group, extra, extra, b.materialization_bound)
 
 

@@ -67,7 +67,7 @@ exit codes:
 """
 
 _BUDGET_FLAGS = {
-    "tuple": "--tuple-budget",
+    "tuple-space": "--tuple-budget",
     "candidate": "--candidate-budget",
     "materialization": "--materialization-bound",
 }

@@ -30,7 +30,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .perm import (
     generate_group,
 )
 from .tuples import (
-    OrbitPartition,
     TupleSpace,
     _orbit_ranks,
     cached_orbit_partition,
@@ -161,63 +160,43 @@ class ChainReport:
 # Most cells (tuple rows times candidates, or rows times arity) in any
 # temporary array of the batched coordinate test.
 _TEST_CELLS = 1 << 18
-# Rows in the first chunk of the test order; later chunks double.
+# Tuple rows in the first chunk of the test; later chunks double.
 _FIRST_ROWS = 16
 # Permutations per block when the whole symmetric group is streamed.
 _PERMUTATION_BLOCK = 1 << 15
 
 
-class _IndexTester:
-    """Early-exit test that permutations preserve a label array, under the
-    coordinate action or, when built for it, the value action.
+def _accepted_rows(
+    space: TupleSpace, labels: np.ndarray, images: np.ndarray, value_action: bool = False
+) -> np.ndarray:
+    """Indices, ascending, of the rows of ``images`` (one permutation per
+    row, as 0-based images) whose action on the space preserves the labels:
+    the coordinate action, or with ``value_action`` the value action.
 
-    Rows are visited small-orbit-first so mismatches surface quickly.
+    Candidates go in blocks against chunks of tuple indices, in index order,
+    that double in size; a candidate leaves at its first failing chunk.  A
+    chunk's digits come from its index range.  The indices are integer
+    products, which are exact and, unlike floating-point ones, do not go
+    through a multithreaded BLAS.
     """
-
-    __slots__ = ("_space", "_labels", "_digits_ordered", "_labels_ordered", "_value_action")
-
-    def __init__(self, space: TupleSpace, labels: np.ndarray, order=slice(None), value_action=False):
-        self._space = space
-        self._labels = labels
-        self._value_action = value_action
-        self._digits_ordered = space.digits[order]
-        self._labels_ordered = labels[order]
-
-    @classmethod
-    def from_partition(cls, part: OrbitPartition, value_action: bool = False) -> "_IndexTester":
-        return cls(part.space, part.labels, part.test_order(), value_action)
-
-    def accepted_rows(self, images: np.ndarray) -> np.ndarray:
-        """Indices, ascending, of the rows of ``images`` (one permutation
-        per row, as 0-based images) whose action preserves the labels.
-
-        Candidates go in blocks against chunks of the test order that
-        double in size; a candidate leaves at its first failing chunk.
-        The indices are integer products, which are exact and, unlike
-        floating-point ones, do not go through a multithreaded BLAS.
-        """
-        digits, ordered, labels = self._digits_ordered, self._labels_ordered, self._labels
-        size, arity = digits.shape
-        weights = self._space.weights.astype(np.intp)
-        block = _TEST_CELLS // max(_FIRST_ROWS, arity)
-        kept = [np.empty(0, dtype=np.intp)]
-        for start in range(0, images.shape[0], block):
-            alive = np.arange(start, min(start + block, images.shape[0]))
-            # in the coordinate action sigma moves digit j to weight position sigma^-1(j)
-            moved = images[alive] if self._value_action else weights[np.argsort(images[alive], axis=1)]
-            lo, rows = 0, _FIRST_ROWS
-            while alive.size and lo < size:
-                hi = min(size, lo + rows)
-                if self._value_action:
-                    idx = (moved[:, digits[lo:hi]] @ weights).T
-                else:
-                    idx = digits[lo:hi].astype(np.intp) @ moved.T
-                ok = (labels[idx] == ordered[lo:hi, None]).all(axis=0)
-                alive, moved = alive[ok], moved[ok]
-                lo = hi
-                rows = min(2 * rows, _TEST_CELLS // max(alive.size, arity))
-            kept.append(alive)
-        return np.concatenate(kept)
+    size, arity, weights = space.size, space.arity, space.weights
+    block = _TEST_CELLS // max(_FIRST_ROWS, arity)
+    kept = [np.empty(0, dtype=np.intp)]
+    for start in range(0, images.shape[0], block):
+        alive = np.arange(start, min(start + block, images.shape[0]))
+        # in the coordinate action sigma moves digit j to weight position sigma^-1(j)
+        moved = images[alive] if value_action else weights[np.argsort(images[alive], axis=1)]
+        lo, rows = 0, _FIRST_ROWS
+        while alive.size and lo < size:
+            hi = min(size, lo + rows)
+            digits = np.arange(lo, hi)[:, None] // weights % space.alphabet
+            idx = (moved[:, digits] @ weights).T if value_action else digits @ moved.T
+            ok = (labels[idx] == labels[lo:hi, None]).all(axis=0)
+            alive, moved = alive[ok], moved[ok]
+            lo = hi
+            rows = min(2 * rows, _TEST_CELLS // max(alive.size, arity))
+        kept.append(alive)
+    return np.concatenate(kept)
 
 
 def _rows_outside(group: PermGroup) -> Iterator[np.ndarray]:
@@ -365,17 +344,33 @@ def closure_naive(
     _check_alphabet(k)
     t0 = time.perf_counter()
     b = resolve(budgets)
-    n = group.degree
-    nfact = math.factorial(n)
+
+    def labelled() -> tuple[TupleSpace, np.ndarray]:
+        part = cached_orbit_partition(group, k, budgets=b)
+        return part.space, part.labels
+
+    closure = _preserving_group(group, labelled, b)
+    return ClosureReport(
+        group, k, closure, "naive", math.factorial(group.degree), None,
+        time.perf_counter() - t0,
+    )
+
+
+def _preserving_group(
+    base: PermGroup, labelled: Callable[[], tuple[TupleSpace, np.ndarray]], b: Budgets
+) -> PermGroup:
+    """Every permutation of base's degree whose coordinate action preserves
+    the labels that ``labelled()`` returns with their space, found by
+    testing all n! of them; base's own elements must preserve them.  The
+    candidate budget is checked before the labels are asked for."""
+    nfact = math.factorial(base.degree)
     if nfact > b.candidate_budget:
         raise BudgetExceeded("candidate", nfact, b.candidate_budget)
-    part = cached_orbit_partition(group, k, budgets=b)
-    tester = _IndexTester.from_partition(part)
-    accepted = np.concatenate([rows[tester.accepted_rows(rows)] for rows in _rows_outside(group)])
-    closure = _group_from_union(group, accepted, accepted, b.materialization_bound)
-    return ClosureReport(
-        group, k, closure, "naive", nfact, None, time.perf_counter() - t0
+    space, labels = labelled()
+    accepted = np.concatenate(
+        [rows[_accepted_rows(space, labels, rows)] for rows in _rows_outside(base)]
     )
+    return _group_from_union(base, accepted, accepted, b.materialization_bound)
 
 
 def _balanced_sizes(n: int, k: int) -> list[int]:
@@ -424,8 +419,7 @@ def closure_pruned(
 
     if len(reps):
         part = cached_orbit_partition(group, k, budgets=b)
-        tester = _IndexTester.from_partition(part)
-        accepted = reps[tester.accepted_rows(reps)]
+        accepted = reps[_accepted_rows(part.space, part.labels, reps)]
     else:
         accepted = reps
     # the coset gamma.G of each accepted gamma, G applied first
@@ -777,15 +771,11 @@ def invariance_group(
     table: FunctionTable, budgets: Budgets | None = None
 ) -> PermGroup:
     """All permutations of the coordinates preserving the table's values."""
-    b = resolve(budgets)
     n = table.n
-    nfact = math.factorial(n)
-    if nfact > b.candidate_budget:
-        raise BudgetExceeded("candidate", nfact, b.candidate_budget)
-    tester = _IndexTester(table.space, table.values_array)
     trivial = generate_group([], ground_set=range(1, n + 1), degree=n)
-    accepted = np.concatenate([rows[tester.accepted_rows(rows)] for rows in _rows_outside(trivial)])
-    return _group_from_union(trivial, accepted, accepted, b.materialization_bound)
+    return _preserving_group(
+        trivial, lambda: (table.space, table.values_array), resolve(budgets)
+    )
 
 
 def orbit_coloring(group: PermGroup, k: int, budgets: Budgets | None = None) -> FunctionTable:
@@ -892,8 +882,7 @@ def min_codomain_report(
                 for o in members:
                     block_of[o] = bi + 1
             vals = block_of[ranks]
-            tester = _IndexTester(part.space, vals)
-            if any(tester.accepted_rows(rows).size for rows in outside):
+            if any(_accepted_rows(part.space, vals, rows).size for rows in outside):
                 continue
             tested[m] = count
             witness = FunctionTable(n, k, m, vals, budgets=b)

@@ -908,13 +908,15 @@ def _conjugate_ranks(group: PermGroup) -> np.ndarray:
     return out[np.r_[True, (out[1:] != out[:-1]).any(axis=1)]]
 
 
-def are_conjugate_in_symmetric(g: PermGroup, h: PermGroup) -> bool:
+def are_conjugate_in_symmetric(
+    g: PermGroup, h: PermGroup, budgets: Budgets | None = None
+) -> bool:
     """Conjugacy inside the symmetric group of their common degree.
 
     Equal groups and groups of different orders are answered at once.
     Otherwise h's ranks are looked up among the rank rows of all n!
-    conjugates of g.  Those n! * |G| ranks must fit the default
-    materialization bound of 10!: every group up to degree 6, groups of
+    conjugates of g.  Those n! * |G| ranks must fit the materialization
+    bound; the default of 10! admits every group up to degree 6, groups of
     order at most 720 at degree 7 and at most 90 at degree 8.  Larger
     cases raise BudgetExceeded before anything is allocated.
     """
@@ -924,7 +926,7 @@ def are_conjugate_in_symmetric(g: PermGroup, h: PermGroup) -> bool:
         return True
     if g.order != h.order:
         return False
-    _check_order(math.factorial(g.degree) * g.order, None)
+    _check_order(math.factorial(g.degree) * g.order, budgets)
     return bool((_conjugate_ranks(g) == h._ranks).all(axis=1).any())
 
 

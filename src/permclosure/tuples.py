@@ -16,6 +16,8 @@ Index maps come straight from the tuple cube ``arange(size)`` reshaped to
 outer sum over the weights for the value action.  Min-label propagation over
 them gives the orbit partition as a label array: ``labels[t]`` is the least
 index, hence the lexicographically least member, of the orbit of t.
+The candidate test in ``closure`` takes the digits of each chunk of
+indices t it scans as ``t // weights % alphabet``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def act_points(r: tuple[int, ...], sigma: Permutation) -> tuple[int, ...]:
 class TupleSpace:
     """All tuples of a fixed arity over {1..alphabet}, mixed-radix indexed."""
 
-    __slots__ = ("arity", "alphabet", "size", "_weights", "_digits")
+    __slots__ = ("arity", "alphabet", "size")
 
     def __init__(self, arity: int, alphabet: int, budgets: Budgets | None = None):
         if arity < 1:
@@ -76,38 +78,12 @@ class TupleSpace:
         self.arity = arity
         self.alphabet = alphabet
         self.size = size
-        self._weights = None
-        self._digits = None
 
     @property
     def weights(self) -> np.ndarray:
-        """Mixed-radix weights, most significant first: int32 whenever
-        every index fits, int64 otherwise.  Only the candidate test in
-        ``closure`` multiplies them with ``digits``."""
-        if self._weights is None:
-            k = self.alphabet
-            dtype = np.int32 if self.size <= np.iinfo(np.int32).max else np.int64
-            w = np.empty(self.arity, dtype=dtype)
-            acc = 1
-            for j in range(self.arity - 1, -1, -1):
-                w[j] = acc
-                acc *= k
-            self._weights = w
-        return self._weights
-
-    @property
-    def digits(self) -> np.ndarray:
-        """Row t holds the 0-based digits of index t, shape (size, arity),
-        int32.  Column j is written through the cube view, along whose axis
-        j alone digit j varies."""
-        if self._digits is None:
-            n, k = self.arity, self.alphabet
-            d = np.empty((self.size, n), dtype=np.int32)
-            cube = d.reshape((k,) * n + (n,))
-            for j in range(n):
-                cube[..., j] = np.arange(k, dtype=np.int32).reshape((-1,) + (1,) * (n - 1 - j))
-            self._digits = d
-        return self._digits
+        """Mixed-radix weights, most significant first, as ``intp``: digit
+        j of index t is ``t // weights[j] % alphabet``."""
+        return np.array([self.alphabet**j for j in range(self.arity - 1, -1, -1)], dtype=np.intp)
 
     def encode(self, a: Iterable[int]) -> int:
         t = tuple(a)
@@ -148,7 +124,7 @@ class TupleSpace:
             raise DegreeMismatch(f"degree {sigma.degree} vs alphabet {self.alphabet}")
         vimg = np.array(sigma._img, dtype=np.intp)
         imap = np.zeros((), dtype=np.intp)
-        for w in self.weights.tolist():
+        for w in self.weights:
             imap = np.add.outer(imap, vimg * w)
         return imap.ravel()
 
@@ -165,14 +141,13 @@ class OrbitPartition:
     are the fixed points of ``labels``, and an orbit's size is its label's count.
     """
 
-    __slots__ = ("space", "labels", "orbit_count", "representatives", "_order")
+    __slots__ = ("space", "labels", "orbit_count", "representatives")
 
     def __init__(self, space: TupleSpace, labels: np.ndarray):
         self.space = space
         self.labels = labels
         self.representatives = np.flatnonzero(labels == np.arange(space.size))
         self.orbit_count = int(self.representatives.size)
-        self._order = None
 
     # -- queries
 
@@ -199,16 +174,6 @@ class OrbitPartition:
         if self.space.size != other.space.size:
             raise DegreeMismatch("partitions live on different tuple spaces")
         return bool(np.all(other.labels[self.labels] == other.labels))
-
-    def test_order(self) -> np.ndarray:
-        """Indices ordered for early-exit scanning: small orbits first,
-        each orbit's canonical member leading, ties by index."""
-        if self._order is None:
-            sizes = np.bincount(self.labels, minlength=self.space.size)[self.labels]
-            idx = np.arange(self.space.size)
-            not_canon = (self.labels != idx).astype(np.int8)
-            self._order = np.lexsort((idx, not_canon, sizes))
-        return self._order
 
     def census(self, max_listed: int = 64) -> dict:
         """A deterministic summary used by reports and the CLI."""

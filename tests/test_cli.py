@@ -79,10 +79,16 @@ def test_alphabet_of_one_is_rejected(capsys, c4_file):
 
 
 def test_budget_exhaustion_names_the_flag(capsys):
-    code, _, err = run(capsys, "closure", "catalog:S_6", "-k", "2",
-                       "--candidate-budget", "10")
-    assert code == 4
-    assert "--candidate-budget" in err
+    cases = [
+        (["closure", "catalog:S_6", "-k", "2", "--candidate-budget", "10"], "--candidate-budget"),
+        (["orbit-equiv", "catalog:C_9", "catalog:D_9", "-k", "10"], "--tuple-budget"),
+        (["closure", "catalog:S_6", "-k", "2", "--materialization-bound", "10"],
+         "--materialization-bound"),
+    ]
+    for argv, flag in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert f"raise {flag}" in err
 
 
 def test_usage_errors_exit_two(capsys, c4_file):

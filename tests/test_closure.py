@@ -16,7 +16,7 @@ from permclosure.catalog import get_group
 from permclosure.closure import (
     FunctionTable,
     NotRepresentable,
-    _IndexTester,
+    _accepted_rows,
     _product_set,
     clear_closure_cache,
     closure_chain,
@@ -289,6 +289,23 @@ def test_c12_at_two_letters_is_closed():
     assert peak < 150 * 2**20
 
 
+def test_candidate_test_allocates_no_digit_matrix():
+    """With A_8's partition of 5^8 tuples warm, the pruned closure peaks
+    below one (size, arity) int32 matrix: the candidate test builds digits
+    one chunk of tuples at a time, never for the whole space."""
+    a8 = get_group("A_8")
+    clear_partition_cache()
+    part = cached_orbit_partition(a8, 5)
+    tracemalloc.start()
+    try:
+        rep = closure_pruned(a8, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.closure.order == 40320
+    assert peak < part.space.size * part.space.arity * 4
+
+
 # ---------------------------------------------------------------------------
 # the batched candidate test
 
@@ -300,7 +317,7 @@ def _accepts_by_index_map(space, labels, row) -> bool:
 
 def test_tester_with_no_candidates():
     part = cached_orbit_partition(cyclic_4(), 2)
-    out = _IndexTester.from_partition(part).accepted_rows(np.empty((0, 4), dtype=np.uint8))
+    out = _accepted_rows(part.space, part.labels, np.empty((0, 4), dtype=np.uint8))
     assert out.size == 0 and out.dtype == np.intp
 
 
@@ -312,12 +329,28 @@ def test_tester_matches_one_map_at_a_time(monkeypatch, cells):
     rows = np.array(list(itertools.permutations(range(4))), dtype=np.uint8)
     for k in (2, 3):
         part = cached_orbit_partition(cyclic_4(), k)
-        got = _IndexTester.from_partition(part).accepted_rows(rows)
+        got = _accepted_rows(part.space, part.labels, rows)
         want = [i for i, row in enumerate(rows)
                 if _accepts_by_index_map(part.space, part.labels, row)]
         assert got.tolist() == want
         assert got[0] == 0  # the identity row
     assert want == [0, 9, 16, 18]  # C_4 itself at k = 3, in blocks 0, 2 and 4
+    # wide spaces: arity 9 over 2 letters, and arity 3 over 9 letters
+    rng = np.random.default_rng(5)
+    agl = get_group("AGL(1,9)")
+    wide = [
+        (agl, 2, np.concatenate([agl._rows, [rng.permutation(9) for _ in range(120)]])),
+        (grp(3, "(1 2 3)"), 9, np.array(list(itertools.permutations(range(3))))),
+    ]
+    for group, k, rows in wide:
+        rows = rows.astype(np.uint8)[rng.permutation(len(rows))]
+        part = cached_orbit_partition(group, k)
+        got = _accepted_rows(part.space, part.labels, rows)
+        want = [i for i, row in enumerate(rows)
+                if _accepts_by_index_map(part.space, part.labels, row)]
+        assert got.tolist() == want
+        assert len(want) >= group.order
+        assert len(want) < len(rows)
 
 
 @pytest.mark.parametrize("cells", [64, closure_module._TEST_CELLS])
@@ -327,7 +360,7 @@ def test_value_action_tester_matches_one_map_at_a_time(monkeypatch, cells):
     rows = np.array(list(itertools.permutations(range(4))), dtype=np.uint8)
     for k in (1, 2, 3):
         part = cached_orbit_partition(cyclic_4(), k, value_action=True)
-        got = _IndexTester.from_partition(part, value_action=True).accepted_rows(rows)
+        got = _accepted_rows(part.space, part.labels, rows, value_action=True)
         want = [i for i, row in enumerate(rows) if np.array_equal(
             part.labels[part.space.value_index_map(Permutation([v + 1 for v in row.tolist()]))],
             part.labels,

@@ -467,6 +467,17 @@ def test_conjugacy_refuses_before_allocating(monkeypatch):
     assert not are_conjugate_in_symmetric(g, get_group("AGL(1,8)"))
 
 
+def test_conjugacy_bound_can_be_raised():
+    """S_4 x C_2 x C_2 at degree 8 needs 8! * 96 ranks, just over 10!."""
+    g = grp(8, "(1 2 3 4)", "(1 2)", "(5 6)", "(7 8)")
+    h = conjugate_group(g, parse_perm("(4 5)", 8))
+    assert g != h
+    with pytest.raises(BudgetExceeded) as err:
+        are_conjugate_in_symmetric(g, h)
+    assert (err.value.needed, err.value.allowed) == (40320 * 96, math.factorial(10))
+    assert are_conjugate_in_symmetric(g, h, budgets=Budgets(materialization_bound=40320 * 96))
+
+
 # ---------------------------------------------------------------------------
 # group files
 
