@@ -32,10 +32,8 @@ from .errors import BudgetExceeded, DegreeMismatch
 from .perm import (
     PermGroup,
     Permutation,
-    _is_odd,
     _lex_ranks,
-    _point_dtype,
-    _symmetric_rows,
+    _symmetric_product,
     alternating_on,
     direct_product,
     full_orbits,
@@ -192,7 +190,7 @@ def classify_main(
         and g.order * 2 == bfact * on_complement.order
         and on_complement.order % 2 == 0
     ):
-        even = ~_is_odd(_lex_ranks(_restricted_rows(g, block)), n)
+        even = np.isin(_lex_ranks(_restricted_rows(g, block)), alternating_on(block, n)._ranks)
         half_rows = _restricted_rows(g, complement)[even]
         try:
             # index2_subdirect refuses a half that is not of index 2
@@ -279,10 +277,7 @@ def wielandt_closure(
     if pool > b.candidate_budget:
         raise BudgetExceeded("candidate", pool, b.candidate_budget)
     part = cached_orbit_partition(group, k, budgets=b, value_action=True)
-    cand = np.arange(n, dtype=_point_dtype(n))[None, :]
-    for o in orbits:
-        # the orbits are disjoint, so each product c.s is the row c[s]
-        cand = cand[:, _symmetric_rows(o, n)[0]].reshape(-1, n)
+    cand = _symmetric_product(orbits, n)
     ranks = _lex_ranks(cand)
     order = np.argsort(ranks)
     cand = cand[order[~np.isin(ranks[order], group._ranks)]]

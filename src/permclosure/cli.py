@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--n", type=int, default=None,
-        help="degree (seress 3..10, primitive3 3..9, wielandt 4..5; "
+        help="degree (seress 3..10, primitive3 3..10, wielandt 4..5; "
         "main uses the degree-7 panel unless --group is given)",
     )
     p.add_argument("-k", "--k", dest="k", type=int, default=None, help="alphabet size (main only)")

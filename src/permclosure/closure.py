@@ -25,7 +25,6 @@ codomain size over which a closed group is an invariance group.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections import OrderedDict
@@ -40,12 +39,15 @@ from .perm import (
     PermGroup,
     Permutation,
     _dimino_extend,
+    _first_entry_block,
     _greedy_span,
     _image_rows,
+    _lex_permutations,
     _lex_ranks,
     _min_labels,
     _moved_points,
     _point_dtype,
+    _symmetric_rows,
     format_perm,
     generate_group,
 )
@@ -157,13 +159,11 @@ class ChainReport:
 # the membership test
 
 
-# Most cells (tuple rows times candidates, or rows times arity) in any
-# temporary array of the batched coordinate test.
+# Most cells (tuple rows times candidates, times arity in the value action,
+# or rows times arity) in any temporary array of the batched test.
 _TEST_CELLS = 1 << 18
 # Tuple rows in the first chunk of the test; later chunks double.
 _FIRST_ROWS = 16
-# Permutations per block when the whole symmetric group is streamed.
-_PERMUTATION_BLOCK = 1 << 15
 
 
 def _accepted_rows(
@@ -180,7 +180,9 @@ def _accepted_rows(
     through a multithreaded BLAS.
     """
     size, arity, weights = space.size, space.arity, space.weights
-    block = _TEST_CELLS // max(_FIRST_ROWS, arity)
+    # the value action gathers (candidates, rows, arity) digits at once
+    width = arity if value_action else 1
+    block = _TEST_CELLS // max(_FIRST_ROWS * width, arity)
     kept = [np.empty(0, dtype=np.intp)]
     for start in range(0, images.shape[0], block):
         alive = np.arange(start, min(start + block, images.shape[0]))
@@ -194,25 +196,22 @@ def _accepted_rows(
             ok = (labels[idx] == labels[lo:hi, None]).all(axis=0)
             alive, moved = alive[ok], moved[ok]
             lo = hi
-            rows = min(2 * rows, _TEST_CELLS // max(alive.size, arity))
+            rows = min(2 * rows, _TEST_CELLS // max(alive.size * width, arity))
         kept.append(alive)
     return np.concatenate(kept)
 
 
 def _rows_outside(group: PermGroup) -> Iterator[np.ndarray]:
     """The permutations of the group's degree that lie outside it, in
-    lexicographic order, as blocks of image rows."""
+    lexicographic order, as one block of image rows per first entry."""
     n = group.degree
-    perms = itertools.permutations(range(n))
-    for start in itertools.count(0, _PERMUTATION_BLOCK):
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(perms, _PERMUTATION_BLOCK)),
-            dtype=_point_dtype(n),
-        )
-        if not flat.size:
-            return
-        rows = flat.reshape(-1, n)
-        yield rows[~np.isin(np.arange(start, start + len(rows)), group._ranks)]
+    sub, _ = _lex_permutations(max(n - 1, 0))
+    # the row of lex rank i.(n-1)! + r starts with i and continues as sub[r]
+    first, rest = np.divmod(group._ranks, len(sub))
+    for i in range(n):
+        keep = np.ones(len(sub), dtype=bool)
+        keep[rest[first == i]] = False
+        yield _first_entry_block(sub[keep], i)
 
 
 class _YoungSubgroup:
@@ -221,24 +220,21 @@ class _YoungSubgroup:
 
     Elements are indexed by lexicographic rank.  Since the runs are
     consecutive, sorted order is the product, in order, of each run's
-    lexicographically ordered permutations, so a rank is a mixed-radix
-    number whose digits are in-run Lehmer ranks.
+    lexicographically ordered permutations (``_lex_permutations``), so a
+    rank is a mixed-radix number whose digits are in-run lex ranks.
     """
 
     __slots__ = ("degree", "order", "_runs")
 
     def __init__(self, sizes: Sequence[int], degree: int):
         self.degree = degree
-        self._runs = [
-            np.array(list(itertools.permutations(range(m))), dtype=_point_dtype(degree))
-            .reshape(-1, m)
-            for m in sizes
-        ]
+        self._runs = [_lex_permutations(m)[0] for m in sizes]
         self.order = math.prod(len(perms) for perms in self._runs)
 
     def contains(self, rows: np.ndarray) -> np.ndarray:
         """Which image rows map every run onto itself."""
-        run_of = np.repeat(np.arange(len(self._runs)), [p.shape[1] for p in self._runs])
+        sizes = [p.shape[1] for p in self._runs]
+        run_of = np.repeat(np.arange(len(sizes), dtype=rows.dtype), sizes)
         return (run_of[rows] == run_of).all(axis=1)
 
     def rank_map(self, h: tuple[int, ...]) -> np.ndarray:
@@ -261,7 +257,8 @@ class _YoungSubgroup:
             m = perms.shape[1]
             off -= m
             rest, digit = np.divmod(rest, len(perms))
-            out[:, off:off + m] = perms[digit] + off
+            out[:, off:off + m] = perms[digit]
+            out[:, off:off + m] += off
         return out
 
 
@@ -278,6 +275,11 @@ def _group_from_union(
     gens = tuple(_greedy_extension(base, candidates, order, cap))
     if not len(extra):
         return PermGroup._build(base.degree, base._rows, gens, base.ground_set or None, base._ranks)
+    if order == math.factorial(base.degree):
+        # the whole symmetric group, which moves every point
+        everything = range(1, base.degree + 1)
+        rows, ranks = _symmetric_rows(everything, base.degree)
+        return PermGroup._build(base.degree, rows, gens, everything, ranks)
     ranks, first = np.unique(
         np.concatenate([base._ranks, _lex_ranks(extra)]), return_index=True
     )
@@ -431,26 +433,20 @@ def closure_pruned(
     )
 
 
-def _set_partitions(n: int, max_blocks: int) -> Iterator[list[list[int]]]:
-    """Set partitions of {0..n-1} into at most max_blocks classes, in
-    restricted-growth-string order."""
-    a = [0] * n
+def _set_partitions(n: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
+    """Set partitions of {0..n-1} into at most max_blocks classes, as
+    restricted growth strings (the class of each point, numbered by first
+    appearance) in lexicographic order."""
 
-    def rec(i: int, mx: int) -> Iterator[list[list[int]]]:
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(mx + 1)]
-            for pos, v in enumerate(a):
-                blocks[v].append(pos)
-            yield blocks
+    def rec(head: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:
+        if len(head) == n:
+            yield head
             return
-        lim = min(mx + 1, max_blocks - 1)
-        for v in range(lim + 1):
-            a[i] = v
-            yield from rec(i + 1, max(mx, v))
+        for v in range(min(top + 2, max_blocks)):
+            yield from rec(head + (v,), max(top, v))
 
-    if n == 0:
-        return
-    yield from rec(1, 0)
+    if n:
+        yield from rec((0,), 0)
 
 
 def _product_set(
@@ -483,12 +479,9 @@ def closure_kearnes(
     g_eltups = group.element_images()
     running: set[tuple[int, ...]] | None = None
     examined = 0
-    for blocks in _set_partitions(n, min(k, n)):
-        a = [0] * n
-        for bi, positions in enumerate(blocks):
-            for pos in positions:
-                a[pos] = bi + 1
-        stab = tuple_stabilizer(tuple(a), degree=n, budgets=b)
+    for classes in _set_partitions(n, min(k, n)):
+        a = tuple(c + 1 for c in classes)
+        stab = tuple_stabilizer(a, degree=n, budgets=b)
         pset = _product_set(g_eltups, stab.elements)
         examined += len(pset)
         running = pset if running is None else running & pset
@@ -870,18 +863,14 @@ def min_codomain_report(
     work = 0
     for m in range(1, r + 1):
         count = 0
-        for blocks in _set_partitions(r, m):
-            if len(blocks) != m:
+        for classes in _set_partitions(r, m):
+            if max(classes) != m - 1:
                 continue
             count += 1
             work += max(1, outside_count)
             if work > b.candidate_budget:
                 raise BudgetExceeded("candidate", work, b.candidate_budget)
-            block_of = np.empty(r, dtype=np.int32)
-            for bi, members in enumerate(blocks):
-                for o in members:
-                    block_of[o] = bi + 1
-            vals = block_of[ranks]
+            vals = np.array(classes, dtype=np.int32)[ranks] + 1
             if any(_accepted_rows(part.space, vals, rows).size for rows in outside):
                 continue
             tested[m] = count

@@ -5,8 +5,9 @@ an immutable tuple of 0-based images.  A group keeps its elements as one
 small-int array of image rows in lexicographic order, beside their int64
 lexicographic ranks among all permutations of the degree; equality, hashing,
 membership and subgroup tests work on the ranks, and image tuples and
-Permutation objects are built only when a caller asks for them.  Symmetric
-and alternating groups are written straight into that array.  Other groups
+Permutation objects are built only when a caller asks for them.  Every
+listing of a symmetric group's elements comes from one numpy generator of
+lex-ordered rows and their parities, ``_lex_permutations``.  Other groups
 are materialized with Dimino's algorithm, which adds a generator by adding
 whole cosets of the group generated so far, on sets of image tuples.
 Everything is capped by a materialization budget, so it is meant for small
@@ -15,6 +16,7 @@ degrees, not for stabilizer-chain scale.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from operator import itemgetter
@@ -230,11 +232,7 @@ def shift_group(group: "PermGroup", offset: int, degree: int) -> "PermGroup":
     rows = np.tile(np.arange(degree, dtype=_point_dtype(degree)), (group.order, 1))
     rows[:, offset:offset + group.degree] = group._rows
     rows[:, offset:offset + group.degree] += offset
-    gens = tuple(
-        tuple(range(offset)) + tuple(v + offset for v in g._img)
-        + tuple(range(offset + group.degree, degree))
-        for g in group.generators
-    )
+    gens = tuple(shift_perm(g, offset, degree)._img for g in group.generators)
     ground = tuple(p + offset for p in group.ground_set)
     return PermGroup._build(degree, rows, gens, ground or None)
 
@@ -435,29 +433,60 @@ def _lex_rank(img: tuple[int, ...]) -> int:
     return rank
 
 
-def _is_odd(ranks: np.ndarray, degree: int) -> np.ndarray:
-    """Which permutations of the given lex ranks are odd.  The factorial
-    digits of a rank are the Lehmer code, whose sum counts inversions."""
-    inversions = np.zeros_like(ranks)
-    for i in range(degree - 1):
-        inversions += ranks // math.factorial(degree - 1 - i) % (degree - i)
-    return inversions % 2 == 1
+@functools.cache
+def _lex_permutations(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of 0..m-1 as read-only uint8 image rows in
+    lexicographic order, so row r has lex rank r, and which rows are odd.
+
+    Lex order is the recursion P_m = [i || P_(m-1) + (P_(m-1) >= i)] over
+    i = 0..m-1 (Knuth, TAOCP 4A, 7.2.1.2).  Putting i in front adds i
+    inversions, so the parity comes with the rows.  Memoized per m: the
+    small ones are asked for thousands of times.
+    """
+    if m == 0:
+        rows, odd = np.zeros((1, 0), dtype=np.uint8), np.zeros(1, dtype=bool)
+    else:
+        sub, sub_odd = _lex_permutations(m - 1)
+        rows = np.empty((m * len(sub), m), dtype=np.uint8)
+        odd = np.empty(len(rows), dtype=bool)
+        for i in range(m):
+            block = slice(i * len(sub), (i + 1) * len(sub))
+            rows[block] = _first_entry_block(sub, i)
+            odd[block] = sub_odd ^ bool(i % 2)
+    rows.flags.writeable = odd.flags.writeable = False
+    return rows, odd
+
+
+def _first_entry_block(sub: np.ndarray, i: int) -> np.ndarray:
+    """The lex-ordered permutations of 0..m-1 that start with i, from the
+    lex-ordered permutations ``sub`` of 0..m-2."""
+    out = np.empty((len(sub), sub.shape[1] + 1), dtype=sub.dtype)
+    out[:, 0] = i
+    np.add(sub, sub >= i, out=out[:, 1:])
+    return out
 
 
 def _symmetric_rows(points: Sequence[int], degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Every permutation of the sorted 1-based points, fixing the rest, as
     image rows in lexicographic order, and their lex ranks."""
-    idx = [p - 1 for p in points]
-    count = math.factorial(len(idx))
-    local = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(idx)),
-        dtype=_point_dtype(degree), count=count * len(idx),
-    ).reshape(count, len(idx))
+    local, _ = _lex_permutations(len(points))
+    if len(points) == degree:
+        return local, np.arange(len(local), dtype=np.int64)
+    idx = np.array([p - 1 for p in points], dtype=_point_dtype(degree))
     # the moved columns run in lex order and every other column is constant
-    rows = np.tile(np.arange(degree, dtype=local.dtype), (count, 1))
-    rows[:, idx] = local
-    ranks = np.arange(count, dtype=np.int64) if len(idx) == degree else _lex_ranks(rows)
-    return rows, ranks
+    rows = np.tile(np.arange(degree, dtype=idx.dtype), (len(local), 1))
+    rows[:, idx] = idx[local]
+    return rows, _lex_ranks(rows)
+
+
+def _symmetric_product(point_sets: Iterable[Sequence[int]], degree: int) -> np.ndarray:
+    """Every product of the symmetric groups on disjoint sorted sets of
+    1-based points, as image rows, not sorted."""
+    rows = np.arange(degree, dtype=_point_dtype(degree))[None, :]
+    for points in point_sets:
+        # the sets are disjoint, so each product c.s is the row c[s]
+        rows = rows[:, _symmetric_rows(points, degree)[0]].reshape(-1, degree)
+    return rows
 
 
 class PermGroup:
@@ -679,20 +708,21 @@ def _check_order(order: int, budgets: Budgets | None) -> None:
         raise BudgetExceeded("materialization", order, bound)
 
 
+def _cycle(points: Sequence[int], degree: int) -> tuple[int, ...]:
+    """The cycle through the 1-based points in order, as 0-based images."""
+    img = list(range(degree))
+    for a, b in zip(points, [*points[1:], points[0]]):
+        img[a - 1] = b - 1
+    return tuple(img)
+
+
 def symmetric_on(points: Iterable[int], degree: int, budgets: Budgets | None = None) -> PermGroup:
     """The full symmetric group on the given points, inside degree n."""
     pts = sorted(set(points))
     _check_order(math.factorial(len(pts)), budgets)
-    gen_tuples = []
-    if len(pts) >= 2:
-        img = list(range(degree))
-        img[pts[0] - 1], img[pts[1] - 1] = pts[1] - 1, pts[0] - 1
-        gen_tuples.append(tuple(img))
+    gen_tuples = [_cycle(pts[:2], degree)] if len(pts) >= 2 else []
     if len(pts) >= 3:
-        img = list(range(degree))
-        for a, bpt in zip(pts, pts[1:] + pts[:1]):
-            img[a - 1] = bpt - 1
-        gen_tuples.append(tuple(img))
+        gen_tuples.append(_cycle(pts, degree))
     rows, ranks = _symmetric_rows(pts, degree)
     return PermGroup._build(degree, rows, tuple(gen_tuples), pts or None, ranks)
 
@@ -702,23 +732,12 @@ def alternating_on(points: Iterable[int], degree: int, budgets: Budgets | None =
     even part of the symmetric group, selected by inversion parity."""
     pts = sorted(set(points))
     _check_order(math.factorial(len(pts)) // 2, budgets)
-    gen_tuples: list[tuple[int, ...]] = []
-    if len(pts) >= 3:
-        img = list(range(degree))
-        img[pts[0] - 1], img[pts[1] - 1], img[pts[2] - 1] = (
-            pts[1] - 1,
-            pts[2] - 1,
-            pts[0] - 1,
-        )
-        gen_tuples.append(tuple(img))
+    gen_tuples = [_cycle(pts[:3], degree)] if len(pts) >= 3 else []
     if len(pts) >= 4:
-        img = list(range(degree))
-        cyc = pts if len(pts) % 2 else pts[1:]
-        for a, bpt in zip(cyc, cyc[1:] + cyc[:1]):
-            img[a - 1] = bpt - 1
-        gen_tuples.append(tuple(img))
+        # a cycle of odd length is even
+        gen_tuples.append(_cycle(pts if len(pts) % 2 else pts[1:], degree))
     rows, ranks = _symmetric_rows(pts, degree)
-    even = ~_is_odd(ranks, degree)
+    even = ~_lex_permutations(len(pts))[1]
     return PermGroup._build(degree, rows[even], tuple(gen_tuples), pts or None, ranks[even])
 
 
@@ -774,7 +793,8 @@ def index2_subdirect(
         raise ValueError("index-2 part moves points outside the second factor")
     n = b_group.degree
     l_minus = l_group._rows[~np.isin(l_group._ranks, l0_group._ranks)]
-    odd = _is_odd(b_group._ranks, n)
+    # b_group's rows are its ground set's permutations in lex order
+    odd = _lex_permutations(bsize)[1]
     rows = np.concatenate([
         b_group._rows[~odd][:, l0_group._rows].reshape(-1, n),
         b_group._rows[odd][:, l_minus].reshape(-1, n),

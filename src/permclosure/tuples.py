@@ -30,7 +30,7 @@ import numpy as np
 
 from .budgets import Budgets, resolve
 from .errors import BudgetExceeded, DegreeMismatch
-from .perm import PermGroup, Permutation, _min_labels, _symmetric_rows, extend_degree
+from .perm import PermGroup, Permutation, _min_labels, _symmetric_product, extend_degree
 
 __all__ = [
     "TupleSpace",
@@ -255,16 +255,11 @@ def tuple_stabilizer(
     classes: dict[int, list[int]] = {}
     for pos, v in enumerate(a):
         classes.setdefault(v, []).append(pos)
-    total = 1
-    for positions in classes.values():
-        total *= math.factorial(len(positions))
+    total = math.prod(math.factorial(len(ps)) for ps in classes.values())
     if total > b.materialization_bound:
         raise BudgetExceeded("materialization", total, b.materialization_bound)
 
-    rows = _symmetric_rows((), n)[0]
-    for positions in classes.values():
-        # classes move disjoint points, so their products commute
-        rows = rows[:, _symmetric_rows([p + 1 for p in positions], n)[0]].reshape(-1, n)
+    rows = _symmetric_product([[p + 1 for p in ps] for ps in classes.values()], n)
     gen_tuples = []
     for _, positions in sorted(classes.items()):
         for x, y in zip(positions, positions[1:]):

@@ -283,11 +283,11 @@ def test_c09_equivalence_classes():
         assert report.wall_time < 1800, n
 
 
-@criterion("c10", "every primitive catalog group of degree 4..9 is closed over "
+@criterion("c10", "every primitive catalog group of degree 4..10 is closed over "
                   "3 letters except the alternating group")
 def test_c10_primitive_closure_over_three():
     total = 0.0
-    for n in range(4, 10):
+    for n in range(4, 11):
         report = primitive_3closed_report(n)
         assert report.matches, n
         assert report.expected_nonclosed == (f"A_{n}",), n

@@ -90,6 +90,14 @@ def test_closure_fixes_points_the_group_fixes():
     assert clo.order == 6
 
 
+def test_pruned_closure_past_degree_256():
+    """At k >= n the stabilizer of a* is trivial, so no tuple is labelled;
+    its runs are uint8 rows, shifted into the uint16 points of degree 300."""
+    g = generate_group([parse_perm("(1 2)", 300)])
+    rep = closure_pruned(g, 300)
+    assert rep.closure == g and rep.candidates_examined == 2
+
+
 # ---------------------------------------------------------------------------
 # the three algorithms agree
 
@@ -306,6 +314,22 @@ def test_candidate_test_allocates_no_digit_matrix():
     assert peak < part.space.size * part.space.arity * 4
 
 
+def test_stabilizer_membership_allocates_no_intp_matrix():
+    """With S_9's partition at k = 3 warm, the pruned closure peaks below
+    half a (|G|, n) intp array: the run map that picks G ∩ stab(a*) has the
+    rows' own dtype, so indexing it with G's rows stays small."""
+    s9 = symmetric_on(range(1, 10), 9)
+    cached_orbit_partition(s9, 3)
+    tracemalloc.start()
+    try:
+        rep = closure_pruned(s9, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.closure == s9
+    assert peak < s9.order * s9.degree * np.dtype(np.intp).itemsize // 2
+
+
 # ---------------------------------------------------------------------------
 # the batched candidate test
 
@@ -367,6 +391,28 @@ def test_value_action_tester_matches_one_map_at_a_time(monkeypatch, cells):
         )]
         assert got.tolist() == want
     assert want == [0, 9, 16, 18]  # C_4 itself at k = 3, in blocks 0, 2 and 4
+
+
+def test_value_action_test_counts_arity_in_its_cells():
+    """Random degree-9 candidates against partitions of 9^5 tuples of
+    points peak below two intp arrays of _TEST_CELLS, because the
+    (candidates, rows, arity) gather counts arity in its cells.  AGL(1,9)
+    rejects 20,000 candidates within the first chunks, so its peak is the
+    first chunk's; S_9 admits 400 candidates, so the chunks grow to the end
+    of the space."""
+    rng = np.random.default_rng(3)
+    admitted = {}
+    for name, count in (("AGL(1,9)", 20_000), ("S_9", 400)):
+        part = cached_orbit_partition(get_group(name), 5, value_action=True)
+        rows = np.argsort(rng.random((count, 9)), axis=1).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            admitted[name] = len(_accepted_rows(part.space, part.labels, rows, value_action=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * closure_module._TEST_CELLS * np.dtype(np.intp).itemsize, name
+    assert admitted["AGL(1,9)"] < 100 and admitted["S_9"] == 400
 
 
 # ---------------------------------------------------------------------------

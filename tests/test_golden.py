@@ -55,6 +55,10 @@ def _cases() -> dict[str, list[str]]:
     for g, h, k in (("PSL(2,8)", "PGammaL(2,8)", 4), ("AGL(1,9)", "AGammaL(1,9)", 3), ("A_5", "S_5", 3)):
         cases[f"orbit-equiv-{g}-{h}-{k}"] = ["orbit-equiv", f"catalog:{g}", f"catalog:{h}", "-k", str(k)]
     cases["verify-main"] = ["verify", "--theorem", "main"]
+    # degree 9 and 10: S_10 and A_10 rows, and the naive scan in many blocks
+    cases["closure-A_10-3-pruned"] = ["closure", "catalog:A_10", "-k", "3"]
+    cases["verify-seress-10"] = ["verify", "--theorem", "seress", "--n", "10"]
+    cases["closure-D_9-2-naive"] = ["closure", "catalog:D_9", "-k", "2", "--algorithm", "naive"]
     return cases
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import grp
 from permclosure.budgets import Budgets
-from permclosure.closure import _group_from_union, closure_pruned
+from permclosure.closure import _group_from_union, _rows_outside, closure_pruned
 from permclosure.errors import BudgetExceeded
 from permclosure.perm import (
     PermGroup,
@@ -27,9 +27,9 @@ from permclosure.perm import (
 
 
 @st.composite
-def generator_sets(draw):
+def generator_sets(draw, max_degree=7):
     """One to four random permutations of a common degree from 1 to 7."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, max_degree))
     images = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4))
     return [Permutation(img) for img in images]
 
@@ -179,6 +179,18 @@ def test_closure_rebuild_keeps_the_greedy_generators(gens):
         expected, _ = _greedy_span(scan, n, math.factorial(n), g.order + len(extra))
         rebuilt = _group_from_union(g, extra, extra, math.factorial(n))
         assert [p._img for p in rebuilt.generators] == expected
+
+
+@settings(max_examples=60)
+@given(gens=generator_sets(max_degree=6))
+def test_rows_outside_are_the_lex_ordered_complement(gens):
+    """Streamed one first entry at a time, the rows outside a group are the
+    permutations of its degree not in it, in lexicographic order."""
+    g = generate_group(gens)
+    inside = set(g.element_images())
+    want = [t for t in itertools.permutations(range(g.degree)) if t not in inside]
+    got = [tuple(row) for block in _rows_outside(g) for row in block.tolist()]
+    assert got == want
 
 
 def test_closure_rebuild_respects_the_materialization_bound():

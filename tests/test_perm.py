@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +17,7 @@ from permclosure.errors import BudgetExceeded, DegreeMismatch, ParseError
 from permclosure.perm import (
     PermGroup,
     Permutation,
+    _lex_permutations,
     alternating_on,
     are_conjugate_in_symmetric,
     compose,
@@ -267,6 +269,14 @@ def test_materialization_budget_is_enforced():
     with pytest.raises(BudgetExceeded) as err:
         generate_group(d4_gens, budgets=Budgets(materialization_bound=7))
     assert err.value.needed == 8
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_lex_permutations_match_itertools_and_sign(m):
+    rows, odd = _lex_permutations(m)
+    assert rows.dtype == np.uint8 and not rows.flags.writeable
+    assert rows.tolist() == [list(t) for t in itertools.permutations(range(m))]
+    assert odd.tolist() == [Permutation([v + 1 for v in t]).sign == -1 for t in rows.tolist()]
 
 
 def test_symmetric_and_alternating_on_points():

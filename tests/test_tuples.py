@@ -118,7 +118,7 @@ def test_tuple_space_budget():
         TupleSpace(0, 2)
 
 
-def test_weights_are_int32_while_every_index_fits():
+def test_weights_and_index_maps_are_intp():
     space = TupleSpace(4, 3)
     assert space.weights.dtype == np.intp and space.weights.tolist() == [27, 9, 3, 1]
     sigma = Permutation([2, 3, 4, 1])
