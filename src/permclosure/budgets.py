@@ -1,12 +1,11 @@
 """Search bounds.
 
 Defaults keep every built-in verification comfortably inside desk scale
-while refusing absurd inputs fast.  Each bound can be overridden per call,
-through CLI flags, or with environment variables read at import time:
-
-    PERMCLOSURE_TUPLE_BUDGET          largest tuple space that will be indexed
-    PERMCLOSURE_CANDIDATE_BUDGET      largest candidate pool filtered per closure call
-    PERMCLOSURE_MATERIALIZATION_BOUND largest group materialized element by element
+while refusing absurd inputs fast.  ``KINDS`` is the one table of budget
+kinds: each names the ``Budgets`` field that bounds it, the environment
+variable read at import time, and the help text of its CLI flag, which is
+the field name with dashes.  ``Budgets.check`` is the one place that
+compares a need against its bound and raises BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -14,33 +13,52 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
-TUPLE_ENV = "PERMCLOSURE_TUPLE_BUDGET"
-CANDIDATE_ENV = "PERMCLOSURE_CANDIDATE_BUDGET"
-MATERIALIZATION_ENV = "PERMCLOSURE_MATERIALIZATION_BOUND"
+from .errors import BudgetExceeded
 
-DEFAULT_TUPLE_BUDGET = 10**8
-DEFAULT_CANDIDATE_BUDGET = 10**7
-DEFAULT_MATERIALIZATION_BOUND = math.factorial(10)
+
+class Kind(NamedTuple):
+    field: str
+    env: str
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.field.replace("_", "-")
+
+
+KINDS = {
+    "tuple-space": Kind("tuple_budget", "PERMCLOSURE_TUPLE_BUDGET", "cap on tuple-space size"),
+    "candidate": Kind("candidate_budget", "PERMCLOSURE_CANDIDATE_BUDGET", "cap on candidates"),
+    "materialization": Kind(
+        "materialization_bound", "PERMCLOSURE_MATERIALIZATION_BOUND",
+        "cap on group elements materialized",
+    ),
+}
 
 
 @dataclass(frozen=True)
 class Budgets:
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET
-    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET
-    materialization_bound: int = DEFAULT_MATERIALIZATION_BOUND
+    tuple_budget: int = 10**8
+    candidate_budget: int = 10**7
+    materialization_bound: int = math.factorial(10)
 
     def __post_init__(self):
-        for name in ("tuple_budget", "candidate_budget", "materialization_bound"):
-            value = getattr(self, name)
+        for kind in KINDS.values():
+            value = getattr(self, kind.field)
             if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+                raise ValueError(f"{kind.field} must be a positive integer, got {value!r}")
+
+    def check(self, kind: str, needed: int) -> None:
+        """Refuse, before the work starts, a need past the kind's bound."""
+        allowed = getattr(self, KINDS[kind].field)
+        if needed > allowed:
+            raise BudgetExceeded(kind, needed, allowed)
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
+def _env_int(name: str) -> int:
+    raw = os.environ[name]
     try:
         value = int(raw)
     except ValueError:
@@ -52,11 +70,9 @@ def _env_int(name: str, fallback: int) -> int:
 
 def default_budgets() -> Budgets:
     """Budgets from the environment, falling back to the package defaults."""
-    return Budgets(
-        tuple_budget=_env_int(TUPLE_ENV, DEFAULT_TUPLE_BUDGET),
-        candidate_budget=_env_int(CANDIDATE_ENV, DEFAULT_CANDIDATE_BUDGET),
-        materialization_bound=_env_int(MATERIALIZATION_ENV, DEFAULT_MATERIALIZATION_BOUND),
-    )
+    return Budgets(**{
+        kind.field: _env_int(kind.env) for kind in KINDS.values() if kind.env in os.environ
+    })
 
 
 DEFAULT = default_budgets()

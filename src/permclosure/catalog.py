@@ -2,9 +2,10 @@
 
 Two kinds of names are resolvable through :func:`get_group`:
 
-* parametric families ``C_n``, ``D_n``, ``A_n``, ``S_n`` for degrees up
-  to 10, built on demand (dihedral groups are named by degree, so ``D_5``
-  acts on 5 points and has 10 elements);
+* parametric families ``C_n``, ``D_n``, ``A_n``, ``S_n`` of any degree
+  whose order the materialization bound admits, built on demand
+  (dihedral groups are named by degree, so ``D_5`` acts on 5 points and
+  has 10 elements);
 * the named groups of ``_NAMED_SPECS``, each defined once by a generator
   builder and validated on first access against its expected order,
   transitivity, and primitivity.
@@ -16,6 +17,7 @@ entries append the point at infinity as the last point.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -50,9 +52,6 @@ __all__ = [
     "PrimitiveClosureReport",
     "primitive_3closed_report",
 ]
-
-MAX_PARAMETRIC_DEGREE = 10
-
 
 # ---------------------------------------------------------------------------
 # small finite fields
@@ -462,52 +461,58 @@ def catalog_names() -> tuple[str, ...]:
 
 _PARAM_RE = re.compile(r"([acds])(\d+)")
 
+# each parametric family's name, least degree, and order at degree n
+_FAMILIES = {
+    "c": ("cyclic", 1, lambda n: n),
+    "d": ("dihedral", 3, lambda n: 2 * n),
+    "a": ("alternating", 1, lambda n: max(math.factorial(n) // 2, 1)),
+    "s": ("symmetric", 1, math.factorial),
+}
+
 
 @lru_cache(maxsize=None)
 def _parametric_group(kind: str, n: int) -> PermGroup:
+    # get_group has checked the degree, and this order against the caller's budgets
+    order = _FAMILIES[kind][2](n)
+    b = Budgets(materialization_bound=order)
     points = range(1, n + 1)
     if kind == "s":
-        return symmetric_on(points, n)
+        return symmetric_on(points, n, b)
     if kind == "a":
-        return alternating_on(points, n)
-    if kind == "c":
-        if n < 1:
-            raise UnknownGroupName("cyclic groups need degree at least 1")
-        cycle = Permutation([v % n + 1 for v in range(1, n + 1)])
-        group = generate_group([cycle] if n > 1 else [], ground_set=points, degree=n)
-        assert group.order == n
-        return group
-    if n < 3:
-        raise UnknownGroupName("dihedral groups need degree at least 3")
-    cycle = Permutation([v % n + 1 for v in range(1, n + 1)])
-    flip = Permutation([1] + [n + 2 - v for v in range(2, n + 1)])
-    group = generate_group([cycle, flip], ground_set=points)
-    assert group.order == 2 * n
+        return alternating_on(points, n, b)
+    gens = [Permutation([v % n + 1 for v in points])] if n > 1 else []  # the n-cycle
+    if kind == "d":
+        gens.append(Permutation([1] + [n + 2 - v for v in range(2, n + 1)]))
+    group = generate_group(gens, ground_set=points, degree=n, budgets=b)
+    assert group.order == order
     return group
 
 
-def get_group(name: str) -> PermGroup:
+def get_group(name: str, budgets: Budgets | None = None) -> PermGroup:
     """Resolve a group name: ``C_n``/``D_n``/``A_n``/``S_n`` or a catalog entry.
 
     Name matching ignores case, spacing, and underscores, and accepts the
     unicode wreath, intersection, and Gamma spellings.  Raises
-    UnknownGroupName for anything else.
+    UnknownGroupName for anything else, and BudgetExceeded, before the
+    group is built or returned, when its order passes the materialization
+    bound.
     """
     norm = _normalize_name(name)
     m = _PARAM_RE.fullmatch(norm)
     if m:
         kind, n = m.group(1), int(m.group(2))
-        if n > MAX_PARAMETRIC_DEGREE:
-            raise UnknownGroupName(
-                f"parametric families stop at degree {MAX_PARAMETRIC_DEGREE}"
-            )
+        family, least, order = _FAMILIES[kind]
+        if n < least:
+            raise UnknownGroupName(f"{family} groups need degree at least {least}")
+        resolve(budgets).check("materialization", order(n))
         return _parametric_group(kind, n)
     cat = _catalog()
     if norm in cat:
-        return cat[norm][1]
+        entry, group = cat[norm]
+        resolve(budgets).check("materialization", entry.order)
+        return group
     raise UnknownGroupName(
-        f"unknown group {name!r}; known: C_n, D_n, A_n, S_n "
-        f"(n <= {MAX_PARAMETRIC_DEGREE}) and {', '.join(catalog_names())}"
+        f"unknown group {name!r}; known: C_n, D_n, A_n, S_n and {', '.join(catalog_names())}"
     )
 
 
@@ -648,7 +653,7 @@ def seress_report(n: int, budgets: Budgets | None = None) -> SeressReport:
     t0 = time.perf_counter()
     b = resolve(budgets)
     names = primitive_survey_names(n)
-    groups = [get_group(nm) for nm in names]
+    groups = [get_group(nm, b) for nm in names]
     leaders: list[int] = []
     assignment = [-1] * len(names)
     for i, g in enumerate(groups):
@@ -708,7 +713,7 @@ def primitive_3closed_report(
     names = primitive_survey_names(n)
     entries = []
     for nm in names:
-        g = get_group(nm)
+        g = get_group(nm, b)
         closure = galois_closure(g, 3, budgets=b)
         entries.append((nm, closure.order == g.order, closure.order))
     expected = (f"A_{n}",) if n >= 4 else ()

@@ -28,7 +28,7 @@ import numpy as np
 
 from .budgets import Budgets, resolve
 from .closure import _accepted_rows, _group_from_union, galois_closure
-from .errors import BudgetExceeded, DegreeMismatch
+from .errors import DegreeMismatch
 from .perm import (
     PermGroup,
     Permutation,
@@ -273,16 +273,14 @@ def wielandt_closure(
     b = resolve(budgets)
     n = group.degree
     orbits = full_orbits(group, n)
-    pool = math.prod(math.factorial(len(o)) for o in orbits)
-    if pool > b.candidate_budget:
-        raise BudgetExceeded("candidate", pool, b.candidate_budget)
+    b.check("candidate", math.prod(math.factorial(len(o)) for o in orbits))
     part = cached_orbit_partition(group, k, budgets=b, value_action=True)
     cand = _symmetric_product(orbits, n)
     ranks = _lex_ranks(cand)
     order = np.argsort(ranks)
     cand = cand[order[~np.isin(ranks[order], group._ranks)]]
     extra = cand[_accepted_rows(part.space, part.labels, cand, value_action=True)]
-    return _group_from_union(group, extra, extra, b.materialization_bound)
+    return _group_from_union(group, extra, extra, b)
 
 
 def check_wielandt_containment(

@@ -4,8 +4,8 @@ One subcommand per library operation: closures and chains of a single
 group, the degree-up-to-6 survey, theorem verification panels, orbit
 equivalence, invariance groups of function tables, and subgroup
 enumeration.  Structured output is a single JSON document per run; wall
-times appear only under ``--timings``.  ``--workers`` is still accepted and
-validated but computation is single-threaded, so it changes nothing.
+times appear only under ``--timings``.  Argument errors the library would
+reject are caught here first, so they exit with the usage code.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from .budgets import Budgets, default_budgets
+from .budgets import KINDS, Budgets, default_budgets
 from .closure import (
     FunctionTable,
     closure_chain,
@@ -39,7 +40,6 @@ from .classify import (
 from .errors import (
     BudgetExceeded,
     CatalogValidationError,
-    ParseError,
     UnknownGroupName,
 )
 from .perm import PermGroup, format_perm, read_group_file
@@ -66,25 +66,15 @@ exit codes:
   5  unknown group name or invalid catalog data
 """
 
-_BUDGET_FLAGS = {
-    "tuple-space": "--tuple-budget",
-    "candidate": "--candidate-budget",
-    "materialization": "--materialization-bound",
-}
-
 
 def _budgets_from(args: argparse.Namespace) -> Budgets:
-    base = default_budgets()
-    return Budgets(
-        tuple_budget=args.tuple_budget or base.tuple_budget,
-        candidate_budget=args.candidate_budget or base.candidate_budget,
-        materialization_bound=args.materialization_bound or base.materialization_bound,
-    )
+    given = {k.field: getattr(args, k.field) for k in KINDS.values()}
+    return replace(default_budgets(), **{f: v for f, v in given.items() if v is not None})
 
 
 def _load_group(spec: str, budgets: Budgets) -> PermGroup:
     if spec.startswith("catalog:"):
-        return get_group(spec[len("catalog:"):])
+        return get_group(spec[len("catalog:"):], budgets)
     return read_group_file(spec, budgets=budgets)
 
 
@@ -240,8 +230,6 @@ def _verify_main_theorem(args: argparse.Namespace, budgets: Budgets) -> int:
     if args.group is not None:
         group = _load_group(args.group, budgets)
         n = args.n if args.n is not None else group.degree
-        if args.k is None:
-            raise ParseError("--k is required when --group is given")
         rep = verify_main(group, n, args.k, budgets=budgets)
         lines = [
             f"shape: {rep.form.kind.value}",
@@ -253,10 +241,7 @@ def _verify_main_theorem(args: argparse.Namespace, budgets: Budgets) -> int:
         _emit(args, lines, rep.summary_dict())
         return EXIT_OK if rep.agree else EXIT_CHECK_FAILED
 
-    n = 7 if args.n is None else args.n
-    k = 5 if args.k is None else args.k
-    if (n, k) != (7, 5):
-        raise ParseError("the built-in panel is defined at degree 7, alphabet 5")
+    n, k = 7, 5
     expected = degree7_panel_expectations()
     lines = [f"shape test panel at degree {n}, alphabet {k}:"]
     rows = []
@@ -285,8 +270,6 @@ def _verify_main_theorem(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _verify_seress(args: argparse.Namespace, budgets: Budgets) -> int:
-    if args.n is None:
-        raise ParseError("--n is required for the orbit-equivalence survey")
     rep = seress_report(args.n, budgets=budgets)
     lines = [f"orbit-equivalence classes at degree {rep.degree} (alphabet 2):"]
     lines += ["  " + " ".join(c) for c in rep.classes]
@@ -298,8 +281,6 @@ def _verify_seress(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _verify_primitive3(args: argparse.Namespace, budgets: Budgets) -> int:
-    if args.n is None:
-        raise ParseError("--n is required for the closure-over-3 survey")
     rep = primitive_3closed_report(args.n, budgets=budgets)
     lines = [f"closure over a 3-letter alphabet at degree {rep.degree}:"]
     for name, closed, order in rep.entries:
@@ -335,7 +316,7 @@ def _verify_wielandt(args: argparse.Namespace, budgets: Budgets) -> int:
             f"({cat.total_subgroups} subgroups x k in 1..3), {failed} failures"
         )
         doc["degrees"][str(n)] = {"checked": checked, "failed": failed}
-    c4 = get_group("C_4")
+    c4 = get_group("C_4", budgets)
     w2 = wielandt_closure(c4, 2, budgets=budgets)
     g3 = galois_closure(c4, 3, budgets=budgets)
     point_ok = w2 == c4
@@ -380,26 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="output style (default text; json emits one document)",
     )
     common.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="accepted for compatibility and ignored: computation is single-threaded",
-    )
-    common.add_argument(
         "--timings", action="store_true",
         help="include wall-clock times in the output (off by default, "
         "keeping runs byte-comparable)",
     )
-    common.add_argument(
-        "--tuple-budget", type=int, default=None, metavar="N",
-        help="cap on materialized tuple-space size",
-    )
-    common.add_argument(
-        "--candidate-budget", type=int, default=None, metavar="N",
-        help="cap on closure candidates scanned",
-    )
-    common.add_argument(
-        "--materialization-bound", type=int, default=None, metavar="N",
-        help="cap on group elements materialized",
-    )
+    for kind in KINDS.values():
+        common.add_argument(kind.flag, type=int, default=None, metavar="N", help=kind.help)
 
     parser = argparse.ArgumentParser(
         prog="permclosure",
@@ -419,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm", choices=("naive", "pruned", "kearnes"), default="pruned",
         help="naive scans all permutations; kearnes intersects "
-        "stabilizer-product sets (degree at most 6); default pruned",
+        "stabilizer-product sets (bounded by --candidate-budget); default pruned",
     )
     p.set_defaults(func=_cmd_closure)
 
@@ -488,22 +455,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_usage(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse, with the usage exit code, arguments the library would reject."""
+    for kind in KINDS.values():
+        value = getattr(args, kind.field)
+        if value is not None and value < 1:
+            parser.error(f"{kind.flag} must be positive")
+    if getattr(args, "k", None) is not None and args.k < 2:
+        parser.error("alphabet size -k must be at least 2")
+    theorem = getattr(args, "theorem", None)
+    if theorem in ("seress", "primitive3") and not 3 <= (args.n or 0) <= 10:
+        parser.error(f"--theorem {theorem} needs --n in 3..10")
+    if theorem == "main" and args.group is not None and args.k is None:
+        parser.error("--k is required when --group is given")
+    panel = theorem == "main" and args.group is None
+    if panel and (args.n not in (None, 7) or args.k not in (None, 5)):
+        parser.error("the built-in panel is defined at degree 7, alphabet 5")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
-    for flag in ("tuple_budget", "candidate_budget", "materialization_bound"):
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            parser.error(f"--{flag.replace('_', '-')} must be positive")
+    _check_usage(parser, args)
     budgets = _budgets_from(args)
     try:
         return args.func(args, budgets)
     except BudgetExceeded as exc:
-        flag = _BUDGET_FLAGS.get(exc.budget_name)
-        hint = f"; raise {flag}" if flag else ""
-        print(f"error: {exc}{hint}", file=sys.stderr)
+        print(f"error: {exc}; raise {KINDS[exc.budget_name].flag}", file=sys.stderr)
         return EXIT_BUDGET
     except (UnknownGroupName, CatalogValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

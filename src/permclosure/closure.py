@@ -14,7 +14,7 @@ Three interchangeable algorithms are provided:
   propagation over the lexicographic ranks of stab(a*);
 * ``closure_kearnes`` intersects the product sets stab(a) . G over
   representative tuples a, one per set partition of the coordinates into
-  at most k classes.  Oracle grade: degree capped at 6.
+  at most k classes.  Oracle grade, bounded by the candidate budget.
 
 All three agree exactly; the test suite checks that on a wide panel.
 Candidates are tested in numpy batches against the orbit labels.
@@ -263,35 +263,33 @@ class _YoungSubgroup:
 
 
 def _group_from_union(
-    base: PermGroup, extra: np.ndarray, candidates: np.ndarray, cap: int
+    base: PermGroup, extra: np.ndarray, candidates: np.ndarray, b: Budgets
 ) -> PermGroup:
     """The group formed by base's elements plus the extra image rows,
     distinct and outside base (already known to be closed), with a short
     generating list grown greedily: base's own generators first, then the
     candidate rows, which lie among the extra ones."""
     order = base.order + len(extra)
-    if order > cap:
-        raise BudgetExceeded("materialization", order, cap)
-    gens = tuple(_greedy_extension(base, candidates, order, cap))
+    b.check("materialization", order)
+    gens = tuple(_greedy_extension(base, candidates, order, b))
+    # the generators move what the union moves
+    ground = sorted(set(base.ground_set) | _moved_points(gens)) or None
     if not len(extra):
-        return PermGroup._build(base.degree, base._rows, gens, base.ground_set or None, base._ranks)
-    if order == math.factorial(base.degree):
-        # the whole symmetric group, which moves every point
-        everything = range(1, base.degree + 1)
-        rows, ranks = _symmetric_rows(everything, base.degree)
-        return PermGroup._build(base.degree, rows, gens, everything, ranks)
-    ranks, first = np.unique(
-        np.concatenate([base._ranks, _lex_ranks(extra)]), return_index=True
-    )
-    if len(ranks) != order:
-        raise AssertionError("extra rows repeat or meet the base group")
-    rows = np.concatenate([base._rows, extra])[first]
-    ground = sorted(set(base.ground_set) | set(_moved_points(extra)))
-    return PermGroup._build(base.degree, rows, gens, ground or None, ranks)
+        rows, ranks = base._rows, base._ranks
+    elif order == math.factorial(base.degree):
+        rows, ranks = _symmetric_rows(range(1, base.degree + 1), base.degree)
+    else:
+        ranks, first = np.unique(
+            np.concatenate([base._ranks, _lex_ranks(extra)]), return_index=True
+        )
+        if len(ranks) != order:
+            raise AssertionError("extra rows repeat or meet the base group")
+        rows = np.concatenate([base._rows, extra])[first]
+    return PermGroup._build(base.degree, rows, gens, ground, ranks)
 
 
 def _greedy_extension(
-    base: PermGroup, candidates: np.ndarray, order: int, cap: int
+    base: PermGroup, candidates: np.ndarray, order: int, b: Budgets
 ) -> list[tuple[int, ...]]:
     """The generators ``_greedy_span`` keeps when it scans base's
     generators, then the candidates (none of them in base), up to a group
@@ -302,7 +300,7 @@ def _greedy_extension(
     short.  While the span is base, a kept candidate spans the whole group
     when the index is prime (Lagrange), so no element set is built."""
     base_gens = [g._img for g in base.generators]
-    gens, elems = _greedy_span(base_gens[:-1], base.degree, cap, base.order)
+    gens, elems = _greedy_span(base_gens[:-1], base.degree, b, base.order)
     if len(elems) < base.order:
         gens.append(base_gens[-1])
     size, elems = base.order, None
@@ -318,7 +316,7 @@ def _greedy_extension(
             elems = set(base.element_images())
         elif c in elems:
             continue
-        _dimino_extend(elems, gens, c, cap)
+        _dimino_extend(elems, gens, c, b)
         gens.append(c)
         size = len(elems)
     if size != order:
@@ -365,14 +363,12 @@ def _preserving_group(
     the labels that ``labelled()`` returns with their space, found by
     testing all n! of them; base's own elements must preserve them.  The
     candidate budget is checked before the labels are asked for."""
-    nfact = math.factorial(base.degree)
-    if nfact > b.candidate_budget:
-        raise BudgetExceeded("candidate", nfact, b.candidate_budget)
+    b.check("candidate", math.factorial(base.degree))
     space, labels = labelled()
     accepted = np.concatenate(
         [rows[_accepted_rows(space, labels, rows)] for rows in _rows_outside(base)]
     )
-    return _group_from_union(base, accepted, accepted, b.materialization_bound)
+    return _group_from_union(base, accepted, accepted, b)
 
 
 def _balanced_sizes(n: int, k: int) -> list[int]:
@@ -406,16 +402,13 @@ def closure_pruned(
     sizes = _balanced_sizes(n, k)
     a_star = tuple(v for v, m in enumerate(sizes, start=1) for _ in range(m))
     stab_order = math.prod(math.factorial(m) for m in sizes)
-    if stab_order > b.materialization_bound:
-        raise BudgetExceeded("materialization", stab_order, b.materialization_bound)
-    pool_bound = min(stab_order * group.order, math.factorial(n))
-    if pool_bound > b.candidate_budget:
-        raise BudgetExceeded("candidate", pool_bound, b.candidate_budget)
+    b.check("materialization", stab_order)
+    b.check("candidate", min(stab_order * group.order, math.factorial(n)))
 
     stab = _YoungSubgroup(sizes, n)
     g_rows = group._rows
     h_eltups = [tuple(t) for t in g_rows[stab.contains(g_rows)].tolist()]
-    h_gens, _ = _greedy_span(h_eltups, n, b.materialization_bound, len(h_eltups))
+    h_gens, _ = _greedy_span(h_eltups, n, b, len(h_eltups))
     labels = _min_labels(stab.order, [stab.rank_map(h) for h in h_gens])
     reps = stab.rows(np.flatnonzero(labels == np.arange(stab.order))[1:])
 
@@ -426,7 +419,7 @@ def closure_pruned(
         accepted = reps
     # the coset gamma.G of each accepted gamma, G applied first
     cosets = accepted[:, g_rows].reshape(-1, n)
-    closure = _group_from_union(group, cosets, accepted, b.materialization_bound)
+    closure = _group_from_union(group, cosets, accepted, b)
     examined = group.order * (len(reps) + 1)
     return ClosureReport(
         group, k, closure, "pruned", examined, a_star, time.perf_counter() - t0
@@ -468,13 +461,11 @@ def closure_kearnes(
     """Intersection of the product sets stab(a) . G over representative
     tuples, one per set partition of the coordinates into at most k classes.
 
-    Oracle grade: degree capped at 6.  ``candidates_examined`` totals the
-    product-set sizes formed before the intersection stabilized."""
+    Oracle grade, bounded by the candidate budget.  ``candidates_examined``
+    totals the product-set sizes formed before the intersection stabilized."""
     _check_alphabet(k)
     t0 = time.perf_counter()
     n = group.degree
-    if n > 6:
-        raise ValueError("intersection algorithm is oracle grade; degree capped at 6")
     b = resolve(budgets)
     g_eltups = group.element_images()
     running: set[tuple[int, ...]] | None = None
@@ -482,6 +473,7 @@ def closure_kearnes(
     for classes in _set_partitions(n, min(k, n)):
         a = tuple(c + 1 for c in classes)
         stab = tuple_stabilizer(a, degree=n, budgets=b)
+        b.check("candidate", examined + min(stab.order * group.order, math.factorial(n)))
         pset = _product_set(g_eltups, stab.elements)
         examined += len(pset)
         running = pset if running is None else running & pset
@@ -489,7 +481,7 @@ def closure_kearnes(
             break
     assert running is not None
     extra = _image_rows(sorted(running - set(g_eltups)), n)
-    closure = _group_from_union(group, extra, extra, b.materialization_bound)
+    closure = _group_from_union(group, extra, extra, b)
     return ClosureReport(
         group, k, closure, "kearnes", examined, None, time.perf_counter() - t0
     )
@@ -852,9 +844,7 @@ def min_codomain_report(
     r = part.orbit_count
     if r > max_orbits:
         raise BudgetExceeded("orbit-partition search", r, max_orbits)
-    nfact = math.factorial(n)
-    if nfact > b.candidate_budget:
-        raise BudgetExceeded("candidate", nfact, b.candidate_budget)
+    b.check("candidate", math.factorial(n))
     # blocks, so that a coloring is rejected at the first block accepting it
     outside = list(_rows_outside(group))
     outside_count = sum(len(rows) for rows in outside)
@@ -868,8 +858,7 @@ def min_codomain_report(
                 continue
             count += 1
             work += max(1, outside_count)
-            if work > b.candidate_budget:
-                raise BudgetExceeded("candidate", work, b.candidate_budget)
+            b.check("candidate", work)
             vals = np.array(classes, dtype=np.int32)[ranks] + 1
             if any(_accepted_rows(part.space, vals, rows).size for rows in outside):
                 continue

@@ -327,7 +327,7 @@ def _dimino_extend(
     elems: set[tuple[int, ...]],
     gens: Sequence[tuple[int, ...]],
     g: tuple[int, ...],
-    bound: int,
+    budgets: Budgets,
 ) -> None:
     """Dimino's step: grow ``elems``, the element set of H = <gens>, in place
     to the element set of <gens, g>.
@@ -335,7 +335,7 @@ def _dimino_extend(
     The new group is a union of right cosets H.r.  Whenever a product r.s of
     a coset representative and a generator is not yet known, the whole coset
     H.(r.s) is added at once.  Raises BudgetExceeded once the element count
-    would pass ``bound``.
+    would pass the materialization bound.
     """
     if g in elems:
         return
@@ -345,9 +345,7 @@ def _dimino_extend(
     reps: list[tuple[int, ...]] = []
 
     def add_coset(r: tuple[int, ...]) -> None:
-        size = len(elems) + len(coset_tail) + 1
-        if size > bound:
-            raise BudgetExceeded("materialization", size, bound)
+        budgets.check("materialization", len(elems) + len(coset_tail) + 1)
         elems.add(r)
         elems.update(map(itemgetter(*r), coset_tail))  # h.r, applying r first
         reps.append(r)
@@ -363,7 +361,7 @@ def _dimino_extend(
 def _greedy_span(
     candidates: Iterable[tuple[int, ...]],
     degree: int,
-    bound: int,
+    budgets: Budgets,
     target: int | None = None,
 ) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
     """Scan candidates in order, keeping each one outside the group generated
@@ -378,7 +376,7 @@ def _greedy_span(
     for c in candidates:
         if c in elems:
             continue
-        _dimino_extend(elems, gens, c, bound)
+        _dimino_extend(elems, gens, c, budgets)
         gens.append(c)
         if len(elems) == target:
             break
@@ -416,10 +414,10 @@ def _lex_ranks(rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _moved_points(rows: np.ndarray) -> tuple[int, ...]:
-    """The 1-based points that some row moves."""
-    moved = (rows != np.arange(rows.shape[1])).any(axis=0)
-    return tuple((np.flatnonzero(moved) + 1).tolist())
+def _moved_points(images: Iterable[tuple[int, ...]]) -> set[int]:
+    """The 1-based points that some of the 0-based image tuples move: for
+    a group's generators, the points the group moves."""
+    return {i + 1 for img in images for i, v in enumerate(img) if v != i}
 
 
 def _lex_rank(img: tuple[int, ...]) -> int:
@@ -457,6 +455,15 @@ def _lex_permutations(m: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, odd
 
 
+@functools.cache
+def _all_ranks(m: int) -> np.ndarray:
+    """The lex ranks 0..m!-1 of ``_lex_permutations(m)``'s rows, read-only:
+    every group of all permutations of its degree shares them."""
+    ranks = np.arange(math.factorial(m), dtype=np.int64)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def _first_entry_block(sub: np.ndarray, i: int) -> np.ndarray:
     """The lex-ordered permutations of 0..m-1 that start with i, from the
     lex-ordered permutations ``sub`` of 0..m-2."""
@@ -471,7 +478,7 @@ def _symmetric_rows(points: Sequence[int], degree: int) -> tuple[np.ndarray, np.
     image rows in lexicographic order, and their lex ranks."""
     local, _ = _lex_permutations(len(points))
     if len(points) == degree:
-        return local, np.arange(len(local), dtype=np.int64)
+        return local, _all_ranks(degree)
     idx = np.array([p - 1 for p in points], dtype=_point_dtype(degree))
     # the moved columns run in lex order and every other column is constant
     rows = np.tile(np.arange(degree, dtype=idx.dtype), (len(local), 1))
@@ -538,46 +545,42 @@ class PermGroup:
     ) -> "PermGroup":
         """The group of the image rows.  Without ``ranks`` the rows are
         sorted and deduplicated here; with them they must be sorted and
-        distinct already.  Without ``gen_tuples`` generators are derived."""
+        distinct already.  ``gen_tuples`` must generate the rows; without
+        them generators are derived.  The moved points are the generators'."""
         if ranks is None:
             ranks, first = np.unique(_lex_ranks(rows), return_index=True)
             rows = rows[first]
         if not len(ranks):
             raise ValueError("a group needs at least the identity element")
-        moved = set(_moved_points(rows))
-        if ground is None:
-            ground_t = tuple(sorted(moved))
-        else:
-            ground_t = tuple(sorted(set(ground)))
-            if not moved <= set(ground_t):
-                missing = sorted(moved - set(ground_t))
-                raise ValueError(f"ground set omits moved points {missing}")
-            if ground_t and not (1 <= ground_t[0] and ground_t[-1] <= degree):
-                raise ValueError(f"ground set outside 1..{degree}")
-        group = cls(degree, rows, ranks, (), ground_t)
+        group = cls(degree, rows, ranks, (), ())
         if gen_tuples is None:
             # a span that outgrows or leaves the set shows it is not a group
             eltups = group.element_images()
+            bound = Budgets(materialization_bound=len(eltups))
             try:
-                gen_tuples, span = _greedy_span(eltups, degree, len(eltups), len(eltups))
+                gen_tuples, span = _greedy_span(eltups, degree, bound, len(eltups))
             except BudgetExceeded:
                 span = None
             if span != set(eltups):
                 raise ValueError("element set is not closed under composition")
+        moved = _moved_points(gen_tuples)
+        ground_t = tuple(sorted(moved if ground is None else set(ground)))
+        if not moved <= set(ground_t):
+            raise ValueError(f"ground set omits moved points {sorted(moved - set(ground_t))}")
+        if ground_t and not (1 <= ground_t[0] and ground_t[-1] <= degree):
+            raise ValueError(f"ground set outside 1..{degree}")
+        group._ground = ground_t
         group._gens = tuple(Permutation._raw(t) for t in gen_tuples)
         return group
 
     @classmethod
     def from_elements(
-        cls,
-        elements: Iterable[Permutation],
-        ground_set: Iterable[int] | None = None,
-        generators: Sequence[Permutation] | None = None,
+        cls, elements: Iterable[Permutation], ground_set: Iterable[int] | None = None
     ) -> "PermGroup":
         """Group from a full element list; validates closure under products.
 
-        Derives a short generating list unless one is supplied, bounding
-        that work by the element count.
+        Derives a short generating list, bounding that work by the element
+        count.
         """
         elems = [p for p in elements]
         if not elems:
@@ -586,15 +589,8 @@ class PermGroup:
         for p in elems:
             if p.degree != degree:
                 raise DegreeMismatch("elements have mixed degrees")
-        gen_tuples = None
-        if generators is not None:
-            gen_tuples = tuple(g._img for g in generators)
-            pool = {p._img for p in elems}
-            for g in gen_tuples:
-                if g not in pool:
-                    raise ValueError("a supplied generator is not among the elements")
         rows = _image_rows([p._img for p in elems], degree)
-        return cls._build(degree, rows, gen_tuples, ground_set)
+        return cls._build(degree, rows, None, ground_set)
 
     # -- basic views
 
@@ -681,7 +677,6 @@ def generate_group(
     Raises BudgetExceeded once the element count would pass the
     materialization bound.  With no generators a degree is required.
     """
-    b = resolve(budgets)
     gens = list(generators)
     if gens:
         deg = gens[0].degree
@@ -698,14 +693,8 @@ def generate_group(
         else:
             deg = degree
     gen_tuples = tuple(g._img for g in gens)
-    _, elems = _greedy_span(gen_tuples, deg, b.materialization_bound)
+    _, elems = _greedy_span(gen_tuples, deg, resolve(budgets))
     return PermGroup._build(deg, _image_rows(elems, deg), gen_tuples, ground_set)
-
-
-def _check_order(order: int, budgets: Budgets | None) -> None:
-    bound = resolve(budgets).materialization_bound
-    if order > bound:
-        raise BudgetExceeded("materialization", order, bound)
 
 
 def _cycle(points: Sequence[int], degree: int) -> tuple[int, ...]:
@@ -719,7 +708,7 @@ def _cycle(points: Sequence[int], degree: int) -> tuple[int, ...]:
 def symmetric_on(points: Iterable[int], degree: int, budgets: Budgets | None = None) -> PermGroup:
     """The full symmetric group on the given points, inside degree n."""
     pts = sorted(set(points))
-    _check_order(math.factorial(len(pts)), budgets)
+    resolve(budgets).check("materialization", math.factorial(len(pts)))
     gen_tuples = [_cycle(pts[:2], degree)] if len(pts) >= 2 else []
     if len(pts) >= 3:
         gen_tuples.append(_cycle(pts, degree))
@@ -731,7 +720,7 @@ def alternating_on(points: Iterable[int], degree: int, budgets: Budgets | None =
     """The alternating group on the given points, inside degree n: the
     even part of the symmetric group, selected by inversion parity."""
     pts = sorted(set(points))
-    _check_order(math.factorial(len(pts)) // 2, budgets)
+    resolve(budgets).check("materialization", math.factorial(len(pts)) // 2)
     gen_tuples = [_cycle(pts[:3], degree)] if len(pts) >= 3 else []
     if len(pts) >= 4:
         # a cycle of odd length is even
@@ -755,7 +744,7 @@ def direct_product(g: PermGroup, h: PermGroup, budgets: Budgets | None = None) -
     if overlap:
         raise ValueError(f"ground sets overlap on {sorted(overlap)}")
     total = g.order * h.order
-    _check_order(total, budgets)
+    resolve(budgets).check("materialization", total)
     # row (a, b) is g_a . h_b, h_b applied first
     rows = g._rows[:, h._rows].reshape(total, g.degree)
     ground = tuple(sorted(set(g.ground_set) | set(h.ground_set)))
@@ -946,7 +935,7 @@ def are_conjugate_in_symmetric(
         return True
     if g.order != h.order:
         return False
-    _check_order(math.factorial(g.degree) * g.order, budgets)
+    resolve(budgets).check("materialization", math.factorial(g.degree) * g.order)
     return bool((_conjugate_ranks(g) == h._ranks).all(axis=1).any())
 
 

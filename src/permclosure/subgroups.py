@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budgets import Budgets
+from .budgets import Budgets, resolve
 from .catalog import survey_candidates
 from .closure import closure_chain, galois_closure
 from .data import load_reference_table
 from .perm import (
     PermGroup,
     Permutation,
-    _check_order,
     _conjugate_ranks,
     _lex_ranks,
     _symmetric_rows,
@@ -135,7 +134,7 @@ def all_subgroups(
     """
     if not 1 <= n <= 6:
         raise ValueError("subgroup enumeration is supported for degree 1..6")
-    _check_order(math.factorial(n), budgets)
+    resolve(budgets).check("materialization", math.factorial(n))
     if _extension_order == "forward" and n in _catalog_cache:
         return _catalog_cache[n]
     sn_rows, _ = _symmetric_rows(range(1, n + 1), n)  # row r has lex rank r
@@ -152,10 +151,11 @@ def all_subgroups(
     classes: list[SubgroupClass] = []
     index: dict[tuple[int, ...], SubgroupClass] = {}
 
-    def register(ranks: np.ndarray) -> bool:
+    def register(ranks: np.ndarray, gens: list[int]) -> bool:
         if tuple(ranks.tolist()) in index:
             return False
-        group = PermGroup._build(n, sn_rows[ranks], (), None, ranks)
+        gen_tuples = tuple(map(tuple, sn_rows[gens].tolist()))
+        group = PermGroup._build(n, sn_rows[ranks], gen_tuples, None, ranks)
         members = tuple(map(tuple, _conjugate_ranks(group).tolist()))
         rep = _group_of_ranks(sn_rows, members[0])
         cls = SubgroupClass(len(ranks), len(members), rep, members)
@@ -164,7 +164,7 @@ def all_subgroups(
         return True
 
     trivial = np.zeros(1, dtype=np.intp)
-    register(trivial)
+    register(trivial, [])
     # each pending base keeps the short generator list it was grown from
     pending: list[tuple[np.ndarray, list[int]]] = [(trivial, [])]
     while pending:
@@ -174,9 +174,10 @@ def all_subgroups(
         for x in pp_elements:
             if covered[x]:
                 continue
-            grown = _span(mul, base, np.array(base_gens + [x]))
-            if register(grown):
-                pending.append((grown, base_gens + [x]))
+            gens = base_gens + [x]
+            grown = _span(mul, base, np.array(gens))
+            if register(grown, gens):
+                pending.append((grown, gens))
             # the whole left coset x.base generates the same subgroup
             covered[mul[x, base]] = True
 

@@ -29,8 +29,8 @@ from typing import Iterable
 import numpy as np
 
 from .budgets import Budgets, resolve
-from .errors import BudgetExceeded, DegreeMismatch
-from .perm import PermGroup, Permutation, _min_labels, _symmetric_product, extend_degree
+from .errors import DegreeMismatch
+from .perm import PermGroup, Permutation, _cycle, _min_labels, _symmetric_product, extend_degree
 
 __all__ = [
     "TupleSpace",
@@ -71,10 +71,8 @@ class TupleSpace:
             raise ValueError("arity must be at least 1")
         if alphabet < 2:
             raise ValueError("alphabet must be at least 2")
-        b = resolve(budgets)
         size = alphabet**arity
-        if size > b.tuple_budget:
-            raise BudgetExceeded("tuple-space", size, b.tuple_budget)
+        resolve(budgets).check("tuple-space", size)
         self.arity = arity
         self.alphabet = alphabet
         self.size = size
@@ -251,25 +249,18 @@ def tuple_stabilizer(
     n = len(a) if degree is None else degree
     if degree is not None and len(a) != degree:
         raise ValueError(f"tuple length {len(a)} does not match degree {degree}")
-    b = resolve(budgets)
     classes: dict[int, list[int]] = {}
     for pos, v in enumerate(a):
         classes.setdefault(v, []).append(pos)
     total = math.prod(math.factorial(len(ps)) for ps in classes.values())
-    if total > b.materialization_bound:
-        raise BudgetExceeded("materialization", total, b.materialization_bound)
+    resolve(budgets).check("materialization", total)
 
     rows = _symmetric_product([[p + 1 for p in ps] for ps in classes.values()], n)
-    gen_tuples = []
-    for _, positions in sorted(classes.items()):
-        for x, y in zip(positions, positions[1:]):
-            img = list(range(n))
-            img[x], img[y] = y, x
-            gen_tuples.append(tuple(img))
-    ground = tuple(
-        p + 1 for positions in classes.values() if len(positions) > 1 for p in positions
+    gen_tuples = tuple(
+        _cycle([x + 1, y + 1], n)
+        for _, ps in sorted(classes.items()) for x, y in zip(ps, ps[1:])
     )
-    return PermGroup._build(n, rows, tuple(gen_tuples), sorted(ground) or None)
+    return PermGroup._build(n, rows, gen_tuples, None)
 
 
 # ---------------------------------------------------------------------------

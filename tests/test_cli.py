@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from permclosure import subgroups
+from permclosure import catalog, subgroups, tuples
+from permclosure.budgets import KINDS, default_budgets
 from permclosure.cli import main
 
 
@@ -73,9 +74,10 @@ def test_unknown_catalog_name(capsys):
 
 
 def test_alphabet_of_one_is_rejected(capsys, c4_file):
-    code, _, err = run(capsys, "closure", c4_file, "-k", "1")
-    assert code == 3
-    assert "alphabet size" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["closure", c4_file, "-k", "1"])
+    assert exc.value.code == 2
+    assert "alphabet size" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_names_the_flag(capsys):
@@ -92,15 +94,71 @@ def test_budget_exhaustion_names_the_flag(capsys):
 
 
 def test_usage_errors_exit_two(capsys, c4_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["closure", c4_file])  # missing -k
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["closure", c4_file, "-k", "2", "--workers", "0"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--n", "9"])
-    assert exc.value.code == 2
+    for argv in (
+        ["closure", c4_file],  # missing -k
+        ["enumerate", "--n", "9"],
+        ["orbit-equiv", c4_file, c4_file, "-k", "1"],
+        ["verify", "--theorem", "main", "-k", "1"],
+        ["verify", "--theorem", "main", "--n", "8"],
+        ["verify", "--theorem", "seress", "--n", "2"],
+        ["verify", "--theorem", "primitive3", "--n", "11"],
+        ["verify", "--theorem", "seress"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_each_budget_kind_has_a_flag_that_lifts_its_refusal(capsys, kind):
+    flag = KINDS[kind].flag
+    with pytest.raises(SystemExit):
+        main(["closure", "--help"])
+    assert f"{flag} N {KINDS[kind].help}" in " ".join(capsys.readouterr().out.split())
+    argv = ["closure", "catalog:C_4", "-k", "2"]
+    tuples.clear_partition_cache()  # a cached partition needs no tuple space
+    code, _, err = run(capsys, *argv, flag, "3")
+    assert code == 4
+    assert f"{kind} budget exceeded" in err and f"raise {flag}" in err
+    code, out, _ = run(capsys, *argv, flag, "100")
+    assert code == 0 and "closure order: 8" in out
+
+
+def test_environment_sets_each_budget(monkeypatch):
+    for kind in KINDS.values():
+        monkeypatch.setenv(kind.env, "7")
+        assert getattr(default_budgets(), kind.field) == 7
+        monkeypatch.setenv(kind.env, "0")
+        with pytest.raises(ValueError, match=kind.env):
+            default_budgets()
+        monkeypatch.delenv(kind.env)
+
+
+def test_degree_zero_names_are_unknown(capsys):
+    for name in ("S_0", "A_0"):
+        code, _, err = run(capsys, "closure", f"catalog:{name}", "-k", "2")
+        assert code == 5 and "degree at least 1" in err
+
+
+def test_catalog_names_are_bounded_by_the_materialization_budget(capsys, monkeypatch):
+    code, out, _ = run(capsys, "closure", "catalog:C_12", "-k", "2")
+    assert code == 0 and "closure order: 12" in out
+
+    def fail(*args):
+        raise AssertionError("built a group before checking the bound")
+
+    monkeypatch.setattr(catalog, "_parametric_group", fail)
+    code, _, err = run(capsys, "orbit-equiv", "catalog:A_9", "catalog:S_9", "-k", "2",
+                       "--materialization-bound", "1000")
+    assert code == 4
+    assert "need 181440," in err and "raise --materialization-bound" in err
+    code, _, err = run(capsys, "closure", "catalog:S_11", "-k", "2")
+    assert code == 4
+    assert f"need {math.factorial(11)}," in err and "raise --materialization-bound" in err
+    # 2000! has too many digits to print
+    code, _, err = run(capsys, "closure", "catalog:S_2000", "-k", "2")
+    assert code == 4
+    assert "need more than 10^4000," in err and "raise --materialization-bound" in err
 
 
 def test_malformed_group_file(capsys, tmp_path):
@@ -205,20 +263,14 @@ def test_verify_main_a8_derives_generators_of_large_projections(capsys):
 
 
 def test_verify_main_group_without_k(capsys):
-    code, _, err = run(capsys, "verify", "--theorem", "main", "--group", "catalog:C_7")
-    assert code == 3
-    assert "--k" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", "main", "--group", "catalog:C_7"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
 # determinism
-
-
-def test_worker_count_leaves_output_unchanged(capsys):
-    _, solo, _ = run(capsys, "closure", "catalog:A_5", "-k", "2", "--format", "json")
-    _, multi, _ = run(capsys, "closure", "catalog:A_5", "-k", "2", "--format", "json",
-                      "--workers", "4")
-    assert solo == multi
 
 
 def test_repeated_runs_are_byte_identical(capsys, c4_file):

@@ -150,11 +150,22 @@ def test_intersection_shortcut_matches_literal_intersection(s4_catalog):
             assert closure_kearnes(g, k).closure == _closure_kearnes_literal(g, k)
 
 
-def test_kearnes_is_capped_at_degree_six():
-    with pytest.raises(ValueError):
-        closure_kearnes(symmetric_on(range(1, 8), 7), 2)
-    with pytest.raises(ValueError):
-        _closure_kearnes_literal(grp(5, "(1 2 3 4 5)"), 2)
+@pytest.mark.parametrize("name", ["C_7", "D_7", "F_21"])
+def test_kearnes_matches_naive_past_degree_six(name):
+    g = get_group(name)
+    for k in (2, 3):
+        assert closure_kearnes(g, k).closure == closure_naive(g, k).closure
+
+
+def test_candidate_budget_refuses_kearnes_before_a_product_set(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a product set was started")
+
+    monkeypatch.setattr(closure_module, "_product_set", unreachable)
+    with pytest.raises(BudgetExceeded) as err:
+        closure_kearnes(cyclic_4(), 2, budgets=Budgets(candidate_budget=23))
+    # the constant tuple comes first: stab . G is all of S_4
+    assert err.value.budget_name == "candidate" and err.value.needed == 24
 
 
 def test_alphabet_size_one_is_rejected():

@@ -176,8 +176,9 @@ def test_closure_rebuild_keeps_the_greedy_generators(gens):
     outside = everything._rows[~np.isin(everything._ranks, g._ranks)]
     for extra in (outside[:0], outside):
         scan = itertools.chain((p._img for p in g.generators), map(tuple, extra.tolist()))
-        expected, _ = _greedy_span(scan, n, math.factorial(n), g.order + len(extra))
-        rebuilt = _group_from_union(g, extra, extra, math.factorial(n))
+        bound = Budgets(materialization_bound=math.factorial(n))
+        expected, _ = _greedy_span(scan, n, bound, g.order + len(extra))
+        rebuilt = _group_from_union(g, extra, extra, bound)
         assert [p._img for p in rebuilt.generators] == expected
 
 

@@ -279,6 +279,12 @@ def test_lex_permutations_match_itertools_and_sign(m):
     assert odd.tolist() == [Permutation([v + 1 for v in t]).sign == -1 for t in rows.tolist()]
 
 
+def test_full_symmetric_groups_share_one_rank_array():
+    one, two = symmetric_on(range(1, 9), 8), symmetric_on(range(1, 9), 8)
+    assert one._ranks is two._ranks and not one._ranks.flags.writeable
+    assert one._ranks.tolist() == list(range(math.factorial(8)))
+
+
 def test_symmetric_and_alternating_on_points():
     s = symmetric_on((2, 4, 5), 6)
     assert s.order == 6 and s.ground_set == (2, 4, 5)
