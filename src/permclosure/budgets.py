@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UsageError
 
 
 class Kind(NamedTuple):
@@ -48,7 +48,7 @@ class Budgets:
         for kind in KINDS.values():
             value = getattr(self, kind.field)
             if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{kind.field} must be a positive integer, got {value!r}")
+                raise UsageError(f"{kind.field} must be a positive integer, got {value!r}")
 
     def check(self, kind: str, needed: int) -> None:
         """Refuse, before the work starts, a need past the kind's bound."""

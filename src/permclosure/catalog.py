@@ -3,7 +3,8 @@
 Two kinds of names are resolvable through :func:`get_group`:
 
 * parametric families ``C_n``, ``D_n``, ``A_n``, ``S_n`` of any degree
-  whose order the materialization bound admits, built on demand
+  whose order the materialization bound and whose 2^n words the tuple
+  budget admit, built on demand
   (dihedral groups are named by degree, so ``D_5`` acts on 5 points and
   has 10 elements);
 * the named groups of ``_NAMED_SPECS``, each defined once by a generator
@@ -26,7 +27,7 @@ from functools import lru_cache
 from .budgets import Budgets, resolve
 from .closure import galois_closure, orbit_equivalent
 from .data import load_expected_equiv_classes
-from .errors import CatalogValidationError, UnknownGroupName
+from .errors import CatalogValidationError, UnknownGroupName, UsageError
 from .perm import (
     PermGroup,
     Permutation,
@@ -461,19 +462,19 @@ def catalog_names() -> tuple[str, ...]:
 
 _PARAM_RE = re.compile(r"([acds])(\d+)")
 
-# each parametric family's name, least degree, and order at degree n
+# each parametric family's name, least degree, and the factors of its order
 _FAMILIES = {
-    "c": ("cyclic", 1, lambda n: n),
-    "d": ("dihedral", 3, lambda n: 2 * n),
-    "a": ("alternating", 1, lambda n: max(math.factorial(n) // 2, 1)),
-    "s": ("symmetric", 1, math.factorial),
+    "c": ("cyclic", 1, lambda n: (n,)),
+    "d": ("dihedral", 3, lambda n: (2, n)),
+    "a": ("alternating", 1, lambda n: range(3, n + 1)),
+    "s": ("symmetric", 1, lambda n: range(2, n + 1)),
 }
 
 
 @lru_cache(maxsize=None)
 def _parametric_group(kind: str, n: int) -> PermGroup:
     # get_group has checked the degree, and this order against the caller's budgets
-    order = _FAMILIES[kind][2](n)
+    order = math.prod(_FAMILIES[kind][2](n))
     b = Budgets(materialization_bound=order)
     points = range(1, n + 1)
     if kind == "s":
@@ -493,18 +494,24 @@ def get_group(name: str, budgets: Budgets | None = None) -> PermGroup:
 
     Name matching ignores case, spacing, and underscores, and accepts the
     unicode wreath, intersection, and Gamma spellings.  Raises
-    UnknownGroupName for anything else, and BudgetExceeded, before the
-    group is built or returned, when its order passes the materialization
-    bound.
+    UnknownGroupName for anything else.  Before a group is built or
+    returned, its order is checked against the materialization bound (a
+    family's order factor by factor, so a huge degree is refused at once),
+    and a family's 2^n words, the fewest any computation at degree n
+    covers, against the tuple budget.
     """
     norm = _normalize_name(name)
     m = _PARAM_RE.fullmatch(norm)
     if m:
         kind, n = m.group(1), int(m.group(2))
-        family, least, order = _FAMILIES[kind]
+        family, least, factors = _FAMILIES[kind]
         if n < least:
             raise UnknownGroupName(f"{family} groups need degree at least {least}")
-        resolve(budgets).check("materialization", order(n))
+        b, order = resolve(budgets), 1
+        for f in factors(n):  # refused once the partial product passes
+            order *= f
+            b.check("materialization", order)
+        b.check("tuple-space", 2**n)
         return _parametric_group(kind, n)
     cat = _catalog()
     if norm in cat:
@@ -620,7 +627,7 @@ def primitive_survey_names(n: int) -> tuple[str, ...]:
     try:
         return _PRIMITIVE_SURVEY[n]
     except KeyError:
-        raise ValueError("the primitive survey covers degrees 3..10") from None
+        raise UsageError("the primitive survey covers degrees 3..10") from None
 
 
 @dataclass(frozen=True)

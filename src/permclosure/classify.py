@@ -28,7 +28,6 @@ import numpy as np
 
 from .budgets import Budgets, resolve
 from .closure import _accepted_rows, _group_from_union, galois_closure
-from .errors import DegreeMismatch
 from .perm import (
     PermGroup,
     Permutation,

@@ -4,8 +4,9 @@ One subcommand per library operation: closures and chains of a single
 group, the degree-up-to-6 survey, theorem verification panels, orbit
 equivalence, invariance groups of function tables, and subgroup
 enumeration.  Structured output is a single JSON document per run; wall
-times appear only under ``--timings``.  Argument errors the library would
-reject are caught here first, so they exit with the usage code.
+times appear only under ``--timings``.  Argument errors, argparse's and
+every UsageError the handlers or the library raise, exit with the usage
+code.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
     BudgetExceeded,
     CatalogValidationError,
     UnknownGroupName,
+    UsageError,
 )
 from .perm import PermGroup, format_perm, read_group_file
 from .subgroups import all_subgroups, table1_report
@@ -228,6 +230,8 @@ def _cmd_enumerate(args: argparse.Namespace, budgets: Budgets) -> int:
 
 def _verify_main_theorem(args: argparse.Namespace, budgets: Budgets) -> int:
     if args.group is not None:
+        if args.k is None:
+            raise UsageError("--k is required when --group is given")
         group = _load_group(args.group, budgets)
         n = args.n if args.n is not None else group.degree
         rep = verify_main(group, n, args.k, budgets=budgets)
@@ -242,6 +246,8 @@ def _verify_main_theorem(args: argparse.Namespace, budgets: Budgets) -> int:
         return EXIT_OK if rep.agree else EXIT_CHECK_FAILED
 
     n, k = 7, 5
+    if args.n not in (None, n) or args.k not in (None, k):
+        raise UsageError(f"the built-in panel is defined at degree {n}, alphabet {k}")
     expected = degree7_panel_expectations()
     lines = [f"shape test panel at degree {n}, alphabet {k}:"]
     rows = []
@@ -455,31 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_usage(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Refuse, with the usage exit code, arguments the library would reject."""
-    for kind in KINDS.values():
-        value = getattr(args, kind.field)
-        if value is not None and value < 1:
-            parser.error(f"{kind.flag} must be positive")
-    if getattr(args, "k", None) is not None and args.k < 2:
-        parser.error("alphabet size -k must be at least 2")
-    theorem = getattr(args, "theorem", None)
-    if theorem in ("seress", "primitive3") and not 3 <= (args.n or 0) <= 10:
-        parser.error(f"--theorem {theorem} needs --n in 3..10")
-    if theorem == "main" and args.group is not None and args.k is None:
-        parser.error("--k is required when --group is given")
-    panel = theorem == "main" and args.group is None
-    if panel and (args.n not in (None, 7) or args.k not in (None, 5)):
-        parser.error("the built-in panel is defined at degree 7, alphabet 5")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_usage(parser, args)
-    budgets = _budgets_from(args)
     try:
-        return args.func(args, budgets)
+        return args.func(args, _budgets_from(args))
+    except UsageError as exc:
+        parser.error(str(exc))
     except BudgetExceeded as exc:
         print(f"error: {exc}; raise {KINDS[exc.budget_name].flag}", file=sys.stderr)
         return EXIT_BUDGET

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .budgets import Budgets, resolve
-from .errors import BudgetExceeded, DegreeMismatch, ParseError
+from .errors import BudgetExceeded, DegreeMismatch, ParseError, UsageError
 from .perm import (
     PermGroup,
     Permutation,
@@ -334,7 +334,7 @@ def _is_prime(m: int) -> bool:
 
 def _check_alphabet(k: int) -> None:
     if k < 2:
-        raise ValueError("alphabet size must be at least 2")
+        raise UsageError("alphabet size must be at least 2")
 
 
 def closure_naive(
@@ -461,26 +461,27 @@ def closure_kearnes(
     """Intersection of the product sets stab(a) . G over representative
     tuples, one per set partition of the coordinates into at most k classes.
 
-    Oracle grade, bounded by the candidate budget.  ``candidates_examined``
+    Oracle grade.  Each candidate is an n-entry tuple in a Python set, so
+    the candidate budget is charged n per candidate.  ``candidates_examined``
     totals the product-set sizes formed before the intersection stabilized."""
     _check_alphabet(k)
     t0 = time.perf_counter()
     n = group.degree
     b = resolve(budgets)
-    g_eltups = group.element_images()
     running: set[tuple[int, ...]] | None = None
     examined = 0
     for classes in _set_partitions(n, min(k, n)):
         a = tuple(c + 1 for c in classes)
+        stab_order = math.prod(math.factorial(a.count(v)) for v in set(a))
+        b.check("candidate", n * (examined + min(stab_order * group.order, math.factorial(n))))
         stab = tuple_stabilizer(a, degree=n, budgets=b)
-        b.check("candidate", examined + min(stab.order * group.order, math.factorial(n)))
-        pset = _product_set(g_eltups, stab.elements)
+        pset = _product_set(group.element_images(), stab.elements)
         examined += len(pset)
         running = pset if running is None else running & pset
-        if len(running) == len(g_eltups):
+        if len(running) == group.order:
             break
     assert running is not None
-    extra = _image_rows(sorted(running - set(g_eltups)), n)
+    extra = _image_rows(sorted(running - set(group.element_images())), n)
     closure = _group_from_union(group, extra, extra, b)
     return ClosureReport(
         group, k, closure, "kearnes", examined, None, time.perf_counter() - t0

@@ -42,6 +42,10 @@ class BudgetExceeded(PermcloseError, RuntimeError):
         )
 
 
+class UsageError(PermcloseError, ValueError):
+    """An argument outside the range an operation is defined for."""
+
+
 class UnknownGroupName(PermcloseError, LookupError):
     """A requested name is not in the group catalog."""
 

@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .budgets import Budgets, resolve
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, UsageError
 from .perm import PermGroup, Permutation, _cycle, _min_labels, _symmetric_product, extend_degree
 
 __all__ = [
@@ -70,7 +70,7 @@ class TupleSpace:
         if arity < 1:
             raise ValueError("arity must be at least 1")
         if alphabet < 2:
-            raise ValueError("alphabet must be at least 2")
+            raise UsageError("alphabet must be at least 2")
         size = alphabet**arity
         resolve(budgets).check("tuple-space", size)
         self.arity = arity

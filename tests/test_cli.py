@@ -103,6 +103,7 @@ def test_usage_errors_exit_two(capsys, c4_file):
         ["verify", "--theorem", "seress", "--n", "2"],
         ["verify", "--theorem", "primitive3", "--n", "11"],
         ["verify", "--theorem", "seress"],
+        ["closure", c4_file, "-k", "2", "--tuple-budget", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -140,7 +141,7 @@ def test_degree_zero_names_are_unknown(capsys):
         assert code == 5 and "degree at least 1" in err
 
 
-def test_catalog_names_are_bounded_by_the_materialization_budget(capsys, monkeypatch):
+def test_catalog_names_are_bounded_by_the_budgets(capsys, monkeypatch):
     code, out, _ = run(capsys, "closure", "catalog:C_12", "-k", "2")
     assert code == 0 and "closure order: 12" in out
 
@@ -150,15 +151,22 @@ def test_catalog_names_are_bounded_by_the_materialization_budget(capsys, monkeyp
     monkeypatch.setattr(catalog, "_parametric_group", fail)
     code, _, err = run(capsys, "orbit-equiv", "catalog:A_9", "catalog:S_9", "-k", "2",
                        "--materialization-bound", "1000")
+    # the need shown is the first partial product of 9!/2 past the bound
     assert code == 4
-    assert "need 181440," in err and "raise --materialization-bound" in err
+    assert "need 2520," in err and "raise --materialization-bound" in err
     code, _, err = run(capsys, "closure", "catalog:S_11", "-k", "2")
     assert code == 4
     assert f"need {math.factorial(11)}," in err and "raise --materialization-bound" in err
-    # 2000! has too many digits to print
-    code, _, err = run(capsys, "closure", "catalog:S_2000", "-k", "2")
+    # a huge degree is refused at once, without multiplying out its order
+    code, _, err = run(capsys, "closure", "catalog:S_1000000", "-k", "2")
+    assert code == 4 and "raise --materialization-bound" in err
+    # C_n and D_n are small groups, but their 2^n words pass the tuple budget;
+    # 2^100000 has too many digits to print
+    code, _, err = run(capsys, "closure", "catalog:C_100000", "-k", "2")
     assert code == 4
-    assert "need more than 10^4000," in err and "raise --materialization-bound" in err
+    assert "need more than 10^4000," in err and "raise --tuple-budget" in err
+    code, _, err = run(capsys, "chain", "catalog:D_30")
+    assert code == 4 and f"need {2**30}," in err and "raise --tuple-budget" in err
 
 
 def test_malformed_group_file(capsys, tmp_path):

@@ -164,8 +164,9 @@ def test_candidate_budget_refuses_kearnes_before_a_product_set(monkeypatch):
     monkeypatch.setattr(closure_module, "_product_set", unreachable)
     with pytest.raises(BudgetExceeded) as err:
         closure_kearnes(cyclic_4(), 2, budgets=Budgets(candidate_budget=23))
-    # the constant tuple comes first: stab . G is all of S_4
-    assert err.value.budget_name == "candidate" and err.value.needed == 24
+    # the constant tuple comes first: stab . G is all of S_4, 24 candidates
+    # of 4 entries each
+    assert err.value.budget_name == "candidate" and err.value.needed == 4 * 24
 
 
 def test_alphabet_size_one_is_rejected():
