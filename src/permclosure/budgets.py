@@ -29,7 +29,11 @@ class Kind(NamedTuple):
 
 
 KINDS = {
-    "tuple-space": Kind("tuple_budget", "PERMCLOSURE_TUPLE_BUDGET", "cap on tuple-space size"),
+    "tuple-space": Kind(
+        "tuple_budget", "PERMCLOSURE_TUPLE_BUDGET",
+        "cap on tuples labelled: the balanced class for the pruned closure "
+        "and orbit equivalence, all of k^n elsewhere",
+    ),
     "candidate": Kind("candidate_budget", "PERMCLOSURE_CANDIDATE_BUDGET", "cap on candidates"),
     "materialization": Kind(
         "materialization_bound", "PERMCLOSURE_MATERIALIZATION_BOUND",

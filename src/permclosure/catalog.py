@@ -431,13 +431,17 @@ def _normalize_name(name: str) -> str:
 
 @lru_cache(maxsize=1)
 def _catalog() -> dict[str, tuple[CatalogEntry, PermGroup]]:
-    """Build every named group from its generators and validate it."""
+    """Build every named group from its generators and validate it.
+
+    The build reads no budgets, which would be the environment's and not
+    the caller's: the package defaults hold every entry, and ``get_group``
+    checks each order against the caller's bound."""
     out: dict[str, tuple[CatalogEntry, PermGroup]] = {}
     for name, degree, order, primitive, desc, builder in _NAMED_SPECS:
         key = _normalize_name(name)
         assert key not in out, f"two catalog names normalize to {key!r}"
         gens = tuple(builder())
-        group = generate_group(gens, ground_set=range(1, degree + 1))
+        group = generate_group(gens, ground_set=range(1, degree + 1), budgets=Budgets())
         if group.order != order:
             raise CatalogValidationError(
                 f"{name}: generators produce order {group.order}, not {order}"
@@ -497,8 +501,8 @@ def get_group(name: str, budgets: Budgets | None = None) -> PermGroup:
     UnknownGroupName for anything else.  Before a group is built or
     returned, its order is checked against the materialization bound (a
     family's order factor by factor, so a huge degree is refused at once),
-    and a family's 2^n words, the fewest any computation at degree n
-    covers, against the tuple budget.
+    and a family's 2^n words, the table of the least alphabet at degree
+    n, against the tuple budget.
     """
     norm = _normalize_name(name)
     m = _PARAM_RE.fullmatch(norm)

@@ -160,8 +160,9 @@ def _cmd_table1(args: argparse.Namespace, budgets: Budgets) -> int:
 def _cmd_orbit_equiv(args: argparse.Namespace, budgets: Budgets) -> int:
     g = _load_group(args.group1, budgets)
     h = _load_group(args.group2, budgets)
-    equal = orbit_equivalent(g, h, args.k, budgets=budgets)
+    # the counts are on all of k^n, so its tuple budget is checked first
     counts = [cached_orbit_partition(x, args.k, budgets=budgets).orbit_count for x in (g, h)]
+    equal = orbit_equivalent(g, h, args.k, budgets=budgets)
     lines = [
         f"degree: {g.degree}",
         f"alphabet: {args.k}",
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--n", type=int, default=None,
-        help="degree (seress 3..10, primitive3 3..10, wielandt 4..5; "
+        help="degree (seress 3..10, primitive3 3..10, wielandt 2..6, default 4 and 5; "
         "main uses the degree-7 panel unless --group is given)",
     )
     p.add_argument("-k", "--k", dest="k", type=int, default=None, help="alphabet size (main only)")

@@ -5,19 +5,55 @@ orbits as G on k^n under the coordinate action; equivalently, all
 permutations sigma such that every tuple lands inside its own G-orbit.
 Three interchangeable algorithms are provided:
 
-* ``closure_naive``   scans all of the symmetric group;
+* ``closure_naive``   scans all of the symmetric group against the orbits
+  on all of k^n, so it rests on nothing below;
 * ``closure_pruned``  searches only the product set stab(a*) . G for one
   well-chosen tuple a* (the most balanced value pattern), which provably
   contains the closure.  The set is never built: its left cosets of G
   other than G are represented by the least element of each left coset
   of H = G ∩ stab(a*) in stab(a*) other than H, found by min-label
-  propagation over the lexicographic ranks of stab(a*);
+  propagation over the lexicographic ranks of stab(a*).  Each
+  representative is tested on the balanced class alone;
 * ``closure_kearnes`` intersects the product sets stab(a) . G over
   representative tuples a, one per set partition of the coordinates into
   at most k classes.  Oracle grade, bounded by the candidate budget.
 
 All three agree exactly; the test suite checks that on a wide panel.
 Candidates are tested in numpy batches against the orbit labels.
+
+The balanced class decides.  The tuples of k^n in which each value occurs
+a given number of times form one S_n-orbit, a content class; its content
+is the partition of n that the multiplicities form, and classes of one
+content are alike up to renaming values.  The balanced class is the class
+of a*, content lambda* = ``balanced_sizes``.
+For G <= L <= S_n, if G and L have the same orbits on the balanced class,
+they have the same orbits on all of k^n:
+
+* Maximal classes.  The coordinate action commutes with every value map
+  f: [k] -> [k], so sigma.r in G.r gives sigma.(f o r) in G.(f o r).  Every
+  tuple is f o r for some r with exactly min(k, n) distinct values, so
+  the classes of contents with min(k, n) parts decide.
+* The balanced class.  lambda* is dominated by every partition mu of n
+  with at most k parts.  The number of G-orbits on the class of mu is the
+  dimension of the G-fixed space of its permutation module M^mu over Q.
+  By Young's rule M^mu is the sum of K_(nu,mu) copies of each Specht
+  module S^nu, and Kostka numbers grow down the dominance order, so
+  K_(nu,mu) <= K_(nu,lambda*) and there is an S_n-equivariant injection
+  phi: M^mu -> M^lambda*.  phi carries G-fixed vectors to G-fixed
+  vectors, which are L-fixed by hypothesis; injectivity makes the vector
+  itself L-fixed.  So G and L have the same fixed vectors, hence orbits,
+  on every class.  At k = 2 this is Livingstone and Wagner (Math. Z. 90,
+  1965).
+
+Hence sigma is in the closure exactly when it keeps every G-orbit of the
+balanced class (take L = <G, sigma>), and G and H are orbit equivalent
+exactly when their orbits on the balanced class agree (take L = <G, H>,
+whose orbits there are the join of theirs).  ``closure_pruned`` and
+``orbit_equivalent`` therefore label n!/prod(lambda*_v!) tuples, not k^n.
+The full k^n partition stays in ``closure_naive``, the independent
+oracle, and where a k^n table is an input or an output: ``orbit_coloring``,
+``invariance_group``, ``min_codomain_report`` and ``is_k_thick``.
+
 Derived conveniences: closure chains in k, orbit equivalence, thickness
 certificates, invariance groups of concrete colorings, and the least
 codomain size over which a closed group is an invariance group.
@@ -52,8 +88,10 @@ from .perm import (
     generate_group,
 )
 from .tuples import (
+    BalancedClass,
     TupleSpace,
     _orbit_ranks,
+    balanced_sizes,
     cached_orbit_partition,
     tuple_stabilizer,
 )
@@ -167,17 +205,21 @@ _FIRST_ROWS = 16
 
 
 def _accepted_rows(
-    space: TupleSpace, labels: np.ndarray, images: np.ndarray, value_action: bool = False
+    space: TupleSpace | BalancedClass,
+    labels: np.ndarray,
+    images: np.ndarray,
+    value_action: bool = False,
 ) -> np.ndarray:
     """Indices, ascending, of the rows of ``images`` (one permutation per
     row, as 0-based images) whose action on the space preserves the labels:
     the coordinate action, or with ``value_action`` the value action.
 
-    Candidates go in blocks against chunks of tuple indices, in index order,
-    that double in size; a candidate leaves at its first failing chunk.  A
-    chunk's digits come from its index range.  The indices are integer
-    products, which are exact and, unlike floating-point ones, do not go
-    through a multithreaded BLAS.
+    Candidates go in blocks against chunks of the space's tuples, in
+    order, that double in size; a candidate leaves at its first failing
+    chunk.  A chunk's digits are ``space.rows(lo, hi)`` and the labels of
+    its images are read at ``space.positions`` of their indices.  The
+    indices are integer products, which are exact and, unlike
+    floating-point ones, do not go through a multithreaded BLAS.
     """
     size, arity, weights = space.size, space.arity, space.weights
     # the value action gathers (candidates, rows, arity) digits at once
@@ -191,9 +233,12 @@ def _accepted_rows(
         lo, rows = 0, _FIRST_ROWS
         while alive.size and lo < size:
             hi = min(size, lo + rows)
-            digits = np.arange(lo, hi)[:, None] // weights % space.alphabet
-            idx = (moved[:, digits] @ weights).T if value_action else digits @ moved.T
-            ok = (labels[idx] == labels[lo:hi, None]).all(axis=0)
+            digits = space.rows(lo, hi)
+            at = space.positions(
+                (moved[:, digits] @ weights).T if value_action else digits @ moved.T
+            )
+            ok = (labels[at] == labels[lo:hi, None]).all(axis=0)
+            del at  # so that at most two (rows, candidates) arrays live at once
             alive, moved = alive[ok], moved[ok]
             lo = hi
             rows = min(2 * rows, _TEST_CELLS // max(alive.size * width, arity))
@@ -371,15 +416,6 @@ def _preserving_group(
     return _group_from_union(base, accepted, accepted, b)
 
 
-def _balanced_sizes(n: int, k: int) -> list[int]:
-    """Class sizes of the most balanced value pattern: n positions split
-    into min(k, n) consecutive blocks with sizes as equal as possible,
-    larger blocks first."""
-    kk = min(k, n)
-    q, r = divmod(n, kk)
-    return [q + 1 if j < r else q for j in range(kk)]
-
-
 def closure_pruned(
     group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> ClosureReport:
@@ -394,12 +430,14 @@ def closure_pruned(
     the maps rank(gamma) -> rank(gamma.h), one per generator h of H.
     Neither stab(a*) nor the product set is materialized, and
     ``candidates_examined`` is the product set's size |G|.|stab(a*)|/|H|.
-    Only accepted cosets are built, for the closure."""
+    The representatives are tested against G's orbits on the balanced
+    class, which decide membership (module docstring).  Only accepted
+    cosets are built, for the closure."""
     _check_alphabet(k)
     t0 = time.perf_counter()
     b = resolve(budgets)
     n = group.degree
-    sizes = _balanced_sizes(n, k)
+    sizes = balanced_sizes(n, k)
     a_star = tuple(v for v, m in enumerate(sizes, start=1) for _ in range(m))
     stab_order = math.prod(math.factorial(m) for m in sizes)
     b.check("materialization", stab_order)
@@ -413,7 +451,7 @@ def closure_pruned(
     reps = stab.rows(np.flatnonzero(labels == np.arange(stab.order))[1:])
 
     if len(reps):
-        part = cached_orbit_partition(group, k, budgets=b)
+        part = cached_orbit_partition(group, k, budgets=b, balanced=True)
         accepted = reps[_accepted_rows(part.space, part.labels, reps)]
     else:
         accepted = reps
@@ -547,12 +585,16 @@ def closure_chain(
     group: PermGroup, budgets: Budgets | None = None
 ) -> ChainReport:
     """Closures at k = 2 .. degree.  The sequence is nonincreasing and
-    stops at the group itself once k reaches the degree."""
+    stops at the group itself once k reaches the degree, so the first
+    closure equal to the group is reused, the same object, for every
+    larger k."""
     entries = []
     largest: int | None = None
     distinct: list[PermGroup] = []
+    clo: PermGroup | None = None
     for k in range(2, group.degree + 1):
-        clo = galois_closure(group, k, budgets=budgets)
+        if clo is None or clo.order != group.order:
+            clo = galois_closure(group, k, budgets=budgets)
         entries.append(ChainEntry(k, clo))
         if clo.order != group.order:
             largest = k
@@ -566,11 +608,13 @@ def closure_chain(
 def orbit_equivalent(
     g: PermGroup, h: PermGroup, k: int, budgets: Budgets | None = None
 ) -> bool:
-    """Same orbits on k^degree under the coordinate action."""
+    """Same orbits on k^degree under the coordinate action, decided by the
+    orbits on the balanced class (module docstring), whose size the tuple
+    budget is charged."""
     if g.degree != h.degree:
         raise DegreeMismatch("orbit equivalence requires equal degrees")
-    pg = cached_orbit_partition(g, k, budgets=budgets)
-    ph = cached_orbit_partition(h, k, budgets=budgets)
+    pg = cached_orbit_partition(g, k, budgets=budgets, balanced=True)
+    ph = cached_orbit_partition(h, k, budgets=budgets, balanced=True)
     return pg.equals(ph)
 
 

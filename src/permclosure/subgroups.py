@@ -25,6 +25,7 @@ from .budgets import Budgets, resolve
 from .catalog import survey_candidates
 from .closure import closure_chain, galois_closure
 from .data import load_reference_table
+from .errors import UsageError
 from .perm import (
     PermGroup,
     Permutation,
@@ -133,7 +134,7 @@ def all_subgroups(
     depend on it (checked in the test suite).
     """
     if not 1 <= n <= 6:
-        raise ValueError("subgroup enumeration is supported for degree 1..6")
+        raise UsageError("subgroup enumeration is supported for degree 1..6")
     resolve(budgets).check("materialization", math.factorial(n))
     if _extension_order == "forward" and n in _catalog_cache:
         return _catalog_cache[n]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from permclosure import catalog, subgroups, tuples
+from permclosure import budgets, catalog, subgroups, tuples
 from permclosure.budgets import KINDS, default_budgets
 from permclosure.cli import main
 
@@ -103,6 +103,7 @@ def test_usage_errors_exit_two(capsys, c4_file):
         ["verify", "--theorem", "seress", "--n", "2"],
         ["verify", "--theorem", "primitive3", "--n", "11"],
         ["verify", "--theorem", "seress"],
+        ["verify", "--theorem", "wielandt", "--n", "7"],
         ["closure", c4_file, "-k", "2", "--tuple-budget", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -123,6 +124,22 @@ def test_each_budget_kind_has_a_flag_that_lifts_its_refusal(capsys, kind):
     assert f"{kind} budget exceeded" in err and f"raise {flag}" in err
     code, out, _ = run(capsys, *argv, flag, "100")
     assert code == 0 and "closure order: 8" in out
+
+
+def test_catalog_is_built_under_no_environment_budget(capsys, monkeypatch):
+    """A low bound in the environment, lifted by the flag: the catalog's own
+    groups (up to order 1,440) are built whatever the environment says."""
+    env = KINDS["materialization"].env
+    monkeypatch.setenv(env, "1000")
+    monkeypatch.setattr(budgets, "DEFAULT", default_budgets())
+    catalog._catalog.cache_clear()
+    try:
+        code, out, err = run(capsys, "closure", "catalog:AGL(1,5)", "-k", "2",
+                             "--materialization-bound", "100000")
+        assert code == 0, err
+        assert "closure order: 120" in out
+    finally:
+        catalog._catalog.cache_clear()
 
 
 def test_environment_sets_each_budget(monkeypatch):

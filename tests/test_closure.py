@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import cyclic_4, grp, klein_four
 from permclosure import closure as closure_module
@@ -117,6 +118,44 @@ def test_algorithms_agree_on_small_groups(k):
         b = closure_pruned(g, k).closure
         c = closure_kearnes(g, k).closure
         assert a.element_images() == b.element_images() == c.element_images()
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_the_balanced_class_decides_like_all_of_k_to_the_n(data):
+    """Random groups of degree at most 7, at every k = 2..n: orbit
+    equivalence on the balanced class gives the verdict of the full k^n
+    labels, for a nested pair and for an unrelated one, and the pruned
+    closure, tested on the class, is the naive one, tested on all k^n."""
+    n = data.draw(st.integers(2, 7), label="degree")
+    perms = st.permutations(range(1, n + 1)).map(Permutation)
+    g = generate_group(data.draw(st.lists(perms, min_size=1, max_size=2), label="G"))
+    nested = generate_group(list(g.generators) + [data.draw(perms, label="extra")])
+    other = generate_group([data.draw(perms, label="other")])
+    for k in range(2, n + 1):
+        full = cached_orbit_partition(g, k)
+        for h in (nested, other):
+            assert orbit_equivalent(g, h, k) == full.equals(cached_orbit_partition(h, k)), (h, k)
+        assert closure_pruned(g, k).closure == closure_naive(g, k).closure, k
+
+
+def test_the_balanced_class_decides_where_the_hook_class_does_not():
+    """G = <(3 4 5), (1 2)(4 5)> inside H = S_2 x S_3 at k = 3: their orbits
+    agree on the tuples of content (3, 1, 1), but not on the balanced class
+    of content (2, 2, 1).  So a test on the hook class would call G and H
+    orbit equivalent and give H as G's closure."""
+    g = grp(5, "(3 4 5)", "(1 2)(4 5)")
+    h = grp(5, "(4 5)", "(3 4)", "(1 2)")
+    space = TupleSpace(5, 3)
+    digits = space.rows(0, space.size)
+    content = np.stack([(digits == v).sum(axis=1) for v in range(3)], axis=1)
+    labels = [cached_orbit_partition(x, 3).labels for x in (g, h)]
+    hook = (content == (3, 1, 1)).all(axis=1)
+    balanced = (content == (2, 2, 1)).all(axis=1)
+    assert np.array_equal(labels[0][hook], labels[1][hook])
+    assert not np.array_equal(labels[0][balanced], labels[1][balanced])
+    assert not orbit_equivalent(g, h, 3)
+    assert closure_pruned(g, 3).closure == g == closure_naive(g, 3).closure
 
 
 def _closure_kearnes_literal(

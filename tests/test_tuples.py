@@ -1,6 +1,7 @@
 """Tuple spaces, index maps, and orbit partitions."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,11 +18,14 @@ from permclosure.perm import (
     identity,
     symmetric_on,
 )
+from permclosure import tuples as tuples_module
 from permclosure.tuples import (
+    BalancedClass,
     TupleSpace,
     _orbit_ranks,
     act_points,
     act_tuple,
+    balanced_sizes,
     cached_orbit_partition,
     clear_partition_cache,
     kpow_orbit_partition,
@@ -337,6 +341,84 @@ def test_cached_partition_reuses_objects():
     assert c is not a
     clear_partition_cache()
     assert cached_orbit_partition(cyclic_4(), 2) is not a
+
+
+def test_class_labels_and_full_partitions_never_answer_for_each_other():
+    for first in (False, True):  # whichever of the two is cached first
+        clear_partition_cache()
+        one = cached_orbit_partition(cyclic_4(), 2, balanced=first)
+        two = cached_orbit_partition(cyclic_4(), 2, balanced=not first)
+        cls, full = (one, two) if first else (two, one)
+        assert isinstance(cls.space, BalancedClass) and cls.space.size == 6
+        assert isinstance(full.space, TupleSpace) and full.space.size == 16
+        assert cached_orbit_partition(cyclic_4(), 2, balanced=True) is cls
+        assert cached_orbit_partition(cyclic_4(), 2) is full
+        with pytest.raises(DegreeMismatch):
+            cls.equals(full)
+    clear_partition_cache()
+    assert cached_orbit_partition(cyclic_4(), 2, balanced=True) is not cls
+    assert cached_orbit_partition(cyclic_4(), 2) is not full
+    with pytest.raises(ValueError):
+        cached_orbit_partition(cyclic_4(), 2, value_action=True, balanced=True)
+
+
+# ---------------------------------------------------------------------------
+# the balanced class
+
+
+def test_balanced_class_lists_its_content_in_lex_order():
+    for n in range(1, 7):
+        for k in range(2, 8):
+            sizes = balanced_sizes(n, k)
+            want = [
+                t for t in itertools.product(range(k), repeat=n)
+                if [t.count(v) for v in range(k)] == sizes + [0] * (k - len(sizes))
+            ]
+            cls = BalancedClass(n, k)
+            assert cls.size == len(want) == math.factorial(n) // math.prod(
+                math.factorial(m) for m in sizes
+            )
+            assert cls.digits.dtype == np.uint8 and cls.digits.tolist() == [list(t) for t in want]
+            space = TupleSpace(n, k)
+            assert cls.indices.tolist() == [space.encode(np.add(t, 1)) for t in want]
+            assert not cls.digits.flags.writeable and not cls.indices.flags.writeable
+            assert np.array_equal(cls.rows(1, 3), cls.digits[1:3])
+            assert np.array_equal(cls.positions(cls.indices), np.arange(cls.size))
+    # 3^5 = 243 <= 16 * 30 tuples: a dense inverse; 5^4 = 625 > 16 * 24: a binary search
+    for cls, member, outside in (
+        (BalancedClass(5, 3), (2, 1, 3, 1, 2), [(1, 1, 1, 2, 3), (3, 3, 3, 3, 3)]),
+        (BalancedClass(4, 5), (4, 1, 3, 2), [(1, 1, 2, 3), (5, 5, 5, 5)]),
+    ):
+        assert (cls._where is None) == (cls.arity == 4)
+        assert cls.decode(cls.encode(member)) == member
+        for t in outside:  # another content, and past the last member
+            with pytest.raises(ValueError):
+                cls.encode(t)
+
+
+def test_balanced_class_budget_counts_the_class_before_building_it(monkeypatch):
+    def fail(*args):
+        raise AssertionError("class built before the budget check")
+
+    monkeypatch.setattr(tuples_module, "_class_tables", fail)
+    with pytest.raises(BudgetExceeded) as err:
+        BalancedClass(10, 4, budgets=Budgets(tuple_budget=25199))
+    assert (err.value.budget_name, err.value.needed) == ("tuple-space", 25200)
+    monkeypatch.undo()
+    # 4^10 tuples pass no budget of 25,200, the class of 10!/(3!3!2!2!) does
+    assert BalancedClass(10, 4, budgets=Budgets(tuple_budget=25200)).size == 25200
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_class_labels_are_the_full_labels_restricted_to_the_class(k):
+    groups = [cyclic_4(), klein_four(), grp(4, "(1 2)"), symmetric_on(range(1, 5), 4),
+              grp(5, "(1 2 3 4 5)", "(2 5)(3 4)"), grp(6, "(1 2)(3 4 5 6)")]
+    for group in groups:
+        full = orbit_partition(group, TupleSpace(group.degree, k))
+        cls = cached_orbit_partition(group, k, balanced=True)
+        members = cls.space.indices
+        # a class is a union of orbits, so its least members are least overall
+        assert np.array_equal(full.labels[members], members[cls.labels])
 
 
 def test_census_is_deterministic():
