@@ -349,12 +349,11 @@ def test_c12_at_two_letters_is_closed():
 
 
 def test_candidate_test_allocates_no_digit_matrix():
-    """With A_8's partition of 5^8 tuples warm, the pruned closure peaks
-    below one (size, arity) int32 matrix: the candidate test builds digits
-    one chunk of tuples at a time, never for the whole space."""
+    """Cold, the pruned closure of A_8 at k = 5 peaks below one (5^8, 8)
+    int32 matrix: it labels and scans only the 5,040-tuple balanced class,
+    so no array over the 5^8 tuples is built."""
     a8 = get_group("A_8")
     clear_partition_cache()
-    part = cached_orbit_partition(a8, 5)
     tracemalloc.start()
     try:
         rep = closure_pruned(a8, 5)
@@ -362,7 +361,7 @@ def test_candidate_test_allocates_no_digit_matrix():
     finally:
         tracemalloc.stop()
     assert rep.closure.order == 40320
-    assert peak < part.space.size * part.space.arity * 4
+    assert peak < 5**8 * 8 * 4
 
 
 def test_stabilizer_membership_allocates_no_intp_matrix():
