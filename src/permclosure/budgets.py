@@ -32,7 +32,8 @@ KINDS = {
     "tuple-space": Kind(
         "tuple_budget", "PERMCLOSURE_TUPLE_BUDGET",
         "cap on tuples labelled: the balanced class for the pruned closure "
-        "and orbit equivalence, all of k^n elsewhere",
+        "and orbit equivalence, the injective point tuples for the Wielandt "
+        "closure, all of k^n elsewhere",
     ),
     "candidate": Kind("candidate_budget", "PERMCLOSURE_CANDIDATE_BUDGET", "cap on candidates"),
     "materialization": Kind(

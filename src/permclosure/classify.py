@@ -13,9 +13,9 @@ alternating group, and one of
 In both shapes the closure is symmetric(B) x L.  ``classify_main``
 recognizes the shapes, ``verify_main`` compares the resulting prediction
 with the computed closure.  The module also hosts the classical orbit
-closure on k-tuples of points (the value action) and the containment
-check between the two closure notions, plus the curated degree-7 panel
-used by the verification suite.
+closure on k-tuples of points (Wielandt's, decided on the hook content
+class) and the containment check between the two closure notions, plus
+the curated degree-7 panel used by the verification suite.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def verify_main(
 
 
 # ---------------------------------------------------------------------------
-# orbit closure on tuples of points (the value action)
+# orbit closure on tuples of points, on the hook class
 
 
 def wielandt_closure(
@@ -268,17 +268,41 @@ def wielandt_closure(
     orbit setwise, which is sound: orbits of constant tuples recover the
     point orbits, so any permutation with the same tuple orbits preserves
     them.  They are built at once, as the product of the symmetric groups
-    on the orbits, and tested in one batch under the value action."""
+    on the orbits, and tested in one batch against the group's orbits on
+    the hook class of content (n-j, 1^j) over j+1 letters, j = min(k, n-1),
+    under the coordinate action:
+
+    * The injective j-tuple r of points corresponds to the n-tuple a with
+      a_(r_i) = i+1 and 1 elsewhere, and sigma o r to a^(sigma^-1).  So
+      sigma keeps every orbit of injective j-tuples exactly when sigma^-1,
+      hence sigma, keeps every orbit of the class: the accepted candidates,
+      and through ``_group_from_union`` the generators, are those of the
+      value action on all of n^j.
+    * For k <= n-1 every k-tuple r is a contraction s o f of an injective
+      k-tuple s, f a map of the k coordinates, and sigma o s in G o s gives
+      sigma o r in G o r.
+    * A permutation is fixed by its image of one injective (n-1)-tuple,
+      so G^(n-1) = G, and so is every G^(k), k >= n-1, which lies between
+      G and G^(n-1).
+
+    So n!/(n-j)! tuples are labelled, not n^k.  The hook class has at most
+    k+1 parts, so by the balanced-class argument of ``closure`` the
+    balanced class over k+1 letters decides it, and with it
+    ``check_wielandt_containment``: the closure at alphabet size k+1 keeps
+    every orbit of the hook class."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     b = resolve(budgets)
     n = group.degree
     orbits = full_orbits(group, n)
     b.check("candidate", math.prod(math.factorial(len(o)) for o in orbits))
-    part = cached_orbit_partition(group, k, budgets=b, value_action=True)
+    j = min(k, n - 1)
+    part = cached_orbit_partition(group, j + 1, budgets=b, content=(n - j,) + (1,) * j)
     cand = _symmetric_product(orbits, n)
     ranks = _lex_ranks(cand)
     order = np.argsort(ranks)
     cand = cand[order[~np.isin(ranks[order], group._ranks)]]
-    extra = cand[_accepted_rows(part.space, part.labels, cand, value_action=True)]
+    extra = cand[_accepted_rows(part.space, part.labels, cand)]
     return _group_from_union(group, extra, extra, b)
 
 

@@ -305,6 +305,8 @@ def _verify_primitive3(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _verify_wielandt(args: argparse.Namespace, budgets: Budgets) -> int:
+    if args.n is not None and not 2 <= args.n <= 6:
+        raise UsageError(f"--n must be in 2..6 for the wielandt theorem, got {args.n}")
     degrees = (4, 5) if args.n is None else (args.n,)
     lines = []
     doc: dict = {"degrees": {}, "verified": True}

@@ -49,7 +49,11 @@ Hence sigma is in the closure exactly when it keeps every G-orbit of the
 balanced class (take L = <G, sigma>), and G and H are orbit equivalent
 exactly when their orbits on the balanced class agree (take L = <G, H>,
 whose orbits there are the join of theirs).  ``closure_pruned`` and
-``orbit_equivalent`` therefore label n!/prod(lambda*_v!) tuples, not k^n.
+``orbit_equivalent`` therefore label n!/prod(lambda*_v!) tuples, not k^n,
+through ``cached_orbit_partition(..., content=balanced_sizes(n, k))``.
+``classify.wielandt_closure`` labels another class the same way, the hook
+content (n-k, 1^k) over k+1 letters, and tests its candidates with the same
+``_accepted_rows``: there is one action and one kind of labelled set.
 The full k^n partition stays in ``closure_naive``, the independent
 oracle, and where a k^n table is an input or an output: ``orbit_coloring``,
 ``invariance_group``, ``min_codomain_report`` and ``is_k_thick``.
@@ -88,7 +92,7 @@ from .perm import (
     generate_group,
 )
 from .tuples import (
-    BalancedClass,
+    ContentClass,
     TupleSpace,
     _orbit_ranks,
     balanced_sizes,
@@ -197,22 +201,19 @@ class ChainReport:
 # the membership test
 
 
-# Most cells (tuple rows times candidates, times arity in the value action,
-# or rows times arity) in any temporary array of the batched test.
+# Most cells (tuple rows times candidates, or rows times arity) in any
+# temporary array of the batched test.
 _TEST_CELLS = 1 << 18
 # Tuple rows in the first chunk of the test; later chunks double.
 _FIRST_ROWS = 16
 
 
 def _accepted_rows(
-    space: TupleSpace | BalancedClass,
-    labels: np.ndarray,
-    images: np.ndarray,
-    value_action: bool = False,
+    space: TupleSpace | ContentClass, labels: np.ndarray, images: np.ndarray
 ) -> np.ndarray:
     """Indices, ascending, of the rows of ``images`` (one permutation per
-    row, as 0-based images) whose action on the space preserves the labels:
-    the coordinate action, or with ``value_action`` the value action.
+    row, as 0-based images) whose coordinate action on the space preserves
+    the labels.
 
     Candidates go in blocks against chunks of the space's tuples, in
     order, that double in size; a candidate leaves at its first failing
@@ -222,26 +223,21 @@ def _accepted_rows(
     floating-point ones, do not go through a multithreaded BLAS.
     """
     size, arity, weights = space.size, space.arity, space.weights
-    # the value action gathers (candidates, rows, arity) digits at once
-    width = arity if value_action else 1
-    block = _TEST_CELLS // max(_FIRST_ROWS * width, arity)
+    block = _TEST_CELLS // max(_FIRST_ROWS, arity)
     kept = [np.empty(0, dtype=np.intp)]
     for start in range(0, images.shape[0], block):
         alive = np.arange(start, min(start + block, images.shape[0]))
-        # in the coordinate action sigma moves digit j to weight position sigma^-1(j)
-        moved = images[alive] if value_action else weights[np.argsort(images[alive], axis=1)]
+        # sigma moves digit j to weight position sigma^-1(j)
+        moved = weights[np.argsort(images[alive], axis=1)]
         lo, rows = 0, _FIRST_ROWS
         while alive.size and lo < size:
             hi = min(size, lo + rows)
-            digits = space.rows(lo, hi)
-            at = space.positions(
-                (moved[:, digits] @ weights).T if value_action else digits @ moved.T
-            )
+            at = space.positions(space.rows(lo, hi) @ moved.T)
             ok = (labels[at] == labels[lo:hi, None]).all(axis=0)
             del at  # so that at most two (rows, candidates) arrays live at once
             alive, moved = alive[ok], moved[ok]
             lo = hi
-            rows = min(2 * rows, _TEST_CELLS // max(alive.size * width, arity))
+            rows = min(2 * rows, _TEST_CELLS // max(alive.size, arity))
         kept.append(alive)
     return np.concatenate(kept)
 
@@ -451,7 +447,7 @@ def closure_pruned(
     reps = stab.rows(np.flatnonzero(labels == np.arange(stab.order))[1:])
 
     if len(reps):
-        part = cached_orbit_partition(group, k, budgets=b, balanced=True)
+        part = cached_orbit_partition(group, k, budgets=b, content=sizes)
         accepted = reps[_accepted_rows(part.space, part.labels, reps)]
     else:
         accepted = reps
@@ -613,8 +609,9 @@ def orbit_equivalent(
     budget is charged."""
     if g.degree != h.degree:
         raise DegreeMismatch("orbit equivalence requires equal degrees")
-    pg = cached_orbit_partition(g, k, budgets=budgets, balanced=True)
-    ph = cached_orbit_partition(h, k, budgets=budgets, balanced=True)
+    content = balanced_sizes(g.degree, k)
+    pg = cached_orbit_partition(g, k, budgets=budgets, content=content)
+    ph = cached_orbit_partition(h, k, budgets=budgets, content=content)
     return pg.equals(ph)
 
 

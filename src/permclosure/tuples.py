@@ -11,24 +11,32 @@ of indices.  Two group actions matter here:
 * the value action on degree^arity, where sigma maps each entry through
   ``sigma`` itself.
 
+The engine decides everything under the coordinate action.  The value action
+stays as ``kpow_orbit_partition`` and ``act_points``, the brute-force view of
+k-tuples of points.
+
 Index maps come straight from the tuple cube ``arange(size)`` reshaped to
 ``(alphabet,) * arity``: an axis transpose for the coordinate action, an
 outer sum over the weights for the value action.  Min-label propagation over
 them gives the orbit partition as a label array: ``labels[t]`` is the least
 index, hence the lexicographically least member, of the orbit of t.
 
-A BalancedClass holds only the tuples whose content is the most balanced
-one, the S_n-orbit of the pattern a* (``balanced_sizes``): its members as
-``uint8`` digit rows in lex order, written directly as permutations of a
-multiset (Knuth, TAOCP 4A, 7.2.1.2), and their k^n indices, which lex order
-makes ascending.  A coordinate map sends each member to another member,
-whose position is found from its index by ``np.searchsorted``, or by a
-dense inverse where the class fills at least 1/16 of k^n; its labels are
-least positions.  Those labels decide every closure and orbit-equivalence
-question (see ``closure``), so ``cached_orbit_partition(..., balanced=True)``
-labels n!/prod(m_v!) tuples instead of k^n.
+A ContentClass holds only the tuples of one content, value v occurring
+``content[v - 1]`` times: one S_n-orbit, so every coordinate action maps it
+onto itself.  It keeps its members as ``uint8`` digit rows in lex order,
+written directly as permutations of a multiset (Knuth, TAOCP 4A, 7.2.1.2),
+and their k^n indices, which lex order makes ascending.  Its coordinate map
+sends each member to another member, whose position is found from its index
+by ``np.searchsorted``, or by a dense inverse where the class fills at least
+1/16 of k^n; its labels are least positions.  The balanced content
+(``balanced_sizes``) decides every closure and orbit-equivalence question
+(see ``closure``), and the hook content (n-k, 1^k) over k+1 letters, the
+injective k-tuples of points, decides the Wielandt closure (see
+``classify``).  ``cached_orbit_partition(..., content=c)`` labels
+n!/prod(c_v!) tuples instead of k^n.
 
-Both sets answer ``rows(lo, hi)``, the digit rows of members lo..hi-1, and
+Both sets answer ``coordinate_index_map(sigma)``, so one ``orbit_partition``
+labels either, and ``rows(lo, hi)``, the digit rows of members lo..hi-1, and
 ``positions(indices)``, where the candidate test in ``closure`` looks up
 the labels of image tuples: all of k^n computes its digits from the index
 range as ``t // weights % alphabet``, and a class slices its stored rows.
@@ -49,7 +57,7 @@ from .perm import PermGroup, Permutation, _cycle, _min_labels, _symmetric_produc
 
 __all__ = [
     "TupleSpace",
-    "BalancedClass",
+    "ContentClass",
     "OrbitPartition",
     "act_tuple",
     "act_points",
@@ -81,6 +89,7 @@ class TupleSpace:
     """All tuples of a fixed arity over {1..alphabet}, mixed-radix indexed."""
 
     __slots__ = ("arity", "alphabet", "size")
+    content = None  # all of alphabet^arity, so never the set of a ContentClass
 
     def __init__(self, arity: int, alphabet: int, budgets: Budgets | None = None):
         if arity < 1:
@@ -162,13 +171,13 @@ def _encode(a: Iterable[int], arity: int, alphabet: int) -> int:
     return idx
 
 
-def balanced_sizes(n: int, k: int) -> list[int]:
+def balanced_sizes(n: int, k: int) -> tuple[int, ...]:
     """Class sizes of the most balanced value pattern: n positions split
     into min(k, n) consecutive blocks with sizes as equal as possible,
     larger blocks first."""
     kk = min(k, n)
     q, r = divmod(n, kk)
-    return [q + 1 if j < r else q for j in range(kk)]
+    return tuple(q + 1 if j < r else q for j in range(kk))
 
 
 def _multiset_rows(counts: tuple[int, ...], alphabet: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,31 +235,38 @@ def _class_tables(
     return rows, idx, where
 
 
-class BalancedClass:
-    """The tuples of alphabet^arity whose content is the balanced one: value
-    v occurs ``balanced_sizes(arity, alphabet)[v - 1]`` times.  This is the
-    orbit of a* under all coordinate permutations, so every coordinate
-    action maps it onto itself.
+class ContentClass:
+    """The tuples of alphabet^arity with the given content: value v occurs
+    ``content[v - 1]`` times, and values past ``len(content)`` not at all.
+    This is the orbit of one tuple under all coordinate permutations, so
+    every coordinate action maps it onto itself.
 
     ``digits`` holds the members as read-only uint8 digit rows (value - 1)
     in lex order, ``indices`` their ascending indices in alphabet^arity.
     Positions 0..size-1 name the members.  The tuple budget is charged the
     class size, before any row is built."""
 
-    __slots__ = ("arity", "alphabet", "size", "digits", "indices", "_where")
+    __slots__ = ("arity", "alphabet", "content", "size", "digits", "indices", "_where")
 
-    def __init__(self, arity: int, alphabet: int, budgets: Budgets | None = None):
+    def __init__(
+        self, arity: int, alphabet: int, content: Iterable[int], budgets: Budgets | None = None
+    ):
         if arity < 1:
             raise ValueError("arity must be at least 1")
         if alphabet < 2:
             raise UsageError("alphabet must be at least 2")
-        sizes = balanced_sizes(arity, alphabet)
-        size = math.factorial(arity) // math.prod(math.factorial(m) for m in sizes)
+        content = tuple(content)
+        if sum(content) != arity or len(content) > alphabet or min(content) < 1:
+            raise ValueError(
+                f"content {content} is not {arity} split into at most {alphabet} positive parts"
+            )
+        size = math.factorial(arity) // math.prod(math.factorial(m) for m in content)
         resolve(budgets).check("tuple-space", size)
         self.arity = arity
         self.alphabet = alphabet
+        self.content = content
         self.size = size
-        self.digits, self.indices, self._where = _class_tables(tuple(sizes), alphabet)
+        self.digits, self.indices, self._where = _class_tables(content, alphabet)
 
     @property
     def weights(self) -> np.ndarray:
@@ -261,7 +277,7 @@ class BalancedClass:
         t = tuple(a)
         pos = int(self.positions(_encode(t, self.arity, self.alphabet)))
         if pos == self.size or not np.array_equal(self.digits[pos] + 1, t):
-            raise ValueError(f"tuple {t} does not have the balanced content")
+            raise ValueError(f"tuple {t} does not have the content {self.content}")
         return pos
 
     def decode(self, position: int) -> tuple[int, ...]:
@@ -279,7 +295,7 @@ class BalancedClass:
             return self._where[indices]
         return np.searchsorted(self.indices, indices)
 
-    def coordinate_position_map(self, sigma: Permutation) -> np.ndarray:
+    def coordinate_index_map(self, sigma: Permutation) -> np.ndarray:
         """Position array P with P[p] = position of the coordinate action
         of sigma on member p.  Entry i of the image of a is ``a[sigma(i)]``,
         so its index weights digit j by ``weights[sigma^-1(j)]``."""
@@ -292,11 +308,14 @@ class BalancedClass:
         return self.positions(image)
 
     def __repr__(self) -> str:
-        return f"BalancedClass(arity={self.arity}, alphabet={self.alphabet}, size={self.size})"
+        return (
+            f"ContentClass(arity={self.arity}, alphabet={self.alphabet}, "
+            f"content={self.content}, size={self.size})"
+        )
 
 
 class OrbitPartition:
-    """Orbits of a tuple space, or of a BalancedClass, under a group action.
+    """Orbits of a tuple space, or of a ContentClass, under a group action.
 
     ``labels[t]`` is the least index (in a class, the least position) in
     the orbit of t, as built by ``_min_labels``; orbits compare equal
@@ -307,7 +326,7 @@ class OrbitPartition:
 
     __slots__ = ("space", "labels", "orbit_count", "representatives")
 
-    def __init__(self, space: TupleSpace, labels: np.ndarray):
+    def __init__(self, space: TupleSpace | ContentClass, labels: np.ndarray):
         self.space = space
         self.labels = labels
         self.representatives = np.flatnonzero(labels == np.arange(space.size))
@@ -328,17 +347,20 @@ class OrbitPartition:
         """Orbit sizes, in the order of ``representatives``."""
         return np.bincount(self.labels, minlength=self.space.size)[self.representatives]
 
-    def equals(self, other: "OrbitPartition") -> bool:
-        if (type(self.space), self.space.arity, self.space.alphabet) != (
-            type(other.space), other.space.arity, other.space.alphabet
-        ):
+    def _check_same_set(self, other: "OrbitPartition") -> None:
+        """Refuse partitions of different tuple sets: arity, alphabet and
+        content (None for all of alphabet^arity) name the set."""
+        one, two = self.space, other.space
+        if (one.arity, one.alphabet, one.content) != (two.arity, two.alphabet, two.content):
             raise DegreeMismatch("partitions live on different tuple spaces")
+
+    def equals(self, other: "OrbitPartition") -> bool:
+        self._check_same_set(other)
         return bool(np.array_equal(self.labels, other.labels))
 
     def refines(self, other: "OrbitPartition") -> bool:
         """Every orbit here is contained in an orbit of the other partition."""
-        if self.space.size != other.space.size:
-            raise DegreeMismatch("partitions live on different tuple spaces")
+        self._check_same_set(other)
         return bool(np.all(other.labels[self.labels] == other.labels))
 
     def census(self, max_listed: int = 64) -> dict:
@@ -371,12 +393,9 @@ def _orbit_ranks(labels: np.ndarray) -> np.ndarray:
     return (np.cumsum(labels == np.arange(labels.size)) - 1)[labels]
 
 
-def _partition_from_index_maps(space: TupleSpace, index_maps: list[np.ndarray]) -> OrbitPartition:
-    return OrbitPartition(space, _min_labels(space.size, index_maps))
-
-
-def orbit_partition(group: PermGroup, space: TupleSpace) -> OrbitPartition:
-    """Orbits of the coordinate action of the group on the space.
+def orbit_partition(group: PermGroup, space: TupleSpace | ContentClass) -> OrbitPartition:
+    """Orbits of the coordinate action of the group on the space, all of
+    alphabet^arity or one content class of it.
 
     The group's degree must equal the space's arity, or be smaller, in which
     case the extra coordinates are left untouched.
@@ -391,7 +410,7 @@ def orbit_partition(group: PermGroup, space: TupleSpace) -> OrbitPartition:
             continue
         ge = extend_degree(g, space.arity) if g.degree < space.arity else g
         maps.append(space.coordinate_index_map(ge))
-    return _partition_from_index_maps(space, maps)
+    return OrbitPartition(space, _min_labels(space.size, maps))
 
 
 def kpow_orbit_partition(
@@ -402,7 +421,7 @@ def kpow_orbit_partition(
         raise ValueError("k must be at least 1")
     space = TupleSpace(k, group.degree, budgets=budgets)
     maps = [space.value_index_map(g) for g in group.generators if not g.is_identity]
-    return _partition_from_index_maps(space, maps)
+    return OrbitPartition(space, _min_labels(space.size, maps))
 
 
 def tuple_stabilizer(
@@ -442,33 +461,25 @@ def cached_orbit_partition(
     group: PermGroup,
     k: int,
     budgets: Budgets | None = None,
-    value_action: bool = False,
-    balanced: bool = False,
+    content: Iterable[int] | None = None,
 ) -> OrbitPartition:
-    """LRU-cached orbit partition of the group.
+    """LRU-cached orbit partition of the group under the coordinate action:
+    on all of k^degree, or with ``content`` on that ContentClass of it.
 
-    Coordinate action on k^degree by default; with ``value_action`` the
-    partition of degree^k under the value action instead; with
-    ``balanced`` the coordinate action on the BalancedClass of k^degree
-    only.  The three are cached under distinct keys, so none ever answers
-    for another.
+    The space is built first, so the tuple budget is checked on every call,
+    a cache hit included.  The key holds the content, so no partition ever
+    answers for another set of tuples.
     """
-    if value_action and balanced:
-        raise ValueError("the balanced class is a set of coordinate-action tuples")
-    key = ("value" if value_action else "balanced" if balanced else "coordinate", group, k)
+    if content is None:
+        space = TupleSpace(group.degree, k, budgets=budgets)
+    else:
+        space = ContentClass(group.degree, k, content, budgets=budgets)
+    key = (group, k, space.content)
     hit = _CACHE.get(key)
     if hit is not None:
         _CACHE.move_to_end(key)
         return hit
-    if value_action:
-        part = kpow_orbit_partition(group, k, budgets=budgets)
-    elif balanced:
-        space = BalancedClass(group.degree, k, budgets=budgets)
-        maps = [space.coordinate_position_map(g) for g in group.generators if not g.is_identity]
-        part = OrbitPartition(space, _min_labels(space.size, maps))
-    else:
-        space = TupleSpace(group.degree, k, budgets=budgets)
-        part = orbit_partition(group, space)
+    part = orbit_partition(group, space)
     _CACHE[key] = part
     while len(_CACHE) > _CACHE_MAX:
         _CACHE.popitem(last=False)

@@ -133,11 +133,13 @@ def _wielandt_by_brute_force(group, k):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_point_tuple_closure_matches_brute_force(n):
+    """The hook class against the value action on all of n^k, for every k
+    up to n+1: from k = n-1 on the class is the regular one."""
     catalog = all_subgroups(n)
     groups = catalog.all_groups() if n == 4 else [c.representative for c in catalog.classes]
     for g in groups:
-        for k in (1, 2, 3):
-            assert wielandt_closure(g, k)._ranks.tolist() == _wielandt_by_brute_force(g, k)
+        for k in range(1, n + 2):
+            assert wielandt_closure(g, k)._ranks.tolist() == _wielandt_by_brute_force(g, k), (g, k)
 
 
 def test_containment_between_the_two_closures():

@@ -104,11 +104,18 @@ def test_usage_errors_exit_two(capsys, c4_file):
         ["verify", "--theorem", "primitive3", "--n", "11"],
         ["verify", "--theorem", "seress"],
         ["verify", "--theorem", "wielandt", "--n", "7"],
+        ["verify", "--theorem", "wielandt", "--n", "1"],
         ["closure", c4_file, "-k", "2", "--tuple-budget", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+    # the wielandt range is the one its --n help gives
+    capsys.readouterr()
+    for n in ("1", "7"):
+        with pytest.raises(SystemExit):
+            main(["verify", "--theorem", "wielandt", "--n", n])
+        assert "--n must be in 2..6" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

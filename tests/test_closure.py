@@ -409,60 +409,25 @@ def test_tester_matches_one_map_at_a_time(monkeypatch, cells):
         assert got.tolist() == want
         assert got[0] == 0  # the identity row
     assert want == [0, 9, 16, 18]  # C_4 itself at k = 3, in blocks 0, 2 and 4
-    # wide spaces: arity 9 over 2 letters, and arity 3 over 9 letters
+    # wide spaces: arity 9 over 2 letters, arity 3 over 9 letters, and the
+    # 504 injective point triples of degree 9 as a content class
     rng = np.random.default_rng(5)
     agl = get_group("AGL(1,9)")
+    agl_rows = np.concatenate([agl._rows, [rng.permutation(9) for _ in range(120)]])
     wide = [
-        (agl, 2, np.concatenate([agl._rows, [rng.permutation(9) for _ in range(120)]])),
-        (grp(3, "(1 2 3)"), 9, np.array(list(itertools.permutations(range(3))))),
+        (agl, 2, None, agl_rows),
+        (grp(3, "(1 2 3)"), 9, None, np.array(list(itertools.permutations(range(3))))),
+        (agl, 4, (6, 1, 1, 1), agl_rows),
     ]
-    for group, k, rows in wide:
+    for group, k, content, rows in wide:
         rows = rows.astype(np.uint8)[rng.permutation(len(rows))]
-        part = cached_orbit_partition(group, k)
+        part = cached_orbit_partition(group, k, content=content)
         got = _accepted_rows(part.space, part.labels, rows)
         want = [i for i, row in enumerate(rows)
                 if _accepts_by_index_map(part.space, part.labels, row)]
         assert got.tolist() == want
         assert len(want) >= group.order
         assert len(want) < len(rows)
-
-
-@pytest.mark.parametrize("cells", [64, closure_module._TEST_CELLS])
-def test_value_action_tester_matches_one_map_at_a_time(monkeypatch, cells):
-    """All of S_4 against C_4's orbits on k-tuples of points, k = 1..3."""
-    monkeypatch.setattr(closure_module, "_TEST_CELLS", cells)
-    rows = np.array(list(itertools.permutations(range(4))), dtype=np.uint8)
-    for k in (1, 2, 3):
-        part = cached_orbit_partition(cyclic_4(), k, value_action=True)
-        got = _accepted_rows(part.space, part.labels, rows, value_action=True)
-        want = [i for i, row in enumerate(rows) if np.array_equal(
-            part.labels[part.space.value_index_map(Permutation([v + 1 for v in row.tolist()]))],
-            part.labels,
-        )]
-        assert got.tolist() == want
-    assert want == [0, 9, 16, 18]  # C_4 itself at k = 3, in blocks 0, 2 and 4
-
-
-def test_value_action_test_counts_arity_in_its_cells():
-    """Random degree-9 candidates against partitions of 9^5 tuples of
-    points peak below two intp arrays of _TEST_CELLS, because the
-    (candidates, rows, arity) gather counts arity in its cells.  AGL(1,9)
-    rejects 20,000 candidates within the first chunks, so its peak is the
-    first chunk's; S_9 admits 400 candidates, so the chunks grow to the end
-    of the space."""
-    rng = np.random.default_rng(3)
-    admitted = {}
-    for name, count in (("AGL(1,9)", 20_000), ("S_9", 400)):
-        part = cached_orbit_partition(get_group(name), 5, value_action=True)
-        rows = np.argsort(rng.random((count, 9)), axis=1).astype(np.uint8)
-        tracemalloc.start()
-        try:
-            admitted[name] = len(_accepted_rows(part.space, part.labels, rows, value_action=True))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * closure_module._TEST_CELLS * np.dtype(np.intp).itemsize, name
-    assert admitted["AGL(1,9)"] < 100 and admitted["S_9"] == 400
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +457,21 @@ def test_orbit_equivalence_matches_closure_equality():
     assert not orbit_equivalent(c4, klein_four(), 2)
     with pytest.raises(DegreeMismatch):
         orbit_equivalent(c4, grp(5, "(1 2 3 4 5)"), 2)
+
+
+def test_orbit_equivalence_is_refused_warm_as_cold():
+    """The tuple budget is checked before the partition cache is read, so
+    classes labelled under the default budget do not let a smaller one
+    through."""
+    c8, d8 = get_group("C_8"), get_group("D_8")
+    small = Budgets(tuple_budget=10)
+    clear_partition_cache()
+    with pytest.raises(BudgetExceeded):
+        orbit_equivalent(c8, d8, 3, budgets=small)
+    assert not orbit_equivalent(c8, d8, 3)  # labels both classes
+    with pytest.raises(BudgetExceeded) as err:
+        orbit_equivalent(c8, d8, 3, budgets=small)
+    assert (err.value.budget_name, err.value.needed) == ("tuple-space", 560)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from permclosure.perm import (
 )
 from permclosure import tuples as tuples_module
 from permclosure.tuples import (
-    BalancedClass,
+    ContentClass,
     TupleSpace,
     _orbit_ranks,
     act_points,
@@ -337,57 +337,68 @@ def test_cached_partition_reuses_objects():
     a = cached_orbit_partition(cyclic_4(), 2)
     b = cached_orbit_partition(cyclic_4(), 2)
     assert a is b
-    c = cached_orbit_partition(cyclic_4(), 2, value_action=True)
-    assert c is not a
+    c = cached_orbit_partition(cyclic_4(), 2, content=[2, 2])
+    assert c is not a and cached_orbit_partition(cyclic_4(), 2, content=(2, 2)) is c
     clear_partition_cache()
     assert cached_orbit_partition(cyclic_4(), 2) is not a
 
 
 def test_class_labels_and_full_partitions_never_answer_for_each_other():
-    for first in (False, True):  # whichever of the two is cached first
+    """C_5 over 3 letters: all 243 tuples, the 30 of the balanced content
+    (2, 2, 1) and the 20 of the hook content (3, 1, 1), cached in every
+    order.  Each call gets its own set back, and no two compare."""
+    group = grp(5, "(1 2 3 4 5)")
+    sizes = {None: 243, (2, 2, 1): 30, (3, 1, 1): 20}
+    for order in itertools.permutations(sizes):
         clear_partition_cache()
-        one = cached_orbit_partition(cyclic_4(), 2, balanced=first)
-        two = cached_orbit_partition(cyclic_4(), 2, balanced=not first)
-        cls, full = (one, two) if first else (two, one)
-        assert isinstance(cls.space, BalancedClass) and cls.space.size == 6
-        assert isinstance(full.space, TupleSpace) and full.space.size == 16
-        assert cached_orbit_partition(cyclic_4(), 2, balanced=True) is cls
-        assert cached_orbit_partition(cyclic_4(), 2) is full
-        with pytest.raises(DegreeMismatch):
-            cls.equals(full)
+        parts = {c: cached_orbit_partition(group, 3, content=c) for c in order}
+        for content, part in parts.items():
+            assert (part.space.content, part.space.size) == (content, sizes[content])
+            assert cached_orbit_partition(group, 3, content=content) is part
+        for one, two in itertools.permutations(parts.values(), 2):
+            with pytest.raises(DegreeMismatch):
+                one.equals(two)
+            with pytest.raises(DegreeMismatch):
+                one.refines(two)
     clear_partition_cache()
-    assert cached_orbit_partition(cyclic_4(), 2, balanced=True) is not cls
-    assert cached_orbit_partition(cyclic_4(), 2) is not full
-    with pytest.raises(ValueError):
-        cached_orbit_partition(cyclic_4(), 2, value_action=True, balanced=True)
+    for content, part in parts.items():
+        assert cached_orbit_partition(group, 3, content=content) is not part
 
 
 # ---------------------------------------------------------------------------
-# the balanced class
+# content classes
+
+
+def _hook(n, k):
+    j = min(k - 1, n - 1)
+    return (n - j,) + (1,) * j
 
 
 def test_balanced_class_lists_its_content_in_lex_order():
+    """The balanced and the hook class of every small (n, k)."""
     for n in range(1, 7):
         for k in range(2, 8):
-            sizes = balanced_sizes(n, k)
-            want = [
-                t for t in itertools.product(range(k), repeat=n)
-                if [t.count(v) for v in range(k)] == sizes + [0] * (k - len(sizes))
-            ]
-            cls = BalancedClass(n, k)
-            assert cls.size == len(want) == math.factorial(n) // math.prod(
-                math.factorial(m) for m in sizes
-            )
-            assert cls.digits.dtype == np.uint8 and cls.digits.tolist() == [list(t) for t in want]
-            space = TupleSpace(n, k)
-            assert cls.indices.tolist() == [space.encode(np.add(t, 1)) for t in want]
-            assert not cls.digits.flags.writeable and not cls.indices.flags.writeable
-            assert np.array_equal(cls.rows(1, 3), cls.digits[1:3])
-            assert np.array_equal(cls.positions(cls.indices), np.arange(cls.size))
+            for content in (balanced_sizes(n, k), _hook(n, k)):
+                want = [
+                    t for t in itertools.product(range(k), repeat=n)
+                    if tuple(t.count(v) for v in range(len(content))) == content
+                    and max(t) < len(content)
+                ]
+                cls = ContentClass(n, k, content)
+                assert cls.size == len(want) == math.factorial(n) // math.prod(
+                    math.factorial(m) for m in content
+                )
+                assert cls.digits.dtype == np.uint8
+                assert cls.digits.tolist() == [list(t) for t in want]
+                space = TupleSpace(n, k)
+                assert cls.indices.tolist() == [space.encode(np.add(t, 1)) for t in want]
+                assert not cls.digits.flags.writeable and not cls.indices.flags.writeable
+                assert np.array_equal(cls.rows(1, 3), cls.digits[1:3])
+                assert np.array_equal(cls.positions(cls.indices), np.arange(cls.size))
     # 3^5 = 243 <= 16 * 30 tuples: a dense inverse; 5^4 = 625 > 16 * 24: a binary search
     for cls, member, outside in (
-        (BalancedClass(5, 3), (2, 1, 3, 1, 2), [(1, 1, 1, 2, 3), (3, 3, 3, 3, 3)]),
-        (BalancedClass(4, 5), (4, 1, 3, 2), [(1, 1, 2, 3), (5, 5, 5, 5)]),
+        (ContentClass(5, 3, (2, 2, 1)), (2, 1, 3, 1, 2), [(1, 1, 1, 2, 3), (3, 3, 3, 3, 3)]),
+        (ContentClass(4, 5, (1, 1, 1, 1)), (4, 1, 3, 2), [(1, 1, 2, 3), (5, 5, 5, 5)]),
     ):
         assert (cls._where is None) == (cls.arity == 4)
         assert cls.decode(cls.encode(member)) == member
@@ -396,17 +407,24 @@ def test_balanced_class_lists_its_content_in_lex_order():
                 cls.encode(t)
 
 
+def test_content_class_refuses_a_content_that_does_not_fit():
+    for content in ((2, 2), (2, 1, 1, 1), (3, 0, 2), (6, -1)):
+        with pytest.raises(ValueError):
+            ContentClass(5, 3, content)
+
+
 def test_balanced_class_budget_counts_the_class_before_building_it(monkeypatch):
     def fail(*args):
         raise AssertionError("class built before the budget check")
 
     monkeypatch.setattr(tuples_module, "_class_tables", fail)
     with pytest.raises(BudgetExceeded) as err:
-        BalancedClass(10, 4, budgets=Budgets(tuple_budget=25199))
+        ContentClass(10, 4, balanced_sizes(10, 4), budgets=Budgets(tuple_budget=25199))
     assert (err.value.budget_name, err.value.needed) == ("tuple-space", 25200)
     monkeypatch.undo()
     # 4^10 tuples pass no budget of 25,200, the class of 10!/(3!3!2!2!) does
-    assert BalancedClass(10, 4, budgets=Budgets(tuple_budget=25200)).size == 25200
+    cls = ContentClass(10, 4, balanced_sizes(10, 4), budgets=Budgets(tuple_budget=25200))
+    assert cls.size == 25200
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -415,10 +433,11 @@ def test_class_labels_are_the_full_labels_restricted_to_the_class(k):
               grp(5, "(1 2 3 4 5)", "(2 5)(3 4)"), grp(6, "(1 2)(3 4 5 6)")]
     for group in groups:
         full = orbit_partition(group, TupleSpace(group.degree, k))
-        cls = cached_orbit_partition(group, k, balanced=True)
-        members = cls.space.indices
-        # a class is a union of orbits, so its least members are least overall
-        assert np.array_equal(full.labels[members], members[cls.labels])
+        for content in (balanced_sizes(group.degree, k), _hook(group.degree, k)):
+            cls = cached_orbit_partition(group, k, content=content)
+            members = cls.space.indices
+            # a class is a union of orbits, so its least members are least overall
+            assert np.array_equal(full.labels[members], members[cls.labels])
 
 
 def test_census_is_deterministic():
