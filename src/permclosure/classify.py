@@ -42,7 +42,7 @@ from .perm import (
     symmetric_on,
     viewed_at_degree,
 )
-from .tuples import cached_orbit_partition
+from .tuples import balanced_sizes, cached_orbit_partition
 
 __all__ = [
     "FormKind",
@@ -264,40 +264,49 @@ def wielandt_closure(
 ) -> PermGroup:
     """The largest group with the same orbits on k-tuples of points.
 
-    Candidates are restricted to permutations preserving every point
-    orbit setwise, which is sound: orbits of constant tuples recover the
-    point orbits, so any permutation with the same tuple orbits preserves
-    them.  They are built at once, as the product of the symmetric groups
-    on the orbits, and tested in one batch against the group's orbits on
-    the hook class of content (n-j, 1^j) over j+1 letters, j = min(k, n-1),
-    under the coordinate action:
+    A permutation is fixed by its image of one injective (n-1)-tuple, so
+    G^(n-1) = G, and so is every G^(k), k >= n-1, which lies between G and
+    G^(n-1); the group itself is returned there.
 
-    * The injective j-tuple r of points corresponds to the n-tuple a with
-      a_(r_i) = i+1 and 1 elsewhere, and sigma o r to a^(sigma^-1).  So
-      sigma keeps every orbit of injective j-tuples exactly when sigma^-1,
+    For k <= n-2, candidates are restricted to permutations preserving
+    every point orbit setwise, which is sound: orbits of constant tuples
+    recover the point orbits, so any permutation with the same tuple
+    orbits preserves them.  They are built at once, as the product of the
+    symmetric groups on the orbits, and tested in one batch against the
+    group's orbits on the hook class of content (1^k, n-k) over k+1
+    letters under the coordinate action:
+
+    * The injective k-tuple r of points corresponds to the n-tuple a with
+      a_(r_i) = i and k+1 elsewhere, and sigma o r to a^(sigma^-1).  So
+      sigma keeps every orbit of injective k-tuples exactly when sigma^-1,
       hence sigma, keeps every orbit of the class: the accepted candidates,
       and through ``_group_from_union`` the generators, are those of the
-      value action on all of n^j.
-    * For k <= n-1 every k-tuple r is a contraction s o f of an injective
-      k-tuple s, f a map of the k coordinates, and sigma o s in G o s gives
+      value action on all of n^k.
+    * Every k-tuple r is a contraction s o f of an injective k-tuple s,
+      f a map of the k coordinates, and sigma o s in G o s gives
       sigma o r in G o r.
-    * A permutation is fixed by its image of one injective (n-1)-tuple,
-      so G^(n-1) = G, and so is every G^(k), k >= n-1, which lies between
-      G and G^(n-1).
 
-    So n!/(n-j)! tuples are labelled, not n^k.  The hook class has at most
-    k+1 parts, so by the balanced-class argument of ``closure`` the
-    balanced class over k+1 letters decides it, and with it
-    ``check_wielandt_containment``: the closure at alphabet size k+1 keeps
-    every orbit of the hook class."""
+    So n!/(n-k)! tuples are labelled, not n^k.  The repeated letter comes
+    last, so the first members in lex order are the tuples of the first
+    points, and a candidate that moves them fails early; only at k = n-2,
+    where the content (2, 1^k) is also the balanced one, is it taken in
+    the balanced order, first.  Any order of the letters gives the same
+    accepted candidates.  The hook class has at most k+1 parts, so by the
+    balanced-class argument of ``closure`` the balanced class over k+1
+    letters decides it, and with it ``check_wielandt_containment``: the
+    closure at alphabet size k+1 keeps every orbit of the hook class."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    b = resolve(budgets)
     n = group.degree
+    if k >= n - 1:
+        return group
+    b = resolve(budgets)
     orbits = full_orbits(group, n)
     b.check("candidate", math.prod(math.factorial(len(o)) for o in orbits))
-    j = min(k, n - 1)
-    part = cached_orbit_partition(group, j + 1, budgets=b, content=(n - j,) + (1,) * j)
+    # at k = n-2 the hook content is the balanced one, (2, 1^k): in that
+    # order galois_closure(group, k+1) and this closure share a partition
+    content = balanced_sizes(n, k + 1) if k == n - 2 else (1,) * k + (n - k,)
+    part = cached_orbit_partition(group, k + 1, budgets=b, content=content)
     cand = _symmetric_product(orbits, n)
     ranks = _lex_ranks(cand)
     order = np.argsort(ranks)

@@ -52,7 +52,7 @@ whose orbits there are the join of theirs).  ``closure_pruned`` and
 ``orbit_equivalent`` therefore label n!/prod(lambda*_v!) tuples, not k^n,
 through ``cached_orbit_partition(..., content=balanced_sizes(n, k))``.
 ``classify.wielandt_closure`` labels another class the same way, the hook
-content (n-k, 1^k) over k+1 letters, and tests its candidates with the same
+content (1^k, n-k) over k+1 letters, and tests its candidates with the same
 ``_accepted_rows``: there is one action and one kind of labelled set.
 The full k^n partition stays in ``closure_naive``, the independent
 oracle, and where a k^n table is an input or an output: ``orbit_coloring``,
@@ -218,26 +218,28 @@ def _accepted_rows(
     Candidates go in blocks against chunks of the space's tuples, in
     order, that double in size; a candidate leaves at its first failing
     chunk.  A chunk's digits are ``space.rows(lo, hi)`` and the labels of
-    its images are read at ``space.positions`` of their indices.  The
-    indices are integer products, which are exact and, unlike
-    floating-point ones, do not go through a multithreaded BLAS.
+    its images are read at ``space.positions`` of their keys, one per limb
+    of ``space.key_weights``.  The keys are integer products, which are
+    exact and, unlike floating-point ones, do not go through a
+    multithreaded BLAS.
     """
-    size, arity, weights = space.size, space.arity, space.weights
-    block = _TEST_CELLS // max(_FIRST_ROWS, arity)
+    size, arity, weights = space.size, space.arity, space.key_weights
+    limbs = len(weights)
+    block = _TEST_CELLS // (max(_FIRST_ROWS, arity) * limbs)
     kept = [np.empty(0, dtype=np.intp)]
     for start in range(0, images.shape[0], block):
         alive = np.arange(start, min(start + block, images.shape[0]))
         # sigma moves digit j to weight position sigma^-1(j)
-        moved = weights[np.argsort(images[alive], axis=1)]
+        moved = weights[:, np.argsort(images[alive], axis=1)].transpose(0, 2, 1)
         lo, rows = 0, _FIRST_ROWS
         while alive.size and lo < size:
             hi = min(size, lo + rows)
-            at = space.positions(space.rows(lo, hi) @ moved.T)
+            at = space.positions(space.rows(lo, hi) @ moved)
             ok = (labels[at] == labels[lo:hi, None]).all(axis=0)
             del at  # so that at most two (rows, candidates) arrays live at once
-            alive, moved = alive[ok], moved[ok]
+            alive, moved = alive[ok], moved[:, :, ok]
             lo = hi
-            rows = min(2 * rows, _TEST_CELLS // max(alive.size, arity))
+            rows = min(2 * rows, _TEST_CELLS // max(alive.size * limbs, arity))
         kept.append(alive)
     return np.concatenate(kept)
 

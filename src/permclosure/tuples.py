@@ -25,21 +25,24 @@ A ContentClass holds only the tuples of one content, value v occurring
 ``content[v - 1]`` times: one S_n-orbit, so every coordinate action maps it
 onto itself.  It keeps its members as ``uint8`` digit rows in lex order,
 written directly as permutations of a multiset (Knuth, TAOCP 4A, 7.2.1.2),
-and their k^n indices, which lex order makes ascending.  Its coordinate map
-sends each member to another member, whose position is found from its index
-by ``np.searchsorted``, or by a dense inverse where the class fills at least
-1/16 of k^n; its labels are least positions.  The balanced content
+and their keys, which lex order makes ascending: the k^n index while k^n
+fits in intp, else one intp limb per run of digits, each ranked against the
+limb before (``_class_tables``).  Its coordinate map sends each member to
+another member, whose position is found from its key by ``np.searchsorted``,
+or by a dense inverse where the class fills at least 1/16 of k^n; its labels
+are least positions.  The balanced content
 (``balanced_sizes``) decides every closure and orbit-equivalence question
-(see ``closure``), and the hook content (n-k, 1^k) over k+1 letters, the
+(see ``closure``), and the hook content (1^k, n-k) over k+1 letters, the
 injective k-tuples of points, decides the Wielandt closure (see
 ``classify``).  ``cached_orbit_partition(..., content=c)`` labels
 n!/prod(c_v!) tuples instead of k^n.
 
 Both sets answer ``coordinate_index_map(sigma)``, so one ``orbit_partition``
 labels either, and ``rows(lo, hi)``, the digit rows of members lo..hi-1, and
-``positions(indices)``, where the candidate test in ``closure`` looks up
-the labels of image tuples: all of k^n computes its digits from the index
-range as ``t // weights % alphabet``, and a class slices its stored rows.
+``positions(keys)`` for keys made with ``key_weights``, where the candidate
+test in ``closure`` looks up the labels of image tuples: all of k^n, one
+limb, computes its digits from the index range as
+``t // weights % alphabet``, and a class slices its stored rows.
 """
 
 from __future__ import annotations
@@ -124,9 +127,15 @@ class TupleSpace:
         """Digit rows of the tuples of index lo..hi-1."""
         return np.arange(lo, hi)[:, None] // self.weights % self.alphabet
 
-    def positions(self, indices: np.ndarray) -> np.ndarray:
-        """Where the tuples of the given indices sit: at their indices."""
-        return indices
+    @property
+    def key_weights(self) -> np.ndarray:
+        """The weights as the one limb of a key (see ``ContentClass``)."""
+        return self.weights[None]
+
+    def positions(self, keys: np.ndarray) -> np.ndarray:
+        """Where the tuples of the given keys sit: at their indices, the
+        keys' one limb."""
+        return keys[0]
 
     def coordinate_index_map(self, sigma: Permutation) -> np.ndarray:
         """Index array I with I[t] = index of the coordinate action of sigma.
@@ -171,6 +180,20 @@ def _encode(a: Iterable[int], arity: int, alphabet: int) -> int:
     return idx
 
 
+def _class_size(arity: int, alphabet: int, content: tuple[int, ...]) -> int:
+    """The number of tuples of the content class, once the content is
+    checked to split the arity into at most ``alphabet`` positive parts."""
+    if arity < 1:
+        raise ValueError("arity must be at least 1")
+    if alphabet < 2:
+        raise UsageError("alphabet must be at least 2")
+    if sum(content) != arity or len(content) > alphabet or min(content) < 1:
+        raise ValueError(
+            f"content {content} is not {arity} split into at most {alphabet} positive parts"
+        )
+    return math.factorial(arity) // math.prod(math.factorial(m) for m in content)
+
+
 def balanced_sizes(n: int, k: int) -> tuple[int, ...]:
     """Class sizes of the most balanced value pattern: n positions split
     into min(k, n) consecutive blocks with sizes as equal as possible,
@@ -180,36 +203,62 @@ def balanced_sizes(n: int, k: int) -> tuple[int, ...]:
     return tuple(q + 1 if j < r else q for j in range(kk))
 
 
-def _multiset_rows(counts: tuple[int, ...], alphabet: int) -> tuple[np.ndarray, np.ndarray]:
+def _multiset_rows(counts: tuple[int, ...]) -> np.ndarray:
     """Every arrangement of counts[v] copies of each digit v, as read-only
-    uint8 rows in lex order, and their indices in alphabet^len(rows),
-    ascending.
+    uint8 rows in lex order.
 
     The rows of a multiset c are, for v ascending, v put in front of the
     rows of c less one v.  They are built a length at a time over the
     sub-multisets of c, so each is built once and only two lengths are
     held at a time."""
-    level = {(0,) * len(counts): (np.zeros((1, 0), dtype=np.uint8), np.zeros(1, dtype=np.intp))}
+    level = {(0,) * len(counts): np.zeros((1, 0), dtype=np.uint8)}
     for length in range(1, sum(counts) + 1):
         grown = {c[:v] + (c[v] + 1,) + c[v + 1:]
                  for c in level for v in range(len(counts)) if c[v] < counts[v]}
-        head = alphabet ** (length - 1)
         nxt = {}
         for c in grown:
-            parts = [(v, *level[c[:v] + (m - 1,) + c[v + 1:]]) for v, m in enumerate(c) if m]
-            rows = np.empty((sum(len(sub) for _, sub, _ in parts), length), dtype=np.uint8)
-            idx = np.empty(len(rows), dtype=np.intp)
+            parts = [(v, level[c[:v] + (m - 1,) + c[v + 1:]]) for v, m in enumerate(c) if m]
+            rows = np.empty((sum(len(sub) for _, sub in parts), length), dtype=np.uint8)
             at = 0
-            for v, sub, sub_idx in parts:
+            for v, sub in parts:
                 rows[at:at + len(sub), 0] = v
                 rows[at:at + len(sub), 1:] = sub
-                idx[at:at + len(sub)] = sub_idx + v * head
                 at += len(sub)
-            nxt[c] = rows, idx
+            nxt[c] = rows
         level = nxt
-    rows, idx = level[counts]
-    rows.flags.writeable = idx.flags.writeable = False
-    return rows, idx
+    rows = level[counts]
+    rows.flags.writeable = False
+    return rows
+
+
+def _digit_keys(digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights @ digits.T`` as intp, one row per limb of ``weights``,
+    summed a column at a time: no (rows, arity) intp copy."""
+    keys = np.zeros((len(weights), len(digits)), dtype=np.intp)
+    for column, w in zip(digits.T, weights.T):
+        keys += column * w[:, None]
+    return keys
+
+
+# Every key is below this: a limb's index, or a rank times a limb's radix
+# plus its index.
+_KEY_CAP = int(np.iinfo(np.intp).max) + 1
+
+
+def _limb_widths(arity: int, alphabet: int, size: int) -> tuple[int, ...]:
+    """Digits per limb of the keys of a class of ``size`` members: the
+    first limb as many as keep its index in alphabet^width below
+    ``_KEY_CAP``, each later one as many as keep a rank below ``size``
+    times alphabet^width, plus that index, below it."""
+    widths: list[int] = []
+    scale = 1
+    while sum(widths) < arity:
+        width = 1
+        while sum(widths) + width < arity and scale * alphabet ** (width + 1) <= _KEY_CAP:
+            width += 1
+        widths.append(width)
+        scale = size
+    return tuple(widths)
 
 
 # Most words per member that a dense inverse of a class's indices may take.
@@ -219,20 +268,46 @@ _DENSE_WORDS = 16
 @functools.lru_cache(maxsize=8)
 def _class_tables(
     counts: tuple[int, ...], alphabet: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """A class's digit rows and indices (``_multiset_rows``), and where its
-    indices fill at least 1/_DENSE_WORDS of alphabet^len, their dense
-    inverse: a gather there costs a fraction of a binary search.  Cached,
-    since closures and orbit equivalence at one degree and alphabet size
-    all scan the same class."""
-    rows, idx = _multiset_rows(counts, alphabet)
-    space = alphabet ** sum(counts)
-    if space > _DENSE_WORDS * len(idx):
-        return rows, idx, None
-    where = np.zeros(space, dtype=np.intp)
-    where[idx] = np.arange(len(idx))
-    where.flags.writeable = False
-    return rows, idx, where
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, np.ndarray], ...], np.ndarray | None]:
+    """A class's digit rows (``_multiset_rows``), the weights of its key
+    limbs, each limb's radix and distinct member keys, ascending, and
+    where the class fills at least 1/_DENSE_WORDS of alphabet^len, the
+    dense inverse of its indices: a gather there costs a fraction of a
+    binary search.  Cached, since closures and orbit equivalence at one
+    degree and alphabet size all scan the same class.
+
+    A member's key at the first limb is the index of its first digits in
+    alphabet^width, and at each later limb the rank of its key at the
+    limb before, times alphabet^width, plus the index of the limb's
+    digits.  Lex order of the rows makes every limb's keys ascend, and at
+    the last limb they are distinct, so a member's rank there is its
+    position.  One limb holds the whole index wherever alphabet^arity
+    fits in intp."""
+    rows = _multiset_rows(counts)
+    size, arity = rows.shape
+    widths = _limb_widths(arity, alphabet, size)
+    weights = np.zeros((len(widths), arity), dtype=np.intp)
+    start = 0
+    for limb, width in zip(weights, widths):
+        limb[start:start + width] = _weights(width, alphabet)
+        start += width
+    chain = []
+    for key, width in zip(_digit_keys(rows, weights), widths):
+        radix = alphabet**width
+        if chain:
+            key += rank * radix
+        new = np.ones(size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        chain.append((radix, key[new]))
+        rank = np.cumsum(new) - 1
+    for table in (weights, *(prefix for _, prefix in chain)):
+        table.flags.writeable = False
+    where = None
+    if len(chain) == 1 and alphabet**arity <= _DENSE_WORDS * size:
+        where = np.zeros(alphabet**arity, dtype=np.intp)
+        where[chain[0][1]] = np.arange(size)
+        where.flags.writeable = False
+    return rows, weights, tuple(chain), where
 
 
 class ContentClass:
@@ -242,40 +317,37 @@ class ContentClass:
     every coordinate action maps it onto itself.
 
     ``digits`` holds the members as read-only uint8 digit rows (value - 1)
-    in lex order, ``indices`` their ascending indices in alphabet^arity.
-    Positions 0..size-1 name the members.  The tuple budget is charged the
-    class size, before any row is built."""
+    in lex order; positions 0..size-1 name them.  A member is found from
+    its key, ``key_weights @ digits``, one intp row per limb
+    (``_class_tables``): one limb, its index in alphabet^arity, while that
+    fits in intp, and more past it, so that a class of a large arity
+    stays exact.  The tuple budget is charged the class size, before any
+    row is built."""
 
-    __slots__ = ("arity", "alphabet", "content", "size", "digits", "indices", "_where")
+    __slots__ = (
+        "arity", "alphabet", "content", "size", "digits", "key_weights", "_chain", "_where"
+    )
 
     def __init__(
         self, arity: int, alphabet: int, content: Iterable[int], budgets: Budgets | None = None
     ):
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
-        if alphabet < 2:
-            raise UsageError("alphabet must be at least 2")
         content = tuple(content)
-        if sum(content) != arity or len(content) > alphabet or min(content) < 1:
-            raise ValueError(
-                f"content {content} is not {arity} split into at most {alphabet} positive parts"
-            )
-        size = math.factorial(arity) // math.prod(math.factorial(m) for m in content)
+        size = _class_size(arity, alphabet, content)
         resolve(budgets).check("tuple-space", size)
         self.arity = arity
         self.alphabet = alphabet
         self.content = content
         self.size = size
-        self.digits, self.indices, self._where = _class_tables(content, alphabet)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return _weights(self.arity, self.alphabet)
+        self.digits, self.key_weights, self._chain, self._where = _class_tables(
+            content, alphabet
+        )
 
     def encode(self, a: Iterable[int]) -> int:
         """The position of a member tuple."""
         t = tuple(a)
-        pos = int(self.positions(_encode(t, self.arity, self.alphabet)))
+        _encode(t, self.arity, self.alphabet)  # refuses a wrong length or entry
+        keys = self.key_weights @ (np.array(t, dtype=np.intp)[:, None] - 1)
+        pos = int(self.positions(keys)[0])
         if pos == self.size or not np.array_equal(self.digits[pos] + 1, t):
             raise ValueError(f"tuple {t} does not have the content {self.content}")
         return pos
@@ -289,23 +361,24 @@ class ContentClass:
         """Digit rows of the members at positions lo..hi-1."""
         return self.digits[lo:hi]
 
-    def positions(self, indices: np.ndarray) -> np.ndarray:
-        """Positions of members given by their indices in alphabet^arity."""
+    def positions(self, keys: np.ndarray) -> np.ndarray:
+        """Positions of members given by their keys, limbs first."""
         if self._where is not None:
-            return self._where[indices]
-        return np.searchsorted(self.indices, indices)
+            return self._where[keys[0]]
+        (_, first), *rest = self._chain
+        pos = np.searchsorted(first, keys[0])
+        for (radix, prefix), key in zip(rest, keys[1:]):
+            pos = np.searchsorted(prefix, pos * radix + key)
+        return pos
 
     def coordinate_index_map(self, sigma: Permutation) -> np.ndarray:
         """Position array P with P[p] = position of the coordinate action
         of sigma on member p.  Entry i of the image of a is ``a[sigma(i)]``,
-        so its index weights digit j by ``weights[sigma^-1(j)]``."""
+        so its key weights digit j by ``key_weights[:, sigma^-1(j)]``."""
         if sigma.degree != self.arity:
             raise DegreeMismatch(f"degree {sigma.degree} vs arity {self.arity}")
-        moved = self.weights[list(sigma.inverse()._img)]
-        image = np.zeros(self.size, dtype=np.intp)
-        for column, w in zip(self.digits.T, moved):  # no (size, arity) intp copy
-            image += column * w
-        return self.positions(image)
+        moved = self.key_weights[:, list(sigma.inverse()._img)]
+        return self.positions(_digit_keys(self.digits, moved))
 
     def __repr__(self) -> str:
         return (
@@ -466,19 +539,23 @@ def cached_orbit_partition(
     """LRU-cached orbit partition of the group under the coordinate action:
     on all of k^degree, or with ``content`` on that ContentClass of it.
 
-    The space is built first, so the tuple budget is checked on every call,
-    a cache hit included.  The key holds the content, so no partition ever
-    answers for another set of tuples.
+    The tuple budget is checked on every call, a cache hit included, and
+    the space is built only on a miss.  The key holds the content, so no
+    partition ever answers for another set of tuples.
     """
-    if content is None:
-        space = TupleSpace(group.degree, k, budgets=budgets)
-    else:
-        space = ContentClass(group.degree, k, content, budgets=budgets)
-    key = (group, k, space.content)
+    n = group.degree
+    content = None if content is None else tuple(content)
+    size = k**n if content is None else _class_size(n, k, content)
+    resolve(budgets).check("tuple-space", size)
+    key = (group, k, content)
     hit = _CACHE.get(key)
     if hit is not None:
         _CACHE.move_to_end(key)
         return hit
+    if content is None:
+        space = TupleSpace(n, k, budgets=budgets)
+    else:
+        space = ContentClass(n, k, content, budgets=budgets)
     part = orbit_partition(group, space)
     _CACHE[key] = part
     while len(_CACHE) > _CACHE_MAX:

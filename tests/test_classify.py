@@ -134,12 +134,41 @@ def _wielandt_by_brute_force(group, k):
 @pytest.mark.parametrize("n", [4, 5])
 def test_point_tuple_closure_matches_brute_force(n):
     """The hook class against the value action on all of n^k, for every k
-    up to n+1: from k = n-1 on the class is the regular one."""
+    up to n+1: from k = n-1 on the group is its own closure, unlabelled."""
     catalog = all_subgroups(n)
     groups = catalog.all_groups() if n == 4 else [c.representative for c in catalog.classes]
     for g in groups:
         for k in range(1, n + 2):
             assert wielandt_closure(g, k)._ranks.tolist() == _wielandt_by_brute_force(g, k), (g, k)
+
+
+def test_point_tuple_closure_of_a_degree_one_group_is_itself():
+    g = generate_group([], degree=1)
+    for k in (1, 2):
+        assert wielandt_closure(g, k) == g
+    with pytest.raises(ValueError):
+        wielandt_closure(g, 0)
+
+
+@pytest.mark.parametrize("cycles", [("(1 2 3)", "(4 5)"), ("(36 37 38)", "(39 40)")])
+def test_point_tuple_closure_past_intp_indices(cycles):
+    """At degree 40 the hook class over 3 and 4 letters passes intp
+    indices (3^40 and 4^40 exceed 2^63), and its keys take two limbs.
+    The closure lies in the product of the symmetric groups on the point
+    orbits, so the value action on 40^k, tried on that product alone, is
+    the brute force."""
+    g = grp(40, " ".join(cycles))
+    orbits = [tuple(int(x) for x in c.strip("()").split()) for c in cycles]
+    product = direct_product(symmetric_on(orbits[0], 40), symmetric_on(orbits[1], 40))
+    for k in (1, 2, 3):
+        part = kpow_orbit_partition(g, k)
+        want = [
+            sigma for sigma in product.elements
+            if np.array_equal(part.labels[part.space.value_index_map(sigma)], part.labels)
+        ]
+        got = wielandt_closure(g, k)
+        assert got.order == len(want) and all(sigma in got for sigma in want), (cycles, k)
+    assert wielandt_closure(g, 2) == g
 
 
 def test_containment_between_the_two_closures():

@@ -343,6 +343,25 @@ def test_cached_partition_reuses_objects():
     assert cached_orbit_partition(cyclic_4(), 2) is not a
 
 
+def test_a_cache_hit_checks_the_budget_and_builds_nothing(monkeypatch):
+    clear_partition_cache()
+    group = grp(5, "(1 2 3 4 5)")
+    part = cached_orbit_partition(group, 3, content=(2, 2, 1))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("space built on a cache hit")
+
+    monkeypatch.setattr(tuples_module, "_class_tables", fail)
+    monkeypatch.setattr(tuples_module, "TupleSpace", fail)
+    assert cached_orbit_partition(group, 3, content=(2, 2, 1)) is part
+    with pytest.raises(BudgetExceeded) as err:
+        cached_orbit_partition(group, 3, Budgets(tuple_budget=29), content=(2, 2, 1))
+    assert (err.value.budget_name, err.value.needed) == ("tuple-space", 30)
+    with pytest.raises(BudgetExceeded):
+        cached_orbit_partition(group, 3, Budgets(tuple_budget=242))
+    clear_partition_cache()
+
+
 def test_class_labels_and_full_partitions_never_answer_for_each_other():
     """C_5 over 3 letters: all 243 tuples, the 30 of the balanced content
     (2, 2, 1) and the 20 of the hook content (3, 1, 1), cached in every
@@ -370,8 +389,10 @@ def test_class_labels_and_full_partitions_never_answer_for_each_other():
 
 
 def _hook(n, k):
+    """The content of the injective (k-1)-tuples of points, with the
+    repeated letter last."""
     j = min(k - 1, n - 1)
-    return (n - j,) + (1,) * j
+    return (1,) * j + (n - j,)
 
 
 def test_balanced_class_lists_its_content_in_lex_order():
@@ -391,10 +412,13 @@ def test_balanced_class_lists_its_content_in_lex_order():
                 assert cls.digits.dtype == np.uint8
                 assert cls.digits.tolist() == [list(t) for t in want]
                 space = TupleSpace(n, k)
-                assert cls.indices.tolist() == [space.encode(np.add(t, 1)) for t in want]
-                assert not cls.digits.flags.writeable and not cls.indices.flags.writeable
+                # k^n fits in intp, so the key is one limb: the index in k^n
+                assert cls.key_weights.tolist() == [space.weights.tolist()]
+                keys = cls.key_weights @ cls.digits.T
+                assert keys[0].tolist() == [space.encode(np.add(t, 1)) for t in want]
+                assert not cls.digits.flags.writeable and not cls.key_weights.flags.writeable
                 assert np.array_equal(cls.rows(1, 3), cls.digits[1:3])
-                assert np.array_equal(cls.positions(cls.indices), np.arange(cls.size))
+                assert np.array_equal(cls.positions(keys), np.arange(cls.size))
     # 3^5 = 243 <= 16 * 30 tuples: a dense inverse; 5^4 = 625 > 16 * 24: a binary search
     for cls, member, outside in (
         (ContentClass(5, 3, (2, 2, 1)), (2, 1, 3, 1, 2), [(1, 1, 1, 2, 3), (3, 3, 3, 3, 3)]),
@@ -405,6 +429,29 @@ def test_balanced_class_lists_its_content_in_lex_order():
         for t in outside:  # another content, and past the last member
             with pytest.raises(ValueError):
                 cls.encode(t)
+
+
+@pytest.mark.parametrize("k, limbs", [(2, 1), (3, 2), (4, 2)])
+def test_a_class_past_intp_keys_its_members_in_limbs(k, limbs):
+    """At arity 40, 2^40 fits in intp, while 3^40 and 4^40 do not: the
+    injective point pairs and triples then take a second limb, and stay
+    exact."""
+    cls = ContentClass(40, k, _hook(40, k))
+    assert cls.size == math.perm(40, k - 1)
+    assert len(cls.key_weights) == limbs
+    # every digit goes to exactly one limb
+    assert (np.count_nonzero(cls.key_weights, axis=0) == 1).all()
+    assert np.array_equal(cls.positions(cls.key_weights @ cls.digits.T), np.arange(cls.size))
+    rng = np.random.default_rng(40)
+    for p in rng.integers(cls.size, size=20).tolist():
+        assert cls.encode(cls.decode(p)) == p
+    with pytest.raises(ValueError):
+        cls.encode((k,) * 40)
+    sigma = Permutation((rng.permutation(40) + 1).tolist())
+    imap = cls.coordinate_index_map(sigma)
+    for p in rng.integers(cls.size, size=50).tolist():
+        a = cls.decode(p)
+        assert cls.decode(int(imap[p])) == act_tuple(a, sigma)
 
 
 def test_content_class_refuses_a_content_that_does_not_fit():
@@ -435,7 +482,7 @@ def test_class_labels_are_the_full_labels_restricted_to_the_class(k):
         full = orbit_partition(group, TupleSpace(group.degree, k))
         for content in (balanced_sizes(group.degree, k), _hook(group.degree, k)):
             cls = cached_orbit_partition(group, k, content=content)
-            members = cls.space.indices
+            members = cls.space.digits @ full.space.weights
             # a class is a union of orbits, so its least members are least overall
             assert np.array_equal(full.labels[members], members[cls.labels])
 
