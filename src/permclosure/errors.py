@@ -35,11 +35,15 @@ class BudgetExceeded(PermcloseError, RuntimeError):
         self.budget_name = budget_name
         self.needed = needed
         self.allowed = allowed
-        # Python writes no int of more than 4,300 digits in decimal
-        shown = needed if int(needed).bit_length() < 14_000 else "more than 10^4000"
         super().__init__(
-            f"{budget_name} budget exceeded: would need {shown}, bound is {allowed}"
+            f"{budget_name} budget exceeded: would need {_shown(needed)}, "
+            f"bound is {_shown(allowed)}"
         )
+
+
+def _shown(value: int) -> int | str:
+    # Python writes no int of more than 4,300 digits in decimal
+    return value if int(value).bit_length() < 14_000 else "more than 10^4000"
 
 
 class UsageError(PermcloseError, ValueError):

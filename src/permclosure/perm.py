@@ -911,10 +911,15 @@ def _conjugate_ranks(group: PermGroup) -> np.ndarray:
         # s.h.s^-1 maps s(i) to s(h(i))
         out[:, j] = _lex_ranks(np.take_along_axis(s, h[s_inv], axis=1))
     out.sort(axis=1)
+    return _distinct_rows(out)
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array, in lexicographic order."""
     # lexsort plus adjacent differences: np.unique(axis=0) compares rows as
     # structured records, 20x slower on S_6
-    out = out[np.lexsort(out.T[::-1])]
-    return out[np.r_[True, (out[1:] != out[:-1]).any(axis=1)]]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
 
 
 def are_conjugate_in_symmetric(
@@ -951,7 +956,9 @@ def parse_group_text(text: str, budgets: Budgets | None = None) -> PermGroup:
         (1 2 3 4 5)
         (2 3 5 4)
 
-    One generator per line after the degree header.
+    One generator per line after the degree header.  A degree whose 2^n
+    words pass the tuple budget raises BudgetExceeded before any generator
+    is read.
     """
     degree = None
     gens: list[Permutation] = []
@@ -968,6 +975,12 @@ def parse_group_text(text: str, budgets: Budgets | None = None) -> PermGroup:
                 raise ParseError("degree is not an integer", line=lineno) from None
             if degree < 1:
                 raise ParseError("degree must be at least 1", line=lineno)
+            # 2^degree words, as for catalog families, before a generator
+            # allocates its images.  The exponent is capped where the power
+            # both passes the bound and is too long to print, so a huge
+            # degree is not raised to it.
+            b = resolve(budgets)
+            b.check("tuple-space", 2 ** min(degree, max(b.tuple_budget.bit_length(), 14_000)))
             continue
         try:
             gens.append(parse_perm(line, degree))

@@ -1,9 +1,12 @@
 """Command-line interface: output shapes, exit codes, and determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from permclosure import budgets, catalog, subgroups, tuples
 from permclosure.budgets import KINDS, default_budgets
@@ -199,6 +202,54 @@ def test_malformed_group_file(capsys, tmp_path):
     code, _, err = run(capsys, "closure", str(bad), "-k", "2")
     assert code == 3
     assert "error:" in err
+
+
+def test_huge_group_file_degree_is_refused_by_the_tuple_budget(capsys, tmp_path):
+    """A group file's 2^n words pass the tuple budget as a catalog family's
+    do; the degree is refused before a generator allocates its images."""
+    huge = tmp_path / "huge.grp"
+    huge.write_text("degree: 1000000000000\n(1 2)\n")
+    code, _, err = run(capsys, "closure", str(huge), "-k", "2")
+    assert code == 4
+    assert "need more than 10^4000," in err and "raise --tuple-budget" in err
+    wide = tmp_path / "wide.grp"
+    wide.write_text("degree: 27\n(1 2)\n")
+    code, _, err = run(capsys, "closure", str(wide), "-k", "2")
+    assert code == 4 and f"need {2**27}," in err and "raise --tuple-budget" in err
+
+
+_GROUP_TOKENS = ["(", ")", " ", ",", "#", "\n", "0", "1", "2", "3", "7", "9", "-1", "id",
+                 "()", "x", "\u00b2", "\u0663", "degree:", "1e3", "999999999999"]
+
+
+@st.composite
+def group_file_texts(draw):
+    """Near-misses of the group format: a header that may be missing,
+    garbled or huge, then generator lines spliced from format tokens."""
+    degree = draw(st.one_of(
+        st.integers(-2, 7), st.integers(10**6, 10**30),
+        st.text(max_size=4).map(lambda t: t.strip() or "?"),
+    ))
+    header = draw(st.sampled_from(["degree: {}", "degree:{}", "degree {}", "{}", ""]))
+    lines = draw(st.lists(
+        st.lists(st.sampled_from(_GROUP_TOKENS), max_size=12).map("".join),
+        max_size=4,
+    ))
+    return "\n".join([header.format(degree)] + lines) + "\n"
+
+
+@given(group_file_texts())
+def test_malformed_group_files_exit_with_a_documented_code(tmp_path_factory, text):
+    """No group file ends in a traceback: every one exits with a code from
+    the README table."""
+    path = tmp_path_factory.getbasetemp() / "malformed.grp"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(["closure", str(path), "-k", "2"])
+        except SystemExit as exc:  # usage errors leave through argparse
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -518,6 +518,27 @@ def test_group_text_errors():
         parse_group_text("degree: 3\n(1 5)\n")
 
 
+@pytest.mark.parametrize("bound_bits", [27, 20_000])
+def test_huge_group_text_degree_is_refused_before_allocating(bound_bits):
+    """Past the tuple budget a degree is refused before a generator lists
+    its images; the power shown stays exact up to the cap."""
+    budgets = Budgets(tuple_budget=2**bound_bits)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            parse_group_text("degree: 1000000000000\n(1 2)\n", budgets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.budget_name == "tuple-space"
+    assert err.value.needed > err.value.allowed
+    assert peak < 1 << 20
+    with pytest.raises(BudgetExceeded) as err:
+        parse_group_text(f"degree: {bound_bits + 1}\n(1 2)\n", budgets)
+    assert err.value.needed == 2 ** (bound_bits + 1)
+    assert parse_group_text("degree: 27\n(1 2)\n", budgets).order == 2
+
+
 def test_read_group_file(tmp_path):
     path = tmp_path / "c4.grp"
     path.write_text("degree: 4\n(1 2 3 4)\n")

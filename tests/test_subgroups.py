@@ -89,7 +89,7 @@ def test_members_are_conjugate_and_distinct(s4_catalog):
             assert are_conjugate_in_symmetric(m, cls.representative)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_conjugate_ranks_are_the_class_members(n):
     for cls in all_subgroups(n).classes:
         rows = _conjugate_ranks(cls.representative)
@@ -128,6 +128,67 @@ def _multiplication_table(n):
     """mul[a, b] is the rank of a.b, applying b first, by definition."""
     rows = [tuple(r) for r in _symmetric_rows(range(1, n + 1), n)[0].tolist()]
     return np.array([[_lex_rank(tuple(a[v] for v in b)) for b in rows] for a in rows])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tables_match_the_oracle(n):
+    rows = _symmetric_rows(range(1, n + 1), n)[0]
+    t = subgroups._tables(rows)
+    assert (t.mul == _multiplication_table(n)).all()
+    perms = [Permutation._raw(tuple(r)) for r in rows.tolist()]
+    assert t.inv.tolist() == [_lex_rank(p.inverse()._img) for p in perms]
+    assert t.order.tolist() == [p.order for p in perms]
+    power = [Permutation._raw(tuple(range(n)))] * len(perms)
+    for j in range(len(t.powers)):
+        assert t.powers[j].tolist() == [_lex_rank(q._img) for q in power]
+        power = [q * p for q, p in zip(power, perms)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_skipped_extensions_give_the_spanned_class(monkeypatch, n):
+    """For every base B and spanned x, every prime-power y that the skip
+    rule covers spans <B, y> in the class of <B, x>, by brute force over
+    the oracle table; and the normalizer passed along is N(B)."""
+    calls = []
+    real = subgroups._same_class_extensions
+
+    def recording(t, base, normalizer, x):
+        covered = real(t, base, normalizer, x)
+        calls.append((base, normalizer, x, covered))
+        return covered
+
+    monkeypatch.setattr(subgroups, "_catalog_cache", {})
+    monkeypatch.setattr(subgroups, "_same_class_extensions", recording)
+    catalog = all_subgroups(n)
+    mul = _multiplication_table(n)
+    inv = np.argmin(mul, axis=1)
+    order = [Permutation._raw(tuple(r)).order for r in _symmetric_rows(range(1, n + 1), n)[0].tolist()]
+    assert calls
+    for base, normalizer, x, covered in calls:
+        conjugates = np.sort(mul[mul[:, base], inv[:, None]], axis=1)
+        assert normalizer.tolist() == np.flatnonzero((conjugates == base).all(axis=1)).tolist()
+        spanned = catalog._index[tuple(subgroups._span(mul, base, np.r_[base, x]).tolist())]
+        for y in np.unique(covered).tolist():
+            if subgroups._is_prime_power(order[y]):
+                grown = subgroups._span(mul, base, np.r_[base, y])
+                assert catalog._index[tuple(grown.tolist())] is spanned
+
+
+def test_enumeration_at_degree_six_spans_few_groups(monkeypatch):
+    """The skip rule keeps the cold degree-6 enumeration under 1,000 spans
+    (5,386 when only the left coset x.B is skipped)."""
+    calls = 0
+    real = subgroups._span
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(subgroups, "_catalog_cache", {})
+    monkeypatch.setattr(subgroups, "_span", counting)
+    assert all_subgroups(6).total_subgroups == EXPECTED_TOTALS[6]
+    assert 0 < calls < 1000
 
 
 @st.composite
