@@ -21,6 +21,7 @@ the curated degree-7 panel used by the verification suite.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -264,31 +265,37 @@ def wielandt_closure(
 ) -> PermGroup:
     """The largest group with the same orbits on k-tuples of points.
 
-    A permutation is fixed by its image of one injective (n-1)-tuple, so
-    G^(n-1) = G, and so is every G^(k), k >= n-1, which lies between G and
-    G^(n-1); the group itself is returned there.
+    The closure keeps every point orbit (below), so it fixes every point
+    the group fixes.  It is therefore computed on the group's m moved
+    points, relabelled 1..m in order, and extended by the identity on the
+    fixed points; the relabelling keeps the lex order of the rows, so the
+    candidates and generators are those of the whole degree.
 
-    For k <= n-2, candidates are restricted to permutations preserving
+    A permutation is fixed by its image of one injective (m-1)-tuple, so
+    G^(m-1) = G, and so is every G^(k), k >= m-1, which lies between G and
+    G^(m-1); the group itself is returned there.
+
+    For k <= m-2, candidates are restricted to permutations preserving
     every point orbit setwise, which is sound: orbits of constant tuples
     recover the point orbits, so any permutation with the same tuple
     orbits preserves them.  They are built at once, as the product of the
     symmetric groups on the orbits, and tested in one batch against the
-    group's orbits on the hook class of content (1^k, n-k) over k+1
+    group's orbits on the hook class of content (1^k, m-k) over k+1
     letters under the coordinate action:
 
-    * The injective k-tuple r of points corresponds to the n-tuple a with
+    * The injective k-tuple r of points corresponds to the m-tuple a with
       a_(r_i) = i and k+1 elsewhere, and sigma o r to a^(sigma^-1).  So
       sigma keeps every orbit of injective k-tuples exactly when sigma^-1,
       hence sigma, keeps every orbit of the class: the accepted candidates,
       and through ``_group_from_union`` the generators, are those of the
-      value action on all of n^k.
+      value action on all of m^k.
     * Every k-tuple r is a contraction s o f of an injective k-tuple s,
       f a map of the k coordinates, and sigma o s in G o s gives
       sigma o r in G o r.
 
-    So n!/(n-k)! tuples are labelled, not n^k.  The repeated letter comes
+    So m!/(m-k)! tuples are labelled, not n^k.  The repeated letter comes
     last, so the first members in lex order are the tuples of the first
-    points, and a candidate that moves them fails early; only at k = n-2,
+    points, and a candidate that moves them fails early; only at k = m-2,
     where the content (2, 1^k) is also the balanced one, is it taken in
     the balanced order, first.  Any order of the letters gives the same
     accepted candidates.  The hook class has at most k+1 parts, so by the
@@ -298,9 +305,37 @@ def wielandt_closure(
     if k < 1:
         raise ValueError("k must be at least 1")
     n = group.degree
-    if k >= n - 1:
+    support = np.flatnonzero((group._rows != np.arange(n)).any(axis=0))
+    m = len(support)
+    if k >= m - 1:
         return group
     b = resolve(budgets)
+    if m == n:
+        return _closure_moving_every_point(group, k, b)
+    local = np.zeros(n, dtype=np.intp)
+    local[support] = np.arange(m)
+
+    def down(rows: np.ndarray) -> np.ndarray:
+        return local[rows[:, support]]
+
+    def up(rows: np.ndarray) -> np.ndarray:
+        out = np.tile(np.arange(n, dtype=group._rows.dtype), (len(rows), 1))
+        out[:, support] = support[rows]
+        return out
+
+    def gens(g: PermGroup, relabel: Callable) -> list[tuple[int, ...]]:
+        return list(map(tuple, relabel(np.array([p._img for p in g.generators])).tolist()))
+
+    on_support = PermGroup._build(m, down(group._rows), gens(group, down), None)
+    closure = _closure_moving_every_point(on_support, k, b)
+    if closure.order == group.order:
+        return group
+    return PermGroup._build(n, up(closure._rows), gens(closure, up), group.ground_set)
+
+
+def _closure_moving_every_point(group: PermGroup, k: int, b: Budgets) -> PermGroup:
+    """``wielandt_closure`` of a group that moves all its n points, k <= n-2."""
+    n = group.degree
     orbits = full_orbits(group, n)
     b.check("candidate", math.prod(math.factorial(len(o)) for o in orbits))
     # at k = n-2 the hook content is the balanced one, (2, 1^k): in that

@@ -172,9 +172,18 @@ def _same_class_extensions(
     proved in the module docstring)."""
     j = np.arange(1, t.order[x])
     xj = t.powers[j[np.gcd(j, t.order[x]) == 1], x]
-    conjugates = np.unique(t.mul[t.mul[normalizer[:, None], xj], t.inv[normalizer, None]])
-    left = np.unique(t.mul[base[:, None], conjugates])
+    conjugates = _distinct(t.mul[t.mul[normalizer[:, None], xj], t.inv[normalizer, None]])
+    left = _distinct(t.mul[base[:, None], conjugates])
     return t.mul[left[:, None], base]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: ``np.unique`` without its masked-array
+    check, which imports ``numpy.ma`` (numpy 2.4)."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def all_subgroups(

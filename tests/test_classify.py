@@ -1,5 +1,7 @@
 """Shape classification of non-closed groups and the point-tuple closure."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,14 @@ from permclosure.closure import galois_closure
 from permclosure.subgroups import all_subgroups
 from permclosure.tuples import kpow_orbit_partition
 from permclosure.perm import (
+    Permutation,
     alternating_on,
+    conjugate_group,
     direct_product,
     generate_group,
     index2_subdirect,
     symmetric_on,
+    viewed_at_degree,
 )
 
 
@@ -152,9 +157,9 @@ def test_point_tuple_closure_of_a_degree_one_group_is_itself():
 
 @pytest.mark.parametrize("cycles", [("(1 2 3)", "(4 5)"), ("(36 37 38)", "(39 40)")])
 def test_point_tuple_closure_past_intp_indices(cycles):
-    """At degree 40 the hook class over 3 and 4 letters passes intp
-    indices (3^40 and 4^40 exceed 2^63), and its keys take two limbs.
-    The closure lies in the product of the symmetric groups on the point
+    """At degree 40, (k+1)^40 passes intp indices for k >= 2 (3^40 and
+    4^40 exceed 2^63); the closure is computed on the five moved points, so
+    no tuple over the fixed points is labelled.  The closure lies in the product of the symmetric groups on the point
     orbits, so the value action on 40^k, tried on that product alone, is
     the brute force."""
     g = grp(40, " ".join(cycles))
@@ -169,6 +174,35 @@ def test_point_tuple_closure_past_intp_indices(cycles):
         got = wielandt_closure(g, k)
         assert got.order == len(want) and all(sigma in got for sigma in want), (cycles, k)
     assert wielandt_closure(g, 2) == g
+
+
+@pytest.mark.parametrize("support", [(36, 37, 38, 39, 40), (3, 11, 17, 29, 40)])
+def test_point_tuple_closure_of_a_moved_group_is_the_moved_closure(s5_catalog, support):
+    """Each degree-5 class moved onto five of 40 points, in order: its
+    closure is the moved closure, generators included, from k = 1 to k = 4,
+    where it is the group itself."""
+    # points 1..5 go to the support in order, the rest to the rest in order
+    pi = Permutation(list(support) + [p for p in range(1, 41) if p not in support])
+    for cls in s5_catalog.classes:
+        moved = conjugate_group(viewed_at_degree(cls.representative, 40), pi)
+        for k in range(1, 5):
+            want = conjugate_group(viewed_at_degree(wielandt_closure(cls.representative, k), 40), pi)
+            got = wielandt_closure(moved, k)
+            assert got == want, (cls.order, k, support)
+            assert got.generators == want.generators and got.ground_set == want.ground_set
+
+
+def test_one_representative_decides_its_class_at_degree_six():
+    """Both closures commute with relabelling the points, so a seeded
+    sample of degree-6 subgroups gets its class representative's verdict
+    and closure orders."""
+    catalog = all_subgroups(6)
+    for g in random.Random(6).sample(catalog.all_groups(), 40):
+        rep = catalog.class_of(g).representative
+        for k in (1, 2, 3):
+            assert check_wielandt_containment(g, k) == check_wielandt_containment(rep, k)
+            assert wielandt_closure(g, k).order == wielandt_closure(rep, k).order, (g, k)
+            assert galois_closure(g, k + 1).order == galois_closure(rep, k + 1).order, (g, k)
 
 
 def test_containment_between_the_two_closures():

@@ -328,6 +328,34 @@ def test_verify_wielandt_small(capsys):
     assert "90 containment checks" in out and "0 failures" in out
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_verify_wielandt_counts_every_subgroup(capsys, n):
+    """One representative is checked per class, and the counts weigh it
+    by its class size: three checks per subgroup."""
+    code, out, _ = run(capsys, "verify", "--theorem", "wielandt", "--n", str(n),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["degrees"] == {
+        str(n): {"checked": 3 * subgroups.EXPECTED_TOTALS[n], "failed": 0}
+    }
+
+
+def test_verify_wielandt_timings_add_lines_only(capsys):
+    _, plain, _ = run(capsys, "verify", "--theorem", "wielandt")
+    code, timed, _ = run(capsys, "verify", "--theorem", "wielandt", "--timings")
+    assert code == 0
+    extra = timed.splitlines()
+    assert "  representatives checked: 11" in extra
+    assert "  representatives checked: 19" in extra
+    assert extra[-1].startswith("wall time: ")
+    assert [line for line in extra if "representatives" not in line][:-1] == plain.splitlines()
+    code, out, _ = run(capsys, "verify", "--theorem", "wielandt", "--n", "6",
+                       "--timings", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["wall_time"] > 0
+    assert doc["degrees"]["6"]["representatives"] == subgroups.EXPECTED_CLASS_COUNTS[6]
+
+
 def test_verify_main_panel_row(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "main",
                        "--group", "catalog:C_7", "--k", "5")

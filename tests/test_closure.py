@@ -430,6 +430,24 @@ def test_tester_matches_one_map_at_a_time(monkeypatch, cells):
         assert len(want) < len(rows)
 
 
+def test_tester_with_keys_in_two_limbs():
+    """The injective point pairs of degree 40 as a class over 3 letters:
+    3^40 passes intp, so the keys take two limbs.  The product of the
+    symmetric groups on the orbits of <(1 2 3)(4 5)> and random
+    permutations of the 40 points are tested against one map at a time."""
+    g = grp(40, "(1 2 3)(4 5)")
+    part = cached_orbit_partition(g, 3, content=(1, 1, 38))
+    assert len(part.space.key_weights) == 2
+    rng = np.random.default_rng(40)
+    product = direct_product(symmetric_on((1, 2, 3), 40), symmetric_on((4, 5), 40))
+    rows = np.concatenate([product._rows, [rng.permutation(40) for _ in range(20)]])
+    rows = rows.astype(np.uint8)[rng.permutation(len(rows))]
+    got = _accepted_rows(part.space, part.labels, rows)
+    want = [i for i, row in enumerate(rows)
+            if _accepts_by_index_map(part.space, part.labels, row)]
+    assert got.tolist() == want and len(want) == g.order
+
+
 # ---------------------------------------------------------------------------
 # closure laws (small samples; the verification suite runs the full battery)
 

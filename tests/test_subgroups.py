@@ -3,6 +3,9 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,6 +208,28 @@ def test_span_from_the_identity_is_the_generated_group(case):
     span = subgroups._span(_multiplication_table(n), np.zeros(1, dtype=np.intp), gens)
     group = generate_group([Permutation._raw(tuple(img)) for img in images], degree=n)
     assert span.tolist() == group._ranks.tolist()
+
+
+def test_enumeration_leaves_numpy_ma_unloaded():
+    """``np.unique`` without index outputs imports ``numpy.ma`` (numpy 2.4),
+    about 15 ms in a fresh interpreter; enumeration does without it."""
+    code = (
+        "import sys\n"
+        "from permclosure.subgroups import all_subgroups\n"
+        "all_subgroups(5)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_distinct_values_match_numpy():
+    rng = np.random.default_rng(3)
+    for values in (np.zeros(0, dtype=np.int16), rng.integers(0, 9, size=(7, 5)).astype(np.int16)):
+        got = subgroups._distinct(values)
+        assert got.dtype == values.dtype and np.array_equal(got, np.unique(values))
 
 
 # ---------------------------------------------------------------------------
