@@ -225,13 +225,6 @@ def test_enumeration_leaves_numpy_ma_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_distinct_values_match_numpy():
-    rng = np.random.default_rng(3)
-    for values in (np.zeros(0, dtype=np.int16), rng.integers(0, 9, size=(7, 5)).astype(np.int16)):
-        got = subgroups._distinct(values)
-        assert got.dtype == values.dtype and np.array_equal(got, np.unique(values))
-
-
 # ---------------------------------------------------------------------------
 # chain statistics
 
