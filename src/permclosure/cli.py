@@ -87,7 +87,17 @@ def _gens_text(group: PermGroup) -> str:
     return ", ".join(format_perm(g) for g in group.generators)
 
 
-def _emit(args: argparse.Namespace, lines: list[str], doc: dict) -> None:
+def _emit(
+    args: argparse.Namespace, lines: list[str], doc: dict, started: float | None = None
+) -> None:
+    """Print the lines, or the document as JSON.  A handler whose report
+    keeps no wall time passes the ``time.perf_counter()`` reading it started
+    at; under ``--timings`` that adds a final ``wall time`` line and a
+    ``wall_time`` key."""
+    if args.timings and started is not None:
+        wall = time.perf_counter() - started
+        lines = [*lines, f"wall time: {wall:.3f}s"]
+        doc = {**doc, "wall_time": wall}
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False))
     else:
@@ -125,6 +135,7 @@ def _cmd_closure(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace, budgets: Budgets) -> int:
+    started = time.perf_counter()
     group = _load_group(args.group, budgets)
     rep = closure_chain(group, budgets=budgets)
     lines = [
@@ -136,7 +147,7 @@ def _cmd_chain(args: argparse.Namespace, budgets: Budgets) -> int:
         lines.append(f"k={e.k}: closure order {e.closure.order} ({state})")
     lines.append(f"largest non-closed alphabet: {rep.largest_nonclosed_k}")
     lines.append(f"distinct groups in chain: {rep.distinct_count}")
-    _emit(args, lines, rep.summary_dict())
+    _emit(args, lines, rep.summary_dict(), started)
     return EXIT_OK
 
 
@@ -153,12 +164,13 @@ def _cmd_table1(args: argparse.Namespace, budgets: Budgets) -> int:
     lines += ["  " + r.as_text() for r in rep.extra_rows]
     lines.append(f"reference match: {'yes' if rep.matches_reference else 'no'}")
     if args.timings:
-        lines.append(f"wall time: {rep.wall_time:.1f}s")
+        lines.append(f"wall time: {rep.wall_time:.3f}s")
     _emit(args, lines, rep.summary_dict(include_timing=args.timings))
     return EXIT_OK if rep.matches_reference else EXIT_CHECK_FAILED
 
 
 def _cmd_orbit_equiv(args: argparse.Namespace, budgets: Budgets) -> int:
+    started = time.perf_counter()
     g = _load_group(args.group1, budgets)
     h = _load_group(args.group2, budgets)
     # the counts are on all of k^n, so its tuple budget is checked first
@@ -176,11 +188,12 @@ def _cmd_orbit_equiv(args: argparse.Namespace, budgets: Budgets) -> int:
         "orbit_counts": counts,
         "equivalent": equal,
     }
-    _emit(args, lines, doc)
+    _emit(args, lines, doc, started)
     return EXIT_OK if equal else EXIT_CHECK_FAILED
 
 
 def _cmd_invariance(args: argparse.Namespace, budgets: Budgets) -> int:
+    started = time.perf_counter()
     table = FunctionTable.read(args.table, budgets=budgets)
     group = invariance_group(table, budgets=budgets)
     lines = [
@@ -195,11 +208,12 @@ def _cmd_invariance(args: argparse.Namespace, budgets: Budgets) -> int:
         "order": group.order,
         "generators": [format_perm(g) for g in group.generators],
     }
-    _emit(args, lines, doc)
+    _emit(args, lines, doc, started)
     return EXIT_OK
 
 
 def _cmd_enumerate(args: argparse.Namespace, budgets: Budgets) -> int:
+    started = time.perf_counter()
     cat = all_subgroups(args.n, budgets=budgets)
     lines = [
         f"subgroups of the degree-{cat.degree} symmetric group: "
@@ -223,7 +237,7 @@ def _cmd_enumerate(args: argparse.Namespace, budgets: Budgets) -> int:
             for cls in cat.classes
         ],
     }
-    _emit(args, lines, doc)
+    _emit(args, lines, doc, started)
     return EXIT_OK
 
 
@@ -231,6 +245,7 @@ def _cmd_enumerate(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _verify_main_theorem(args: argparse.Namespace, budgets: Budgets) -> int:
+    started = time.perf_counter()
     if args.group is not None:
         if args.k is None:
             raise UsageError("--k is required when --group is given")
@@ -244,7 +259,7 @@ def _verify_main_theorem(args: argparse.Namespace, budgets: Budgets) -> int:
             f"computed closure order: {rep.computed_closure.order}",
             f"agree: {'yes' if rep.agree else 'no'}",
         ]
-        _emit(args, lines, rep.summary_dict())
+        _emit(args, lines, rep.summary_dict(), started)
         return EXIT_OK if rep.agree else EXIT_CHECK_FAILED
 
     n, k = 7, 5
@@ -273,7 +288,7 @@ def _verify_main_theorem(args: argparse.Namespace, budgets: Budgets) -> int:
             f"{'agree' if rep.agree and kind_ok else 'DISAGREE'}"
         )
     lines.append(f"all panel groups agree: {'yes' if ok else 'no'}")
-    _emit(args, lines, {"degree": n, "k": k, "panel": rows, "verified": ok})
+    _emit(args, lines, {"degree": n, "k": k, "panel": rows, "verified": ok}, started)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -283,7 +298,7 @@ def _verify_seress(args: argparse.Namespace, budgets: Budgets) -> int:
     lines += ["  " + " ".join(c) for c in rep.classes]
     lines.append(f"expected classes matched: {'yes' if rep.matches else 'no'}")
     if args.timings:
-        lines.append(f"wall time: {rep.wall_time:.1f}s")
+        lines.append(f"wall time: {rep.wall_time:.3f}s")
     _emit(args, lines, rep.summary_dict(include_timing=args.timings))
     return EXIT_OK if rep.matches else EXIT_CHECK_FAILED
 
@@ -300,7 +315,7 @@ def _verify_primitive3(args: argparse.Namespace, budgets: Budgets) -> int:
     )
     lines.append(f"matches: {'yes' if rep.matches else 'no'}")
     if args.timings:
-        lines.append(f"wall time: {rep.wall_time:.1f}s")
+        lines.append(f"wall time: {rep.wall_time:.3f}s")
     _emit(args, lines, rep.summary_dict(include_timing=args.timings))
     return EXIT_OK if rep.matches else EXIT_CHECK_FAILED
 
@@ -308,7 +323,7 @@ def _verify_primitive3(args: argparse.Namespace, budgets: Budgets) -> int:
 def _verify_wielandt(args: argparse.Namespace, budgets: Budgets) -> int:
     if args.n is not None and not 2 <= args.n <= 6:
         raise UsageError(f"--n must be in 2..6 for the wielandt theorem, got {args.n}")
-    t0 = time.perf_counter()
+    started = time.perf_counter()
     degrees = (4, 5) if args.n is None else (args.n,)
     lines = []
     doc: dict = {"degrees": {}, "verified": True}
@@ -352,11 +367,7 @@ def _verify_wielandt(args: argparse.Namespace, budgets: Budgets) -> int:
     doc["pair_closure_of_C4_order"] = w2.order
     doc["alphabet3_closure_of_C4_order"] = g3.order
     doc["verified"] = ok
-    if args.timings:
-        wall = time.perf_counter() - t0
-        lines.append(f"wall time: {wall:.1f}s")
-        doc["wall_time"] = wall
-    _emit(args, lines, doc)
+    _emit(args, lines, doc, started)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -306,18 +306,24 @@ class _YoungSubgroup:
 
 
 def _group_from_union(
-    base: PermGroup, extra: np.ndarray, candidates: np.ndarray, b: Budgets
+    base: PermGroup,
+    extra: np.ndarray | None,
+    candidates: np.ndarray,
+    b: Budgets,
+    order: int | None = None,
 ) -> PermGroup:
     """The group formed by base's elements plus the extra image rows,
     distinct and outside base (already known to be closed), with a short
     generating list grown greedily: base's own generators first, then the
-    candidate rows, which lie among the extra ones."""
-    order = base.order + len(extra)
+    candidate rows, which lie among the extra ones.  ``order`` is that of
+    the union; given as n!, ``extra`` is not read and may be None."""
+    if order is None:
+        order = base.order + len(extra)
     b.check("materialization", order)
     gens = tuple(_greedy_extension(base, candidates, order, b))
     # the generators move what the union moves
     ground = sorted(set(base.ground_set) | _moved_points(gens)) or None
-    if not len(extra):
+    if order == base.order:
         rows, ranks = base._rows, base._ranks
     elif order == math.factorial(base.degree):
         rows, ranks = _symmetric_rows(range(1, base.degree + 1), base.degree)
@@ -426,11 +432,12 @@ def closure_pruned(
     representatives are the least elements of the left cosets of H in
     stab(a*) other than H, in sorted order: min-label propagation over
     the maps rank(gamma) -> rank(gamma.h), one per generator h of H.
-    Neither stab(a*) nor the product set is materialized, and
-    ``candidates_examined`` is the product set's size |G|.|stab(a*)|/|H|.
-    The representatives are tested against G's orbits on the balanced
-    class, which decide membership (module docstring).  Only accepted
-    cosets are built, for the closure."""
+    H is found by scanning whichever of G and stab(a*) is smaller; the
+    product set is never materialized, and ``candidates_examined`` is its
+    size |G|.|stab(a*)|/|H|.  The representatives are tested against G's
+    orbits on the balanced class, which decide membership (module
+    docstring).  Only accepted cosets are built, for the closure, and none
+    when the closure is S_n."""
     _check_alphabet(k)
     t0 = time.perf_counter()
     b = resolve(budgets)
@@ -443,7 +450,15 @@ def closure_pruned(
 
     stab = _YoungSubgroup(sizes, n)
     g_rows = group._rows
-    h_eltups = [tuple(t) for t in g_rows[stab.contains(g_rows)].tolist()]
+    # H in lex order: stab(a*) is listed in lex order, as is G
+    if stab.order < group.order:
+        s_rows = stab.rows(np.arange(stab.order))
+        s_ranks = _lex_ranks(s_rows)
+        pos = np.minimum(np.searchsorted(group._ranks, s_ranks), group.order - 1)
+        h_rows = s_rows[group._ranks[pos] == s_ranks]
+    else:
+        h_rows = g_rows[stab.contains(g_rows)]
+    h_eltups = [tuple(t) for t in h_rows.tolist()]
     h_gens, _ = _greedy_span(h_eltups, n, b, len(h_eltups))
     labels = _min_labels(stab.order, [stab.rank_map(h) for h in h_gens])
     reps = stab.rows(np.flatnonzero(labels == np.arange(stab.order))[1:])
@@ -453,9 +468,11 @@ def closure_pruned(
         accepted = reps[_accepted_rows(part.space, part.labels, reps)]
     else:
         accepted = reps
-    # the coset gamma.G of each accepted gamma, G applied first
-    cosets = accepted[:, g_rows].reshape(-1, n)
-    closure = _group_from_union(group, cosets, accepted, b)
+    order = group.order * (len(accepted) + 1)
+    # the coset gamma.G of each accepted gamma, G applied first; S_n is
+    # rebuilt from its own rows
+    cosets = accepted[:, g_rows].reshape(-1, n) if order < math.factorial(n) else None
+    closure = _group_from_union(group, cosets, accepted, b, order)
     examined = group.order * (len(reps) + 1)
     return ClosureReport(
         group, k, closure, "pruned", examined, a_star, time.perf_counter() - t0

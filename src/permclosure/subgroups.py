@@ -3,14 +3,17 @@ of nontrivial closures at degree up to 6, and chain-length statistics.
 
 Enumeration works up to conjugacy, on lex ranks throughout: a subgroup is
 its sorted rank array, and every group operation is a lookup in S_n's
-tables by rank (``_tables``): the multiplication table ``mul``, built one
-block of n!/n rows at a time, the inverses read off it, and the powers and
-order of every element.  From the trivial group, each class is extended
-from its first group by one prime-power element at a time; subgroups are
-generated by such elements, and extensions of conjugate groups are
-conjugate, so this reaches every class.  A new class's members are the
-distinct rows of sort(mul[mul[:, H], inv]), two table gathers: row s holds
-the ranks of s.H.s^-1, and the rows equal to H give the normalizer N(H).
+tables by rank (``_tables``): the multiplication table ``mul``, the
+inverses read off it, and the powers and order of every element.  ``mul``
+is filled by a breadth-first walk from the identity over the generators
+(0 1) and (0 1 ... n-1) of S_n: row s.p is row p mapped through the left
+multiplication by s, as (s.p).b = s.(p.b), so each row is one gather.
+From the trivial group, each class is extended from its first group by
+one prime-power element at a time; subgroups are generated by such
+elements, and extensions of conjugate groups are conjugate, so this
+reaches every class.  A new class's members are the distinct rows of
+sort(mul[mul[:, H], inv]), two table gathers: row s holds the ranks of
+s.H.s^-1, and the rows equal to H give the normalizer N(H).
 One index from every member's rank tuple to its class finds repeats,
 answers ``class_of`` and names the survey rows.
 
@@ -144,22 +147,37 @@ class _Tables(NamedTuple):
 
 
 def _tables(sn_rows: np.ndarray) -> _Tables:
-    """The tables of the lex-ordered rows of S_n.  ``mul`` takes one
-    ``_lex_ranks`` call per block of n!/n rows, so the largest temporary is
-    n!^2/n products, not all n!^2 at once."""
+    """The tables of the lex-ordered rows of S_n.  ``mul`` is filled by a
+    breadth-first walk from the identity over the generators s = (0 1) and
+    (0 1 ... n-1): since (s.p).b = s.(p.b), row s.p is left_s[mul[p]], where
+    left_s[r] is the rank of s.(row r).  So ``_lex_ranks`` runs once per
+    generator on the n! rows, and each row of ``mul`` is one gather."""
     size, n = sn_rows.shape
+    cycle = np.roll(np.arange(n), -1)
+    swap = np.r_[1, 0, np.arange(2, n)] if n > 1 else cycle
+    lefts = [_lex_ranks(s[sn_rows]).astype(np.int16) for s in (swap, cycle)]
     mul = np.empty((size, size), dtype=np.int16)
-    step = size // n
-    for lo in range(0, size, step):
-        block = sn_rows[lo:lo + step]
-        # block[:, sn_rows][i, b] is the row of block[i].b
-        mul[lo:lo + step] = _lex_ranks(block[:, sn_rows].reshape(-1, n)).reshape(len(block), size)
+    # the identity has rank 0
+    mul[0] = np.arange(size)
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while len(frontier):
+        reached = []
+        for left in lefts:
+            # left is a permutation of the ranks, so q holds no repeats
+            q = left[frontier]
+            fresh = ~seen[q]
+            q = q[fresh]
+            seen[q] = True
+            mul[q] = left[mul[frontier[fresh]]]
+            reached.append(q)
+        frontier = np.concatenate(reached)
     every = np.arange(size)
     powers = [np.zeros(size, dtype=np.intp), every]
     while powers[-1].any():
         powers.append(mul[powers[-1], every])
     powers = np.array(powers)
-    # the identity has rank 0
     return _Tables(mul, mul.argmin(axis=1), powers, (powers[1:] == 0).argmax(axis=0) + 1)
 
 

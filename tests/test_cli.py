@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -388,3 +389,37 @@ def test_repeated_runs_are_byte_identical(capsys, c4_file):
     _, one, _ = run(capsys, "chain", c4_file, "--format", "json")
     _, two, _ = run(capsys, "chain", c4_file, "--format", "json")
     assert one == two
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "catalog:C_4", "-k", "2"],
+        ["chain", "catalog:A_5"],
+        ["table1"],
+        ["orbit-equiv", "catalog:A_5", "catalog:S_5", "-k", "3"],
+        ["invariance", "{table}"],
+        ["enumerate", "--n", "4"],
+        ["verify", "--theorem", "main"],
+        ["verify", "--theorem", "main", "--group", "catalog:C_7", "--k", "5"],
+        ["verify", "--theorem", "seress", "--n", "5"],
+        ["verify", "--theorem", "primitive3", "--n", "5"],
+    ],
+    ids=" ".join,
+)
+def test_timings_add_only_the_wall_time(capsys, tmp_path, argv):
+    """``--timings`` adds a final wall-time line, to the millisecond, and a
+    ``wall_time`` key; everything else is what the plain run prints."""
+    table = tmp_path / "maj.tbl"
+    table.write_text("3 2 2\ndefault 1\n2 2 1 -> 2\n2 1 2 -> 2\n1 2 2 -> 2\n2 2 2 -> 2\n")
+    argv = [str(table) if a == "{table}" else a for a in argv]
+    code, plain, _ = run(capsys, *argv)
+    timed_code, timed, _ = run(capsys, *argv, "--timings")
+    *head, last = timed.splitlines()
+    assert timed_code == code and head == plain.splitlines()
+    assert re.fullmatch(r"wall time: \d+\.\d{3}s", last)
+    _, plain, _ = run(capsys, *argv, "--format", "json")
+    _, timed, _ = run(capsys, *argv, "--format", "json", "--timings")
+    timed = json.loads(timed)
+    assert timed.pop("wall_time") > 0
+    assert timed == json.loads(plain)

@@ -133,7 +133,7 @@ def _multiplication_table(n):
     return np.array([[_lex_rank(tuple(a[v] for v in b)) for b in rows] for a in rows])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_tables_match_the_oracle(n):
     rows = _symmetric_rows(range(1, n + 1), n)[0]
     t = subgroups._tables(rows)
@@ -145,6 +145,22 @@ def test_tables_match_the_oracle(n):
     for j in range(len(t.powers)):
         assert t.powers[j].tolist() == [_lex_rank(q._img) for q in power]
         power = [q * p for q, p in zip(power, perms)]
+
+
+def test_tables_rank_two_permutations_per_element(monkeypatch):
+    """The degree-6 table is walked out from the identity, one row per
+    gather: 2 x 720 rows are ranked, not the 518,400 products."""
+    ranked = 0
+    real = subgroups._lex_ranks
+
+    def counting(rows):
+        nonlocal ranked
+        ranked += len(rows)
+        return real(rows)
+
+    monkeypatch.setattr(subgroups, "_lex_ranks", counting)
+    subgroups._tables(_symmetric_rows(range(1, 7), 6)[0])
+    assert 0 < ranked <= 2 * 720
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
