@@ -346,7 +346,7 @@ def _closure_moving_every_point(group: PermGroup, k: int, b: Budgets) -> PermGro
     ranks = _lex_ranks(cand)
     order = np.argsort(ranks)
     cand = cand[order[~np.isin(ranks[order], group._ranks)]]
-    extra = cand[_accepted_rows(part.space, part.labels, cand)]
+    extra = cand[_accepted_rows(part.space, part.labels, [(0, cand, np.arange(len(cand)))])]
     return _group_from_union(group, extra, extra, b)
 
 

@@ -88,13 +88,13 @@ def _gens_text(group: PermGroup) -> str:
 
 
 def _emit(
-    args: argparse.Namespace, lines: list[str], doc: dict, started: float | None = None
+    args: argparse.Namespace, lines: list[str], doc: dict, started: float
 ) -> None:
-    """Print the lines, or the document as JSON.  A handler whose report
-    keeps no wall time passes the ``time.perf_counter()`` reading it started
-    at; under ``--timings`` that adds a final ``wall time`` line and a
-    ``wall_time`` key."""
-    if args.timings and started is not None:
+    """Print the lines, or the document as JSON.  Every handler passes
+    the ``time.perf_counter()`` reading it started at, before it loads
+    anything; under ``--timings`` that adds a final ``wall time`` line and
+    a ``wall_time`` key."""
+    if args.timings:
         wall = time.perf_counter() - started
         lines = [*lines, f"wall time: {wall:.3f}s"]
         doc = {**doc, "wall_time": wall}
@@ -110,9 +110,9 @@ def _emit(
 
 
 def _cmd_closure(args: argparse.Namespace, budgets: Budgets) -> int:
+    started = time.perf_counter()
     group = _load_group(args.group, budgets)
     rep = closure_report(group, args.k, algorithm=args.algorithm, budgets=budgets)
-    doc = rep.summary_dict(include_timing=args.timings)
     lines = [
         f"degree: {group.degree}",
         f"alphabet: {args.k}",
@@ -128,9 +128,7 @@ def _cmd_closure(args: argparse.Namespace, budgets: Budgets) -> int:
         lines.append(
             "pruning tuple: " + " ".join(str(v) for v in rep.pruning_tuple)
         )
-    if args.timings:
-        lines.append(f"wall time: {rep.wall_time:.3f}s")
-    _emit(args, lines, doc)
+    _emit(args, lines, rep.summary_dict(), started)
     return EXIT_OK
 
 
@@ -152,6 +150,7 @@ def _cmd_chain(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace, budgets: Budgets) -> int:
+    started = time.perf_counter()
     rep = table1_report(budgets=budgets)
     lines = [f"reference rows ({len(rep.reference_rows)}):"]
     lines += ["  " + r.as_text() for r in rep.reference_rows]
@@ -163,9 +162,7 @@ def _cmd_table1(args: argparse.Namespace, budgets: Budgets) -> int:
     lines.append(f"additional rows ({len(rep.extra_rows)}):")
     lines += ["  " + r.as_text() for r in rep.extra_rows]
     lines.append(f"reference match: {'yes' if rep.matches_reference else 'no'}")
-    if args.timings:
-        lines.append(f"wall time: {rep.wall_time:.3f}s")
-    _emit(args, lines, rep.summary_dict(include_timing=args.timings))
+    _emit(args, lines, rep.summary_dict(), started)
     return EXIT_OK if rep.matches_reference else EXIT_CHECK_FAILED
 
 
@@ -293,17 +290,17 @@ def _verify_main_theorem(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _verify_seress(args: argparse.Namespace, budgets: Budgets) -> int:
+    started = time.perf_counter()
     rep = seress_report(args.n, budgets=budgets)
     lines = [f"orbit-equivalence classes at degree {rep.degree} (alphabet 2):"]
     lines += ["  " + " ".join(c) for c in rep.classes]
     lines.append(f"expected classes matched: {'yes' if rep.matches else 'no'}")
-    if args.timings:
-        lines.append(f"wall time: {rep.wall_time:.3f}s")
-    _emit(args, lines, rep.summary_dict(include_timing=args.timings))
+    _emit(args, lines, rep.summary_dict(), started)
     return EXIT_OK if rep.matches else EXIT_CHECK_FAILED
 
 
 def _verify_primitive3(args: argparse.Namespace, budgets: Budgets) -> int:
+    started = time.perf_counter()
     rep = primitive_3closed_report(args.n, budgets=budgets)
     lines = [f"closure over a 3-letter alphabet at degree {rep.degree}:"]
     for name, closed, order in rep.entries:
@@ -314,9 +311,7 @@ def _verify_primitive3(args: argparse.Namespace, budgets: Budgets) -> int:
         + (" ".join(rep.expected_nonclosed) or "(none)")
     )
     lines.append(f"matches: {'yes' if rep.matches else 'no'}")
-    if args.timings:
-        lines.append(f"wall time: {rep.wall_time:.3f}s")
-    _emit(args, lines, rep.summary_dict(include_timing=args.timings))
+    _emit(args, lines, rep.summary_dict(), started)
     return EXIT_OK if rep.matches else EXIT_CHECK_FAILED
 
 

@@ -13,13 +13,20 @@ Three interchangeable algorithms are provided:
   other than G are represented by the least element of each left coset
   of H = G ∩ stab(a*) in stab(a*) other than H, found by min-label
   propagation over the lexicographic ranks of stab(a*).  Each
-  representative is tested on the balanced class alone;
+  representative is tested, as a rank, on the balanced class alone;
 * ``closure_kearnes`` intersects the product sets stab(a) . G over
   representative tuples a, one per set partition of the coordinates into
   at most k classes.  Oracle grade, bounded by the candidate budget.
 
 All three agree exactly; the test suite checks that on a wide panel.
-Candidates are tested in numpy batches against the orbit labels.
+Candidates are tested in numpy batches against the orbit labels by one
+function, ``_accepted_rows``.  It takes them as a product over runs of
+points: per run, a table of local image rows and one row index per
+candidate.  Explicit rows are one run; ``closure_pruned`` passes ranks in
+stab(a*), one digit per run of a*, so a rejected representative never
+becomes an image row.  It tests sigma^-1 in place of sigma, which gets the
+same verdict because the permutations that keep a labelling form a group,
+and whose key weights are a gather by sigma itself, with no inverse.
 
 The balanced class decides.  The tuples of k^n in which each value occurs
 a given number of times form one S_n-orbit, a content class; its content
@@ -204,42 +211,99 @@ class ChainReport:
 # Most cells (tuple rows times candidates, or rows times arity) in any
 # temporary array of the batched test.
 _TEST_CELLS = 1 << 18
-# Tuple rows in the first chunk of the test; later chunks double.
-_FIRST_ROWS = 16
+# Fewest cells in the first chunk of the test, which is still at least one
+# tuple: below this a chunk costs more in per-call overhead than in work
+# (timed on the closures of C_6, C_9, C_10 and PSL(2,8)).
+_FIRST_CELLS = 1 << 13
 
 
 def _accepted_rows(
-    space: TupleSpace | ContentClass, labels: np.ndarray, images: np.ndarray
+    space: TupleSpace | ContentClass,
+    labels: np.ndarray,
+    runs: Sequence[tuple[int, np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """Indices, ascending, of the rows of ``images`` (one permutation per
-    row, as 0-based images) whose coordinate action on the space preserves
-    the labels.
+    """Indices, ascending, of the candidate permutations whose coordinate
+    action on the space preserves the labels.
 
-    Candidates go in blocks against chunks of the space's tuples, in
-    order, that double in size; a candidate leaves at its first failing
-    chunk.  A chunk's digits are ``space.rows(lo, hi)`` and the labels of
-    its images are read at ``space.positions`` of their keys, one per limb
-    of ``space.key_weights``.  The keys are integer products, which are
+    The candidates are a product over consecutive runs of points.  A run
+    ``(offset, perms, digits)`` maps the points from offset on among
+    themselves: candidate c sends offset+j to offset+perms[digits[c], j].
+    Explicit image rows are one run, ``(0, rows, arange(len(rows)))``;
+    ``_YoungSubgroup.runs`` splits lexicographic ranks into one run per
+    class, so no image row is built for a candidate that fails.
+
+    The test is of sigma^-1 in place of sigma.  Every permutation maps the
+    space onto itself, so the permutations that keep the labels f form a
+    group: if f(sigma.t) = f(t) for every t, then f(sigma^-1.t) =
+    f(sigma.(sigma^-1.t)) = f(t).  A candidate and its inverse therefore
+    get the same verdict.  Entry i of sigma^-1.t is t[sigma^-1(i)], so the
+    key of sigma^-1.t weights digit j by ``key_weights[:, sigma(j)]``: a
+    gather by the candidate's own images.
+
+    Tuple 0 is never read.  A candidate permutes the space, so each label
+    is taken as often as it is given; if it is kept at every other tuple,
+    it is kept at tuple 0 too.  That tuple is the one every candidate of
+    ``closure_pruned`` fixes, a* itself, and on all of k^n, (1, ..., 1).
+
+    Candidates go in blocks against chunks of the other tuples, in order,
+    and a candidate leaves at its first failing chunk.  The first chunk
+    holds at most ``_FIRST_CELLS`` cells and at least one tuple, which is
+    all it holds when candidates are many; most of them fail there.  Each
+    later chunk doubles, up to ``_TEST_CELLS`` over the live candidates
+    and limbs.
+
+    Per chunk, each run's key table holds its part of the key for each
+    tuple and each of its local rows, so a candidate's key is the sum of
+    one gather per run.  Once the runs have as many local rows together as
+    there are live candidates, as explicit rows have from the start, each
+    candidate's weights are gathered once into a column of one table, and
+    a chunk's keys are one product.  The labels are read at
+    ``space.positions`` of the keys, one row per limb.  A block holds at
+    most ``_TEST_CELLS`` / (limbs . arity) candidates, so that table stays
+    within ``_TEST_CELLS`` too.  The keys are integer products, which are
     exact and, unlike floating-point ones, do not go through a
     multithreaded BLAS.
     """
     size, arity, weights = space.size, space.arity, space.key_weights
     limbs = len(weights)
-    block = _TEST_CELLS // (max(_FIRST_ROWS, arity) * limbs)
+    count = len(runs[0][2])
+    block = max(1, _TEST_CELLS // (limbs * arity))
     kept = [np.empty(0, dtype=np.intp)]
-    for start in range(0, images.shape[0], block):
-        alive = np.arange(start, min(start + block, images.shape[0]))
-        # sigma moves digit j to weight position sigma^-1(j)
-        moved = weights[:, np.argsort(images[alive], axis=1)].transpose(0, 2, 1)
-        lo, rows = 0, _FIRST_ROWS
+    for start in range(0, count, block):
+        alive = np.arange(start, min(start + block, count))
+        live = [(off, perms, digits[start:start + block]) for off, perms, digits in runs]
+        lo, rows = 1, max(1, _FIRST_CELLS // (alive.size * limbs))
         while alive.size and lo < size:
-            hi = min(size, lo + rows)
-            at = space.positions(space.rows(lo, hi) @ moved)
-            ok = (labels[at] == labels[lo:hi, None]).all(axis=0)
-            del at  # so that at most two (rows, candidates) arrays live at once
-            alive, moved = alive[ok], moved[:, :, ok]
+            if live and sum(len(perms) for _, perms, _ in live) >= alive.size:
+                # one local row per candidate: weigh all points at once
+                moved = np.concatenate(
+                    [weights[:, off:off + perms.shape[1]][:, perms[digits]]
+                     for off, perms, digits in live],
+                    axis=2,
+                ).transpose(0, 2, 1)
+                live = []
+            cap = max(1, _TEST_CELLS // max(alive.size * limbs, arity))
+            hi = min(size, lo + min(rows, cap))
+            tuples = space.rows(lo, hi)
+            if live:
+                keys = np.zeros((limbs, hi - lo, alive.size), dtype=np.intp)
+                for off, perms, digits in live:
+                    run = slice(off, off + perms.shape[1])
+                    table = tuples[:, run] @ weights[:, run][:, perms].transpose(0, 2, 1)
+                    keys += np.take(table, digits, axis=2)
+            else:
+                keys = tuples @ moved
+            at = space.positions(keys)
+            del keys  # so that at most two (rows, candidates) arrays live at once
+            ok = np.flatnonzero((labels[at] == labels[lo:hi, None]).all(axis=0))
+            del at
+            rows = 2 * (hi - lo)
+            alive = alive[ok]
+            if live:
+                live = [(off, perms, digits[ok]) for off, perms, digits in live]
+            else:
+                moved = moved[:, :, ok]
             lo = hi
-            rows = min(2 * rows, _TEST_CELLS // max(alive.size * limbs, arity))
         kept.append(alive)
     return np.concatenate(kept)
 
@@ -291,17 +355,28 @@ class _YoungSubgroup:
             off += m
         return imap
 
+    def runs(self, ranks: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """The elements of the given ranks as runs (``_accepted_rows``):
+        per run its first point, its lex-ordered permutations, and each
+        element's in-run rank, a digit of its rank."""
+        digits = []
+        rest = ranks
+        for perms in reversed(self._runs[1:]):
+            # floor division by a scalar is several times faster than divmod
+            quotient = rest // len(perms)
+            digits.append(rest - quotient * len(perms))
+            rest = quotient
+        digits.append(rest)  # ranks are below the order, so this is a digit
+        offsets = np.cumsum([0] + [p.shape[1] for p in self._runs[:-1]]).tolist()
+        return list(zip(offsets, self._runs, reversed(digits)))
+
     def rows(self, ranks: np.ndarray) -> np.ndarray:
         """The elements of the given ranks as 0-based image rows."""
         out = np.empty((ranks.size, self.degree), dtype=_point_dtype(self.degree))
-        rest = ranks
-        off = self.degree
-        for perms in reversed(self._runs):
-            m = perms.shape[1]
-            off -= m
-            rest, digit = np.divmod(rest, len(perms))
-            out[:, off:off + m] = perms[digit]
-            out[:, off:off + m] += off
+        for off, perms, digits in self.runs(ranks):
+            run = out[:, off:off + perms.shape[1]]
+            run[:] = perms[digits]
+            run += off
         return out
 
 
@@ -414,9 +489,10 @@ def _preserving_group(
     candidate budget is checked before the labels are asked for."""
     b.check("candidate", math.factorial(base.degree))
     space, labels = labelled()
-    accepted = np.concatenate(
-        [rows[_accepted_rows(space, labels, rows)] for rows in _rows_outside(base)]
-    )
+    accepted = np.concatenate([
+        rows[_accepted_rows(space, labels, [(0, rows, np.arange(len(rows)))])]
+        for rows in _rows_outside(base)
+    ])
     return _group_from_union(base, accepted, accepted, b)
 
 
@@ -432,12 +508,15 @@ def closure_pruned(
     representatives are the least elements of the left cosets of H in
     stab(a*) other than H, in sorted order: min-label propagation over
     the maps rank(gamma) -> rank(gamma.h), one per generator h of H.
-    H is found by scanning whichever of G and stab(a*) is smaller; the
-    product set is never materialized, and ``candidates_examined`` is its
-    size |G|.|stab(a*)|/|H|.  The representatives are tested against G's
-    orbits on the balanced class, which decide membership (module
-    docstring).  Only accepted cosets are built, for the closure, and none
-    when the closure is S_n."""
+    H is found by scanning G, or by listing stab(a*) where |G| exceeds
+    6.|stab(a*)| + 1,500, the measured crossover.  The product set is
+    never materialized, and ``candidates_examined`` is its size
+    |G|.|stab(a*)|/|H|.  The representatives stay lexicographic ranks
+    until they are accepted: ``_accepted_rows`` takes them as one digit
+    per run of a* and tests them against G's orbits on the balanced class,
+    which decide membership (module docstring), building no image row.
+    Only accepted cosets are built, for the closure, and none when the
+    closure is S_n."""
     _check_alphabet(k)
     t0 = time.perf_counter()
     b = resolve(budgets)
@@ -450,8 +529,10 @@ def closure_pruned(
 
     stab = _YoungSubgroup(sizes, n)
     g_rows = group._rows
-    # H in lex order: stab(a*) is listed in lex order, as is G
-    if stab.order < group.order:
+    # H in lex order: stab(a*) is listed in lex order, as is G.  Per
+    # point, listing stab(a*) costs about 6 scanned rows of G per element
+    # plus 1,500 once, so n drops out (timed on the catalog groups)
+    if group.order > 6 * stab.order + 1500:
         s_rows = stab.rows(np.arange(stab.order))
         s_ranks = _lex_ranks(s_rows)
         pos = np.minimum(np.searchsorted(group._ranks, s_ranks), group.order - 1)
@@ -461,13 +542,13 @@ def closure_pruned(
     h_eltups = [tuple(t) for t in h_rows.tolist()]
     h_gens, _ = _greedy_span(h_eltups, n, b, len(h_eltups))
     labels = _min_labels(stab.order, [stab.rank_map(h) for h in h_gens])
-    reps = stab.rows(np.flatnonzero(labels == np.arange(stab.order))[1:])
+    reps = np.flatnonzero(labels == np.arange(stab.order))[1:]
 
+    passed = reps
     if len(reps):
         part = cached_orbit_partition(group, k, budgets=b, content=sizes)
-        accepted = reps[_accepted_rows(part.space, part.labels, reps)]
-    else:
-        accepted = reps
+        passed = reps[_accepted_rows(part.space, part.labels, stab.runs(reps))]
+    accepted = stab.rows(passed)
     order = group.order * (len(accepted) + 1)
     # the coset gamma.G of each accepted gamma, G applied first; S_n is
     # rebuilt from its own rows
@@ -921,7 +1002,8 @@ def min_codomain_report(
             work += max(1, outside_count)
             b.check("candidate", work)
             vals = np.array(classes, dtype=np.int32)[ranks] + 1
-            if any(_accepted_rows(part.space, vals, rows).size for rows in outside):
+            if any(_accepted_rows(part.space, vals, [(0, rows, np.arange(len(rows)))]).size
+                   for rows in outside):
                 continue
             tested[m] = count
             witness = FunctionTable(n, k, m, vals, budgets=b)

@@ -5,11 +5,12 @@ import io
 import json
 import math
 import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from permclosure import budgets, catalog, subgroups, tuples
+from permclosure import budgets, catalog, cli, subgroups, tuples
 from permclosure.budgets import KINDS, default_budgets
 from permclosure.cli import main
 
@@ -407,9 +408,11 @@ def test_repeated_runs_are_byte_identical(capsys, c4_file):
     ],
     ids=" ".join,
 )
-def test_timings_add_only_the_wall_time(capsys, tmp_path, argv):
+def test_timings_add_only_the_wall_time(capsys, tmp_path, monkeypatch, argv):
     """``--timings`` adds a final wall-time line, to the millisecond, and a
-    ``wall_time`` key; everything else is what the plain run prints."""
+    ``wall_time`` key; everything else is what the plain run prints.  The
+    figure covers the whole handler: a group that takes 50 ms to load adds
+    at least 50 ms to it."""
     table = tmp_path / "maj.tbl"
     table.write_text("3 2 2\ndefault 1\n2 2 1 -> 2\n2 1 2 -> 2\n1 2 2 -> 2\n2 2 2 -> 2\n")
     argv = [str(table) if a == "{table}" else a for a in argv]
@@ -423,3 +426,15 @@ def test_timings_add_only_the_wall_time(capsys, tmp_path, argv):
     timed = json.loads(timed)
     assert timed.pop("wall_time") > 0
     assert timed == json.loads(plain)
+    loads = []
+
+    def slow_load(*a):
+        loads.append(a)
+        time.sleep(0.05)
+        return load(*a)
+
+    load = cli._load_group
+    monkeypatch.setattr(cli, "_load_group", slow_load)
+    _, timed, _ = run(capsys, *argv, "--format", "json", "--timings")
+    assert json.loads(timed)["wall_time"] >= 0.05 * len(loads)
+    assert bool(loads) == (argv[0] in ("closure", "chain", "orbit-equiv") or "--group" in argv)

@@ -48,6 +48,7 @@ from permclosure.perm import (
 from permclosure.subgroups import all_subgroups
 from permclosure.tuples import (
     TupleSpace,
+    balanced_sizes,
     cached_orbit_partition,
     clear_partition_cache,
     tuple_stabilizer,
@@ -389,26 +390,32 @@ def _accepts_by_index_map(space, labels, row) -> bool:
     return bool(np.array_equal(labels[imap], labels))
 
 
+def _one_run(rows):
+    return [(0, rows, np.arange(len(rows)))]
+
+
 def test_tester_with_no_candidates():
     part = cached_orbit_partition(cyclic_4(), 2)
-    out = _accepted_rows(part.space, part.labels, np.empty((0, 4), dtype=np.uint8))
+    out = _accepted_rows(part.space, part.labels, _one_run(np.empty((0, 4), dtype=np.uint8)))
     assert out.size == 0 and out.dtype == np.intp
 
 
 @pytest.mark.parametrize("cells", [64, closure_module._TEST_CELLS])
 def test_tester_matches_one_map_at_a_time(monkeypatch, cells):
     """All of S_4 against C_4's orbits at k = 2 and 3.  With 64 cells a
-    block holds 4 candidates, so accepted rows fall in several blocks."""
+    block holds 16 candidates and a chunk at most 64 / (live candidates)
+    tuples, so the accepted rows fall in both blocks and every block is
+    tested in several chunks."""
     monkeypatch.setattr(closure_module, "_TEST_CELLS", cells)
     rows = np.array(list(itertools.permutations(range(4))), dtype=np.uint8)
     for k in (2, 3):
         part = cached_orbit_partition(cyclic_4(), k)
-        got = _accepted_rows(part.space, part.labels, rows)
+        got = _accepted_rows(part.space, part.labels, _one_run(rows))
         want = [i for i, row in enumerate(rows)
                 if _accepts_by_index_map(part.space, part.labels, row)]
         assert got.tolist() == want
         assert got[0] == 0  # the identity row
-    assert want == [0, 9, 16, 18]  # C_4 itself at k = 3, in blocks 0, 2 and 4
+    assert want == [0, 9, 16, 18]  # C_4 itself at k = 3, in blocks 0 and 1
     # wide spaces: arity 9 over 2 letters, arity 3 over 9 letters, and the
     # 504 injective point triples of degree 9 as a content class
     rng = np.random.default_rng(5)
@@ -422,7 +429,7 @@ def test_tester_matches_one_map_at_a_time(monkeypatch, cells):
     for group, k, content, rows in wide:
         rows = rows.astype(np.uint8)[rng.permutation(len(rows))]
         part = cached_orbit_partition(group, k, content=content)
-        got = _accepted_rows(part.space, part.labels, rows)
+        got = _accepted_rows(part.space, part.labels, _one_run(rows))
         want = [i for i, row in enumerate(rows)
                 if _accepts_by_index_map(part.space, part.labels, row)]
         assert got.tolist() == want
@@ -430,11 +437,55 @@ def test_tester_matches_one_map_at_a_time(monkeypatch, cells):
         assert len(want) < len(rows)
 
 
+@pytest.mark.parametrize("cells", [64, 4096, closure_module._TEST_CELLS])
+@pytest.mark.parametrize("name, k, accepted", [("C_10", 3, 1), ("AGL(1,9)", 2, 2)])
+def test_tester_takes_young_subgroup_ranks_as_runs(monkeypatch, cells, name, k, accepted):
+    """Every element of stab(a*), given by its rank and split into one run
+    per class, against the group's orbits on the balanced class: the
+    verdicts are those of one map at a time.  With 64 cells a block holds
+    fewer candidates than the runs have local rows, so they are tested as
+    explicit rows; with 4096 there are several blocks of run tables.
+    C_10 meets stab(a*) only in the identity at k = 3, so every other
+    element fails."""
+    monkeypatch.setattr(closure_module, "_TEST_CELLS", cells)
+    group = get_group(name)
+    sizes = balanced_sizes(group.degree, k)
+    stab = closure_module._YoungSubgroup(sizes, group.degree)
+    part = cached_orbit_partition(group, k, content=sizes)
+    ranks = np.arange(stab.order)
+    got = _accepted_rows(part.space, part.labels, stab.runs(ranks))
+    want = [r for r, row in zip(ranks, stab.rows(ranks))
+            if _accepts_by_index_map(part.space, part.labels, row)]
+    assert got.tolist() == want
+    assert want[0] == 0 and len(want) == accepted
+
+
+def test_tester_verdicts_do_not_change_under_inversion():
+    """The accepted permutations form a group, so a row and its inverse
+    get the same verdict; the tester rests on that."""
+    rng = np.random.default_rng(9)
+    agl = get_group("AGL(1,9)")
+    rows = np.concatenate([agl._rows, [rng.permutation(9) for _ in range(200)]])
+    rows = rows.astype(np.uint8)[rng.permutation(len(rows))]
+    inverses = np.argsort(rows, axis=1).astype(np.uint8)
+    for k, content in ((2, None), (3, balanced_sizes(9, 3))):
+        part = cached_orbit_partition(agl, k, content=content)
+        verdicts = [_accepts_by_index_map(part.space, part.labels, row) for row in rows]
+        inverse_verdicts = [_accepts_by_index_map(part.space, part.labels, row)
+                            for row in inverses]
+        assert verdicts == inverse_verdicts
+        assert _accepted_rows(part.space, part.labels, _one_run(inverses)).tolist() == [
+            i for i, v in enumerate(verdicts) if v
+        ]
+
+
 def test_tester_with_keys_in_two_limbs():
     """The injective point pairs of degree 40 as a class over 3 letters:
     3^40 passes intp, so the keys take two limbs.  The product of the
     symmetric groups on the orbits of <(1 2 3)(4 5)> and random
-    permutations of the 40 points are tested against one map at a time."""
+    permutations of the 40 points are tested against one map at a time
+    as rows, and so is the product with the symmetric group on (6 7 8) as
+    runs of ranks."""
     g = grp(40, "(1 2 3)(4 5)")
     part = cached_orbit_partition(g, 3, content=(1, 1, 38))
     assert len(part.space.key_weights) == 2
@@ -442,8 +493,15 @@ def test_tester_with_keys_in_two_limbs():
     product = direct_product(symmetric_on((1, 2, 3), 40), symmetric_on((4, 5), 40))
     rows = np.concatenate([product._rows, [rng.permutation(40) for _ in range(20)]])
     rows = rows.astype(np.uint8)[rng.permutation(len(rows))]
-    got = _accepted_rows(part.space, part.labels, rows)
+    got = _accepted_rows(part.space, part.labels, _one_run(rows))
     want = [i for i, row in enumerate(rows)
+            if _accepts_by_index_map(part.space, part.labels, row)]
+    assert got.tolist() == want and len(want) == g.order
+    # 72 candidates against 46 local rows: the first chunk adds run tables
+    young = closure_module._YoungSubgroup((3, 2, 3) + (1,) * 32, 40)
+    ranks = np.arange(young.order)
+    got = _accepted_rows(part.space, part.labels, young.runs(ranks))
+    want = [r for r, row in zip(ranks, young.rows(ranks))
             if _accepts_by_index_map(part.space, part.labels, row)]
     assert got.tolist() == want and len(want) == g.order
 
