@@ -29,13 +29,15 @@ and their keys, which lex order makes ascending: the k^n index while k^n
 fits in intp, else one intp limb per run of digits, each ranked against the
 limb before (``_class_tables``).  Its coordinate map sends each member to
 another member, whose position is found from its key by ``np.searchsorted``,
-or by a dense inverse where the class fills at least 1/16 of k^n; its labels
-are least positions.  The balanced content
-(``balanced_sizes``) decides every closure and orbit-equivalence question
-(see ``closure``), and the hook content (1^k, n-k) over k+1 letters, the
-injective k-tuples of points, decides the Wielandt closure (see
-``classify``).  ``cached_orbit_partition(..., content=c)`` labels
-n!/prod(c_v!) tuples instead of k^n.
+or by one gather where the class fills at least 1/16 of k^(n-1): the
+content fixes a member's last digit, so a dense inverse indexed by the
+first n-1 digits, ``key // k``, tells the members apart.  Its labels are
+least positions.  The balanced content (``balanced_sizes``) decides every
+closure and orbit-equivalence question (see ``closure``), and the hook
+content (1^k, n-k) over k+1 letters, the injective k-tuples of points,
+decides the Wielandt closure (see ``classify``).
+``cached_orbit_partition(..., content=c)`` labels n!/prod(c_v!) tuples
+instead of k^n.
 
 Both sets answer ``coordinate_index_map(sigma)``, so one ``orbit_partition``
 labels either, and ``rows(lo, hi)``, the digit rows of members lo..hi-1, and
@@ -261,7 +263,8 @@ def _limb_widths(arity: int, alphabet: int, size: int) -> tuple[int, ...]:
     return tuple(widths)
 
 
-# Most words per member that a dense inverse of a class's indices may take.
+# Most words per member that a dense inverse of a class's members, indexed
+# by their first arity - 1 digits, may take.
 _DENSE_WORDS = 16
 
 
@@ -270,11 +273,17 @@ def _class_tables(
     counts: tuple[int, ...], alphabet: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, np.ndarray], ...], np.ndarray | None]:
     """A class's digit rows (``_multiset_rows``), the weights of its key
-    limbs, each limb's radix and distinct member keys, ascending, and
-    where the class fills at least 1/_DENSE_WORDS of alphabet^len, the
-    dense inverse of its indices: a gather there costs a fraction of a
+    limbs, each limb's radix and distinct member keys, ascending, and,
+    where the keys are one limb and the class fills at least
+    1/_DENSE_WORDS of alphabet^(arity-1), the dense inverse of its
+    members' ``index // alphabet``: a gather there costs a fraction of a
     binary search.  Cached, since closures and orbit equivalence at one
     degree and alphabet size all scan the same class.
+
+    The content fixes a member's last digit, as the one value its first
+    arity - 1 digits leave over, so those digits, ``index // alphabet``,
+    already tell the members apart, and the inverse needs alphabet^(arity-1)
+    entries, not alphabet^arity.
 
     A member's key at the first limb is the index of its first digits in
     alphabet^width, and at each later limb the rank of its key at the
@@ -303,9 +312,9 @@ def _class_tables(
     for table in (weights, *(prefix for _, prefix in chain)):
         table.flags.writeable = False
     where = None
-    if len(chain) == 1 and alphabet**arity <= _DENSE_WORDS * size:
-        where = np.zeros(alphabet**arity, dtype=np.intp)
-        where[chain[0][1]] = np.arange(size)
+    if len(chain) == 1 and alphabet ** (arity - 1) <= _DENSE_WORDS * size:
+        where = np.zeros(alphabet ** (arity - 1), dtype=np.intp)
+        where[chain[0][1] // alphabet] = np.arange(size)
         where.flags.writeable = False
     return rows, weights, tuple(chain), where
 
@@ -362,9 +371,12 @@ class ContentClass:
         return self.digits[lo:hi]
 
     def positions(self, keys: np.ndarray) -> np.ndarray:
-        """Positions of members given by their keys, limbs first."""
+        """Positions of members given by their keys, limbs first: one
+        gather at the index of their first arity - 1 digits where the
+        class has a dense inverse, else a binary search per limb.  A key
+        that is no member's gives some position; ``encode`` checks it."""
         if self._where is not None:
-            return self._where[keys[0]]
+            return self._where[keys[0] // self.alphabet]
         (_, first), *rest = self._chain
         pos = np.searchsorted(first, keys[0])
         for (radix, prefix), key in zip(rest, keys[1:]):

@@ -506,6 +506,39 @@ def test_tester_with_keys_in_two_limbs():
     assert got.tolist() == want and len(want) == g.order
 
 
+def test_tester_reads_the_first_tuple_of_every_later_chunk(monkeypatch):
+    """Over {1, 2}^5, labels that set the tuple 01000 apart from all the
+    others: a permutation keeps them exactly when it fixes point 2.  Every
+    element of S_3 x S_2 that moves point 2 breaks them at exactly two of
+    the tuples 00100, 01000 and 10000, which are tuples 4, 8 and 16.  With
+    ``_FIRST_CELLS`` = 1 the first chunk is tuple 1 and the later ones start
+    at 2, 4, 8 and 16, so every failure is seen only at the first tuple of
+    a later chunk.  The candidates go in as rows and as runs of ranks."""
+    monkeypatch.setattr(closure_module, "_FIRST_CELLS", 1)
+    starts = []
+    rows_of = TupleSpace.rows
+
+    def rows(space, lo, hi):
+        starts.append(lo)
+        return rows_of(space, lo, hi)
+
+    monkeypatch.setattr(TupleSpace, "rows", rows)
+    space = TupleSpace(5, 2)
+    labels = np.zeros(space.size, dtype=np.intp)
+    labels[8] = 8
+    young = closure_module._YoungSubgroup((3, 2), 5)
+    ranks = np.arange(young.order)
+    candidates = young.rows(ranks)
+    want = [r for r, row in zip(ranks, candidates) if row[1] == 1]
+    assert want == [r for r, row in zip(ranks, candidates)
+                    if _accepts_by_index_map(space, labels, row)]
+    assert len(want) == 4  # <(1 3), (4 5)>
+    for runs in (_one_run(candidates), young.runs(ranks)):
+        starts.clear()
+        assert _accepted_rows(space, labels, runs).tolist() == want
+        assert starts == [1, 2, 4, 8, 16]
+
+
 # ---------------------------------------------------------------------------
 # closure laws (small samples; the verification suite runs the full battery)
 

@@ -419,16 +419,31 @@ def test_balanced_class_lists_its_content_in_lex_order():
                 assert not cls.digits.flags.writeable and not cls.key_weights.flags.writeable
                 assert np.array_equal(cls.rows(1, 3), cls.digits[1:3])
                 assert np.array_equal(cls.positions(keys), np.arange(cls.size))
-    # 3^5 = 243 <= 16 * 30 tuples: a dense inverse; 5^4 = 625 > 16 * 24: a binary search
+    # 3^4 = 81 <= 16 * 30 tuples: a dense inverse over the first four
+    # digits; 9^3 = 729 > 16 * 24: a binary search
     for cls, member, outside in (
-        (ContentClass(5, 3, (2, 2, 1)), (2, 1, 3, 1, 2), [(1, 1, 1, 2, 3), (3, 3, 3, 3, 3)]),
-        (ContentClass(4, 5, (1, 1, 1, 1)), (4, 1, 3, 2), [(1, 1, 2, 3), (5, 5, 5, 5)]),
+        (ContentClass(5, 3, (2, 2, 1)), (2, 1, 3, 1, 2),
+         [(1, 1, 1, 2, 3), (1, 1, 2, 2, 2), (3, 3, 3, 3, 3)]),
+        (ContentClass(4, 9, (1, 1, 1, 1)), (4, 1, 3, 2), [(1, 1, 2, 3), (9, 9, 9, 9)]),
     ):
         assert (cls._where is None) == (cls.arity == 4)
         assert cls.decode(cls.encode(member)) == member
-        for t in outside:  # another content, and past the last member
+        for t in outside:  # another content, its first digits a member's or none's
             with pytest.raises(ValueError):
                 cls.encode(t)
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in range(6, 13) for k in (2, 3, 4)] + [(7, 5)]
+)
+def test_the_labelled_balanced_classes_find_members_by_one_gather(n, k):
+    """Closures and orbit-equivalence verdicts of degree 6 to 12 at k <= 4
+    label these classes, and ``verify --theorem main`` the one of degree 7
+    at k = 5.  Each fills at least 1/16 of k^(n-1), so its members are
+    found by a gather, not a binary search."""
+    cls = ContentClass(n, k, balanced_sizes(n, k))
+    assert cls._where is not None and len(cls._where) == k ** (n - 1)
+    assert np.array_equal(cls.positions(cls.key_weights @ cls.digits.T), np.arange(cls.size))
 
 
 @pytest.mark.parametrize("k, limbs", [(2, 1), (3, 2), (4, 2)])
@@ -474,14 +489,17 @@ def test_balanced_class_budget_counts_the_class_before_building_it(monkeypatch):
     assert cls.size == 25200
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 9])
 def test_class_labels_are_the_full_labels_restricted_to_the_class(k):
+    """At k <= 4 every class finds its members by a gather, at k = 9 by a
+    binary search."""
     groups = [cyclic_4(), klein_four(), grp(4, "(1 2)"), symmetric_on(range(1, 5), 4),
               grp(5, "(1 2 3 4 5)", "(2 5)(3 4)"), grp(6, "(1 2)(3 4 5 6)")]
     for group in groups:
         full = orbit_partition(group, TupleSpace(group.degree, k))
         for content in (balanced_sizes(group.degree, k), _hook(group.degree, k)):
             cls = cached_orbit_partition(group, k, content=content)
+            assert (cls.space._where is None) == (k == 9)
             members = cls.space.digits @ full.space.weights
             # a class is a union of orbits, so its least members are least overall
             assert np.array_equal(full.labels[members], members[cls.labels])
