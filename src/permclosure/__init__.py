@@ -34,7 +34,6 @@ from .tuples import (
     act_tuple,
     kpow_orbit_partition,
     orbit_partition,
-    tuple_stabilizer,
 )
 from .closure import (
     ChainReport,

@@ -16,7 +16,10 @@ Three interchangeable algorithms are provided:
   representative is tested, as a rank, on the balanced class alone;
 * ``closure_kearnes`` intersects the product sets stab(a) . G over
   representative tuples a, one per set partition of the coordinates into
-  at most k classes.  Oracle grade, bounded by the candidate budget.
+  at most k classes.  Since g, g' in G give the same tuple a^g exactly
+  when they share a right coset of G ∩ stab(a), stab(a) . G is
+  stab(a) . R for R one g per distinct a^g, built as one gather of
+  distinct image rows.  Oracle grade, bounded by the candidate budget.
 
 All three agree exactly; the test suite checks that on a wide panel.
 Candidates are tested in numpy batches against the orbit labels by one
@@ -88,12 +91,12 @@ from .perm import (
     _dimino_extend,
     _first_entry_block,
     _greedy_span,
-    _image_rows,
     _lex_permutations,
     _lex_ranks,
     _min_labels,
     _moved_points,
     _point_dtype,
+    _symmetric_product,
     _symmetric_rows,
     format_perm,
     generate_group,
@@ -102,9 +105,9 @@ from .tuples import (
     ContentClass,
     TupleSpace,
     _orbit_ranks,
+    _weights,
     balanced_sizes,
     cached_orbit_partition,
-    tuple_stabilizer,
 )
 
 __all__ = [
@@ -338,12 +341,6 @@ class _YoungSubgroup:
         self._runs = [_lex_permutations(m)[0] for m in sizes]
         self.order = math.prod(len(perms) for perms in self._runs)
 
-    def contains(self, rows: np.ndarray) -> np.ndarray:
-        """Which image rows map every run onto itself."""
-        sizes = [p.shape[1] for p in self._runs]
-        run_of = np.repeat(np.arange(len(sizes), dtype=rows.dtype), sizes)
-        return (run_of[rows] == run_of).all(axis=1)
-
     def rank_map(self, h: tuple[int, ...]) -> np.ndarray:
         """For every rank r, the rank of (element r) . h, h applied first."""
         imap = np.zeros(1, dtype=np.intp)
@@ -538,7 +535,8 @@ def closure_pruned(
         pos = np.minimum(np.searchsorted(group._ranks, s_ranks), group.order - 1)
         h_rows = s_rows[group._ranks[pos] == s_ranks]
     else:
-        h_rows = g_rows[stab.contains(g_rows)]
+        a = np.array(a_star, dtype=g_rows.dtype) - 1
+        h_rows = g_rows[(a[g_rows] == a).all(axis=1)]
     h_eltups = [tuple(t) for t in h_rows.tolist()]
     h_gens, _ = _greedy_span(h_eltups, n, b, len(h_eltups))
     labels = _min_labels(stab.order, [stab.rank_map(h) for h in h_gens])
@@ -576,46 +574,49 @@ def _set_partitions(n: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
         yield from rec((0,), 0)
 
 
-def _product_set(
-    g_eltups: tuple[tuple[int, ...], ...], stab_elements: Sequence[Permutation]
-) -> set[tuple[int, ...]]:
-    """The set stab . G as image tuples, skipping already-covered cosets."""
-    pset = set(g_eltups)
-    for gamma in stab_elements:
-        gimg = gamma._img
-        if gimg in pset:
-            continue
-        pset.update(tuple(gimg[v] for v in ht) for ht in g_eltups)
-    return pset
-
-
 def closure_kearnes(
     group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> ClosureReport:
     """Intersection of the product sets stab(a) . G over representative
     tuples, one per set partition of the coordinates into at most k classes.
 
-    Oracle grade.  Each candidate is an n-entry tuple in a Python set, so
-    the candidate budget is charged n per candidate.  ``candidates_examined``
-    totals the product-set sizes formed before the intersection stabilized."""
+    Oracle grade.  g and g' in G give the same tuple a^g (entry i is
+    a[g(i)]) exactly when they lie in one right coset of G ∩ stab(a), so
+    stab(a) . G = stab(a) . R for R holding one g per distinct a^g, and its
+    |stab(a)|.|R| products are distinct: one gather of n-byte rows, with no
+    dedup.  The intersection is kept as sorted lexicographic ranks.  Each
+    candidate is an n-byte row, so the candidate budget is charged n per
+    candidate, before each product set.  ``candidates_examined`` totals
+    the product-set sizes formed before the intersection stabilized."""
     _check_alphabet(k)
     t0 = time.perf_counter()
     n = group.degree
     b = resolve(budgets)
-    running: set[tuple[int, ...]] | None = None
+    g_rows = group._rows
+    running: np.ndarray | None = None
     examined = 0
     for classes in _set_partitions(n, min(k, n)):
-        a = tuple(c + 1 for c in classes)
-        stab_order = math.prod(math.factorial(a.count(v)) for v in set(a))
+        a = np.array(classes, dtype=g_rows.dtype)
+        sizes = np.bincount(a).tolist()
+        stab_order = math.prod(math.factorial(m) for m in sizes)
         b.check("candidate", n * (examined + min(stab_order * group.order, math.factorial(n))))
-        stab = tuple_stabilizer(a, degree=n, budgets=b)
-        pset = _product_set(group.element_images(), stab.elements)
+        b.check("materialization", stab_order)
+        stab_rows = _symmetric_product(
+            [np.flatnonzero(a == v) + 1 for v in range(len(sizes))], n
+        )
+        # a^g as a number in base len(sizes), below n^n: exact in intp up
+        # to degree 15, and the first stab(a), S_n, is unlistable past it
+        _, first = np.unique(a[g_rows] @ _weights(n, len(sizes)), return_index=True)
+        pset = stab_rows[:, g_rows[first]].reshape(-1, n)
+        ranks = _lex_ranks(pset)
         examined += len(pset)
-        running = pset if running is None else running & pset
+        running = np.sort(ranks) if running is None else running[np.isin(running, ranks)]
         if len(running) == group.order:
             break
     assert running is not None
-    extra = _image_rows(sorted(running - set(group.element_images())), n)
+    # the extra rows, in rank order, from the last product set
+    keep = np.isin(ranks, np.setdiff1d(running, group._ranks, assume_unique=True))
+    extra = pset[keep][np.argsort(ranks[keep])]
     closure = _group_from_union(group, extra, extra, b)
     return ClosureReport(
         group, k, closure, "kearnes", examined, None, time.perf_counter() - t0

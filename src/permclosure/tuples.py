@@ -58,7 +58,7 @@ import numpy as np
 
 from .budgets import Budgets, resolve
 from .errors import DegreeMismatch, UsageError
-from .perm import PermGroup, Permutation, _cycle, _min_labels, _symmetric_product, extend_degree
+from .perm import PermGroup, Permutation, _min_labels, extend_degree
 
 __all__ = [
     "TupleSpace",
@@ -68,7 +68,6 @@ __all__ = [
     "act_points",
     "orbit_partition",
     "kpow_orbit_partition",
-    "tuple_stabilizer",
     "cached_orbit_partition",
 ]
 
@@ -507,32 +506,6 @@ def kpow_orbit_partition(
     space = TupleSpace(k, group.degree, budgets=budgets)
     maps = [space.value_index_map(g) for g in group.generators if not g.is_identity]
     return OrbitPartition(space, _min_labels(space.size, maps))
-
-
-def tuple_stabilizer(
-    a: tuple[int, ...], degree: int | None = None, budgets: Budgets | None = None
-) -> PermGroup:
-    """The full stabilizer of a tuple under the coordinate action: all
-    permutations of positions that hold equal values.
-
-    Generated by adjacent transpositions inside each value class; elements
-    are written directly as products of the classes' symmetric groups.
-    """
-    n = len(a) if degree is None else degree
-    if degree is not None and len(a) != degree:
-        raise ValueError(f"tuple length {len(a)} does not match degree {degree}")
-    classes: dict[int, list[int]] = {}
-    for pos, v in enumerate(a):
-        classes.setdefault(v, []).append(pos)
-    total = math.prod(math.factorial(len(ps)) for ps in classes.values())
-    resolve(budgets).check("materialization", total)
-
-    rows = _symmetric_product([[p + 1 for p in ps] for ps in classes.values()], n)
-    gen_tuples = tuple(
-        _cycle([x + 1, y + 1], n)
-        for _, ps in sorted(classes.items()) for x, y in zip(ps, ps[1:])
-    )
-    return PermGroup._build(n, rows, gen_tuples, None)
 
 
 # ---------------------------------------------------------------------------

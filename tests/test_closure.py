@@ -11,14 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import cyclic_4, grp, klein_four
 from permclosure import closure as closure_module
-from permclosure import tuples as tuples_module
 from permclosure.budgets import Budgets, resolve
 from permclosure.catalog import get_group
 from permclosure.closure import (
     FunctionTable,
     NotRepresentable,
     _accepted_rows,
-    _product_set,
     clear_closure_cache,
     closure_chain,
     closure_kearnes,
@@ -51,7 +49,6 @@ from permclosure.tuples import (
     balanced_sizes,
     cached_orbit_partition,
     clear_partition_cache,
-    tuple_stabilizer,
 )
 
 
@@ -159,21 +156,33 @@ def test_the_balanced_class_decides_where_the_hook_class_does_not():
     assert closure_pruned(g, 3).closure == g == closure_naive(g, 3).closure
 
 
+def _fixing_permutations(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """stab(a) as 0-based image tuples: every permutation sigma of the
+    coordinates with a[sigma(i)] == a[i] for all i, found by listing S_n."""
+    n = len(a)
+    return [
+        img for img in itertools.permutations(range(n))
+        if all(a[img[i]] == a[i] for i in range(n))
+    ]
+
+
 def _closure_kearnes_literal(
     group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> PermGroup:
     """The same intersection taken over every tuple, no representative
-    shortcut.  Test-only cross-check; degree capped at 4."""
+    shortcut, each product set stab(a).G built as a set of image tuples,
+    G applied first.  Test-only cross-check; degree capped at 4."""
     n = group.degree
     if n > 4:
         raise ValueError("literal intersection is for degree at most 4")
-    b = resolve(budgets)
-    space = TupleSpace(n, k, budgets=b)
+    space = TupleSpace(n, k, budgets=resolve(budgets))
     g_eltups = group.element_images()
     running: set[tuple[int, ...]] | None = None
     for t in range(space.size):
-        stab = tuple_stabilizer(space.decode(t), degree=n, budgets=b)
-        pset = _product_set(g_eltups, stab.elements)
+        pset = {
+            tuple(gamma[v] for v in g)
+            for gamma in _fixing_permutations(space.decode(t)) for g in g_eltups
+        }
         running = pset if running is None else running & pset
         if len(running) == len(g_eltups):
             break
@@ -201,12 +210,21 @@ def test_candidate_budget_refuses_kearnes_before_a_product_set(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a product set was started")
 
-    monkeypatch.setattr(closure_module, "_product_set", unreachable)
+    monkeypatch.setattr(closure_module, "_symmetric_product", unreachable)
     with pytest.raises(BudgetExceeded) as err:
         closure_kearnes(cyclic_4(), 2, budgets=Budgets(candidate_budget=23))
     # the constant tuple comes first: stab . G is all of S_4, 24 candidates
     # of 4 entries each
     assert err.value.budget_name == "candidate" and err.value.needed == 4 * 24
+
+
+@pytest.mark.parametrize("name, needed", [("AGL(1,8)", 10_128_384), ("A_9", 13_063_680)])
+def test_kearnes_is_refused_late_under_default_budgets(name, needed):
+    # under the default budgets, as the product sets that came before
+    # count against the one that would come next
+    with pytest.raises(BudgetExceeded) as err:
+        closure_kearnes(get_group(name), 2)
+    assert (err.value.budget_name, err.value.needed) == ("candidate", needed)
 
 
 def test_alphabet_size_one_is_rejected():
@@ -314,12 +332,7 @@ def _dihedral(n: int) -> PermGroup:
     return generate_group([rotation, flip])
 
 
-def test_d12_is_refused_before_anything_is_materialized(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the pruned algorithm must not build a stabilizer")
-
-    monkeypatch.setattr(tuples_module, "tuple_stabilizer", refuse)
-    monkeypatch.setattr(closure_module, "tuple_stabilizer", refuse)
+def test_d12_is_refused_before_anything_is_materialized():
     d12 = _dihedral(12)
     assert d12.order == 24
     with pytest.raises(BudgetExceeded) as err:

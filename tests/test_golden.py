@@ -39,9 +39,13 @@ def _cases() -> dict[str, list[str]]:
                 cases[f"closure-{name}-{k}-{algorithm}"] = [
                     "closure", f"catalog:{name}", "-k", str(k), "--algorithm", algorithm,
                 ]
-    cases["closure-D_5-2-kearnes"] = [
-        "closure", "catalog:D_5", "-k", "2", "--algorithm", "kearnes",
-    ]
+    # D_5 is closed; AGL(1,5) at k=2 is not, so its closure's generators
+    # come from the candidates; C_7 at k=3 examines candidates over many
+    # partitions
+    for name, k in (("D_5", 2), ("AGL(1,5)", 2), ("C_7", 3)):
+        cases[f"closure-{name}-{k}-kearnes"] = [
+            "closure", f"catalog:{name}", "-k", str(k), "--algorithm", "kearnes",
+        ]
     # closures whose generators are picked from a large closure's elements
     for name, k in (("A_7", 3), ("S_7", 2), ("A_9", 3)):
         cases[f"closure-{name}-{k}-pruned"] = ["closure", f"catalog:{name}", "-k", str(k)]

@@ -30,7 +30,6 @@ from permclosure.tuples import (
     clear_partition_cache,
     kpow_orbit_partition,
     orbit_partition,
-    tuple_stabilizer,
 )
 
 
@@ -318,18 +317,6 @@ def test_value_action_partition():
         orbit = frozenset(act_points(r, p) for p in cyclic_4().elements)
         brute.add(orbit)
     assert len(brute) == 4
-
-
-def test_tuple_stabilizer():
-    stab = tuple_stabilizer((1, 1, 2, 3))
-    assert stab.order == 2
-    for p in stab.elements:
-        assert act_tuple((1, 1, 2, 3), p) == (1, 1, 2, 3)
-    assert tuple_stabilizer((1, 2, 3, 4)).order == 1
-    assert tuple_stabilizer((1, 1, 1, 1)).order == 24
-    assert tuple_stabilizer((1, 1, 2, 2)).order == 4
-    with pytest.raises(ValueError):
-        tuple_stabilizer((1, 1, 2), degree=4)
 
 
 def test_cached_partition_reuses_objects():
