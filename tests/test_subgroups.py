@@ -1,11 +1,14 @@
 """Subgroup enumeration of small symmetric groups and the closure survey."""
 
 import functools
+import hashlib
 import itertools
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,11 +113,25 @@ def test_class_lookup(s4_catalog):
         s4_catalog.class_of(PermGroup.from_elements([Permutation([1, 2, 3])]))
 
 
-def test_enumeration_ignores_scan_order():
-    """The candidate scan direction must not change the classes found."""
+def test_enumeration_ignores_scan_order(monkeypatch):
+    """Spanning each label class from its greatest candidate instead of its
+    least spans other groups but must find the same classes."""
+    spanned = []
+    real = subgroups._span
+
+    def recording(mul, base, gens):
+        spanned.append(gens.tolist())
+        return real(mul, base, gens)
+
+    monkeypatch.setattr(subgroups, "_catalog_cache", {})
+    monkeypatch.setattr(subgroups, "_span", recording)
     for n in (3, 4, 5):
         forward = all_subgroups(n)
+        forward_spans = sorted(spanned)
+        spanned.clear()
         backward = all_subgroups(n, _extension_order="reversed")
+        assert sorted(spanned) != forward_spans
+        spanned.clear()
         key = lambda cat: sorted((c.order, c.class_size, c._members[0]) for c in cat.classes)
         assert key(forward) == key(backward)
 
@@ -164,38 +181,66 @@ def test_tables_rank_two_permutations_per_element(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_skipped_extensions_give_the_spanned_class(monkeypatch, n):
-    """For every base B and spanned x, every prime-power y that the skip
-    rule covers spans <B, y> in the class of <B, x>, by brute force over
-    the oracle table; and the normalizer passed along is N(B)."""
-    calls = []
-    real = subgroups._same_class_extensions
+def test_labels_normalizers_and_members_match_brute_force(monkeypatch, n):
+    """Against conjugation by all n! elements of the oracle table: the
+    candidates of every base are the prime-power y outside it with y^p in
+    it, and candidates with one label span groups of one class; every
+    normalizer found from generators is N(H), and those generators with H's
+    generate it; and each class's members are H's distinct conjugates."""
+    labelled, normalized = [], []
+    real_labels, real_normalizer = subgroups._extension_labels, subgroups._normalizer
 
-    def recording(t, base, normalizer, x):
-        covered = real(t, base, normalizer, x)
-        calls.append((base, normalizer, x, covered))
-        return covered
+    def recording_labels(t, base, *args):
+        out = real_labels(t, base, *args)
+        labelled.append((base, *out))
+        return out
+
+    def recording_normalizer(t, ranks, gens):
+        out = real_normalizer(t, ranks, gens)
+        normalized.append((ranks, gens, *out))
+        return out
 
     monkeypatch.setattr(subgroups, "_catalog_cache", {})
-    monkeypatch.setattr(subgroups, "_same_class_extensions", recording)
+    monkeypatch.setattr(subgroups, "_extension_labels", recording_labels)
+    monkeypatch.setattr(subgroups, "_normalizer", recording_normalizer)
     catalog = all_subgroups(n)
     mul = _multiplication_table(n)
     inv = np.argmin(mul, axis=1)
-    order = [Permutation._raw(tuple(r)).order for r in _symmetric_rows(range(1, n + 1), n)[0].tolist()]
-    assert calls
-    for base, normalizer, x, covered in calls:
-        conjugates = np.sort(mul[mul[:, base], inv[:, None]], axis=1)
-        assert normalizer.tolist() == np.flatnonzero((conjugates == base).all(axis=1)).tolist()
-        spanned = catalog._index[tuple(subgroups._span(mul, base, np.r_[base, x]).tolist())]
-        for y in np.unique(covered).tolist():
-            if subgroups._is_prime_power(order[y]):
-                grown = subgroups._span(mul, base, np.r_[base, y])
-                assert catalog._index[tuple(grown.tolist())] is spanned
+    orders = [Permutation._raw(tuple(r)).order for r in _symmetric_rows(range(1, n + 1), n)[0].tolist()]
+
+    def conjugates(ranks):
+        """Row s holds the sorted ranks of s.H.s^-1."""
+        return np.sort(mul[mul[:, ranks], inv[:, None]], axis=1)
+
+    def spanned_class(base, y):
+        return catalog._index[tuple(subgroups._span(mul, base, np.r_[base, y]).tolist())]
+
+    assert len(labelled) == len(normalized) == len(catalog.classes)
+    for base, candidates, labels in labelled:
+        expected = []
+        for y, order in enumerate(orders):
+            primes = [q for q in range(2, order + 1) if order % q == 0 and all(q % r for r in range(2, q))]
+            if y not in base and len(primes) == 1:
+                power = functools.reduce(lambda a, _: mul[a, y], range(primes[0]), 0)
+                if power in base:
+                    expected.append(y)
+        assert candidates.tolist() == expected
+        first = {}
+        for y, label in zip(candidates.tolist(), labels.tolist()):
+            assert spanned_class(base, y) is first.setdefault(label, spanned_class(base, y))
+    for ranks, gens, normalizer, extra in normalized:
+        brute = np.flatnonzero((conjugates(ranks) == ranks).all(axis=1))
+        assert normalizer.tolist() == brute.tolist()
+        assert subgroups._span(mul, ranks, np.array(gens + extra, dtype=np.intp)).tolist() == brute.tolist()
+    for cls in catalog.classes:
+        assert cls._members == tuple(sorted(set(map(tuple, conjugates(cls._members[0]).tolist()))))
 
 
 def test_enumeration_at_degree_six_spans_few_groups(monkeypatch):
-    """The skip rule keeps the cold degree-6 enumeration under 1,000 spans
-    (5,386 when only the left coset x.B is skipped)."""
+    """One span per label class keeps the cold degree-6 enumeration at 464
+    spans: 385 extensions and 79 normalizer steps (524 extensions under the
+    cyclic-extension skip rule, 5,386 when only the left coset x.B was
+    skipped)."""
     calls = 0
     real = subgroups._span
 
@@ -207,7 +252,46 @@ def test_enumeration_at_degree_six_spans_few_groups(monkeypatch):
     monkeypatch.setattr(subgroups, "_catalog_cache", {})
     monkeypatch.setattr(subgroups, "_span", counting)
     assert all_subgroups(6).total_subgroups == EXPECTED_TOTALS[6]
-    assert 0 < calls < 1000
+    assert 0 < calls < 500
+
+
+def test_cold_degree_six_enumeration_stays_small(monkeypatch):
+    """No step builds an n! x |H| or n! x |N(H)| array: the cold degree-6
+    enumeration peaks near 2.4 MiB under tracemalloc (4.5 MiB when each new
+    class was conjugated by all 720 elements), mostly the 1 MiB table."""
+    monkeypatch.setattr(subgroups, "_catalog_cache", {})
+    tracemalloc.start()
+    try:
+        all_subgroups(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+# sha256 of each catalog's classes: order, class size, members,
+# representative generators and ground set
+CATALOG_DIGESTS = {
+    1: "d3656551065f968be815bef501588ad368e6d00c7b5775f5d7d8374b95ae3c6d",
+    2: "4a6cf4ecefdf1a0c2d76f9c72fddf0c3d48e4d7a41096c88110932c0d0597ed4",
+    3: "aca0f8fb85f00fb4e7ed786a04c127ea1066b4f277499af2df4aa00c126c8687",
+    4: "223b36ba2cbd47924c0422b80b6e7665aad46135d4a86ab7f17de407eabebe29",
+    5: "507c386a98cf798647ac397ba673b376732e642780a690bccce2e3b8ba93d253",
+    6: "ad3ff072e4ac4219ef2cf1045f5fbdc1586b8b3f622ae65e85040a56d87fce12",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_whole_catalog_is_pinned(n):
+    """The golden CLI digests see only the printed fields; this pins
+    every member and every representative's generators too."""
+    payload = [
+        [c.order, c.class_size, [list(m) for m in c._members],
+         [list(g._img) for g in c.representative.generators], list(c.representative.ground_set)]
+        for c in all_subgroups(n).classes
+    ]
+    digest = hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
+    assert digest == CATALOG_DIGESTS[n]
 
 
 @st.composite
