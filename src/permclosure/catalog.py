@@ -7,13 +7,22 @@ Two kinds of names are resolvable through :func:`get_group`:
   budget admit, built on demand
   (dihedral groups are named by degree, so ``D_5`` acts on 5 points and
   has 10 elements);
-* the named groups of ``_NAMED_SPECS``, each defined once by a generator
-  builder and validated on first access against its expected order,
-  transitivity, and primitivity.
+* the named groups of ``_NAMED_SPECS``, one row each of name, degree,
+  order, primitivity, description and generators given as data, validated
+  on first access against the expected order, transitivity, and
+  primitivity.
 
-Affine and projective entries are defined arithmetically: points of
-``AGL(1,q)`` are the field values shifted by one, and the projective
-entries append the point at infinity as the last point.
+The six imprimitive entries of degree 6 give their generators in cycle
+notation, the others as maps of one of two actions of GF(q), whose tables
+``_field`` builds for prime q, for GF(8) modulo x^3 = x + 1 and for GF(9)
+modulo x^2 = -1, the element sum c_j x^j numbered sum c_j p^j:
+
+* ``_affine``: x -> A x^phi + b on GF(q)^d, phi a power of the Frobenius
+  map x -> x^p, with the vector (x_1..x_d) at point sum x_j q^(d-j) + 1,
+  so that on GF(q) itself point i is the field element numbered i - 1;
+* ``_projective``: x -> (a x^phi + b) / (c x^phi + d) on the projective
+  line, the field elements at points 1..q as above and infinity at point
+  q + 1.
 """
 
 from __future__ import annotations
@@ -55,239 +64,81 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# small finite fields
-
-_GF8_MOD = 0b1011  # x^3 + x + 1
-
-
-def _gf8_mul(x: int, y: int) -> int:
-    acc = 0
-    for i in range(3):
-        if (y >> i) & 1:
-            acc ^= x << i
-    for bit in (5, 4, 3):
-        if (acc >> bit) & 1:
-            acc ^= _GF8_MOD << (bit - 3)
-    return acc
-
-
-def _gf8_inv(x: int) -> int:
-    return next(y for y in range(1, 8) if _gf8_mul(x, y) == 1)
-
-
-# GF(9) as a + b*i with i^2 = -1; the element a*i + b is encoded as 3a + b.
-
-
-def _gf9_mul(u: int, v: int) -> int:
-    a, b = divmod(u, 3)
-    c, d = divmod(v, 3)
-    return 3 * ((a * d + b * c) % 3) + (b * d - a * c) % 3
-
-
-def _gf9_inv(u: int) -> int:
-    return next(v for v in range(1, 9) if _gf9_mul(u, v) == 1)
-
-
-def _gf9_add_one(v: int) -> int:
-    a, b = divmod(v, 3)
-    return 3 * a + (b + 1) % 3
-
-
-def _gf9_frobenius(v: int) -> int:
-    a, b = divmod(v, 3)
-    return 3 * ((3 - a) % 3) + b
-
-
-# ---------------------------------------------------------------------------
-# permutations from maps on field values
-
-def _value_perm(q: int, f) -> Permutation:
-    """The permutation of {1..q} induced by v -> f(v) on values 0..q-1."""
-    return Permutation([f(v) + 1 for v in range(q)])
-
-
-def _proj_point(q: int, value) -> int:
-    return q + 1 if value is None else value + 1
-
-
-def _proj_perm(q: int, f) -> Permutation:
-    """Permutation of the projective line over a q-element field.
-
-    Values 0..q-1 sit at points 1..q and ``None`` (infinity) at q+1."""
-    domain = list(range(q)) + [None]
-    return Permutation([_proj_point(q, f(v)) for v in domain])
-
-
-def _fixing_infinity(f):
-    def wrapped(v):
-        return None if v is None else f(v)
-
-    return wrapped
-
-
-# ---------------------------------------------------------------------------
-# generator builders for the named entries
-
-def _gens_agl_1_5():
-    return (
-        _value_perm(5, lambda v: (v + 1) % 5),
-        _value_perm(5, lambda v: (2 * v) % 5),
-    )
-
-
-def _gens_pgl_2_5():
-    def recip(v):
-        if v is None:
-            return 0
-        if v == 0:
-            return None
-        return pow(v, 3, 5)
-
-    return (
-        _proj_perm(5, _fixing_infinity(lambda v: (v + 1) % 5)),
-        _proj_perm(5, _fixing_infinity(lambda v: (2 * v) % 5)),
-        _proj_perm(5, recip),
-    )
-
-
-def _gens_wreath_c3_s2():
-    return tuple(parse_perm(s, 6) for s in ("(1 2 3)", "(1 4)(2 5)(3 6)"))
-
-
-def _gens_wreath_s3_s2():
-    return tuple(
-        parse_perm(s, 6) for s in ("(1 2 3)", "(1 2)", "(1 4)(2 5)(3 6)")
-    )
-
-
-def _gens_glued_wreath_s3_s2():
-    # parity-linked bottom group plus the block swap
-    return tuple(
-        parse_perm(s, 6) for s in ("(1 2 3)", "(1 2)(4 5)", "(1 4)(2 5)(3 6)")
-    )
-
-
-def _gens_even_wreath_s3_s2():
-    full = generate_group(_gens_wreath_s3_s2())
-    evens = [p for p in full.elements if p.sign == 1]
-    return PermGroup.from_elements(evens, ground_set=range(1, 7)).generators
-
-
-def _gens_cube_rotations():
-    # faces: 1 up, 2 front, 3 right, 4 back, 5 left, 6 down
-    return tuple(parse_perm(s, 6) for s in ("(2 3 4 5)", "(1 2 6 4)"))
-
-
-def _gens_cube_full():
-    return _gens_cube_rotations() + (parse_perm("(1 6)(2 4)(3 5)", 6),)
-
-
-def _gens_f21():
-    return (
-        _value_perm(7, lambda v: (v + 1) % 7),
-        _value_perm(7, lambda v: (2 * v) % 7),
-    )
-
-
-def _gens_agl_1_8():
-    return (
-        _value_perm(8, lambda v: v ^ 1),
-        _value_perm(8, lambda v: _gf8_mul(2, v)),
-    )
-
-
-def _gens_agammal_1_8():
-    return _gens_agl_1_8() + (_value_perm(8, lambda v: _gf8_mul(v, v)),)
-
-
-def _gens_asl_3_2():
-    def rotate(v):  # cycle the three coordinates
-        b2, b1, b0 = (v >> 2) & 1, (v >> 1) & 1, v & 1
-        return (b1 << 2) | (b0 << 1) | b2
-
-    def transvect(v):  # add the second coordinate to the first
-        return v ^ (((v >> 1) & 1) << 2)
-
-    return (
-        _value_perm(8, lambda v: v ^ 1),
-        _value_perm(8, rotate),
-        _value_perm(8, transvect),
-    )
-
-
-def _gens_agl_1_9():
-    return (
-        _value_perm(9, _gf9_add_one),
-        _value_perm(9, lambda v: _gf9_mul(4, v)),
-    )
-
-
-def _gens_agammal_1_9():
-    return _gens_agl_1_9() + (_value_perm(9, _gf9_frobenius),)
-
-
-def _gens_asl_2_3():
-    def translate(v):
-        x, y = divmod(v, 3)
-        return 3 * x + (y + 1) % 3
-
-    def upper(v):  # add the second coordinate to the first
-        x, y = divmod(v, 3)
-        return 3 * ((x + y) % 3) + y
-
-    def lower(v):  # add the first coordinate to the second
-        x, y = divmod(v, 3)
-        return 3 * x + (y + x) % 3
-
-    return tuple(_value_perm(9, f) for f in (translate, upper, lower))
-
-
-def _gens_agl_2_3():
-    def dilate(v):  # scale the first coordinate by 2
-        x, y = divmod(v, 3)
-        return 3 * ((2 * x) % 3) + y
-
-    return _gens_asl_2_3() + (_value_perm(9, dilate),)
-
-
-def _gens_psl_2_8():
-    def recip(v):
-        if v is None:
-            return 0
-        if v == 0:
-            return None
-        return _gf8_inv(v)
-
-    return (
-        _proj_perm(8, _fixing_infinity(lambda v: v ^ 1)),
-        _proj_perm(8, _fixing_infinity(lambda v: _gf8_mul(2, v))),
-        _proj_perm(8, recip),
-    )
-
-
-def _gens_pgammal_2_8():
-    return _gens_psl_2_8() + (
-        _proj_perm(8, _fixing_infinity(lambda v: _gf8_mul(v, v))),
-    )
-
-
-def _gens_pgl_2_9():
-    def recip(v):
-        if v is None:
-            return 0
-        if v == 0:
-            return None
-        return _gf9_inv(v)
-
-    return (
-        _proj_perm(9, _fixing_infinity(_gf9_add_one)),
-        _proj_perm(9, _fixing_infinity(lambda v: _gf9_mul(4, v))),
-        _proj_perm(9, recip),
-    )
-
-
-def _gens_pgammal_2_9():
-    return _gens_pgl_2_9() + (_proj_perm(9, _fixing_infinity(_gf9_frobenius)),)
+# finite fields and their two actions
+
+# q -> (p, r): x^e = sum r_j x^j in GF(q) = GF(p)[x], e = len(r); a prime
+# q is GF(q) itself, where no product reaches x^1
+_MODULI = {8: (2, (1, 1, 0)), 9: (3, (2, 0))}
+
+
+@lru_cache(maxsize=None)
+def _field(q: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Addition and multiplication tables of GF(q), and its Frobenius map
+    x -> x^p, on the elements numbered sum c_j p^j for sum c_j x^j."""
+    p, low = _MODULI.get(q, (q, (0,)))
+    e = len(low)
+    powers = [p**j for j in range(e)]
+    digits = [[v // w % p for w in powers] for v in range(q)]
+
+    def number(c):
+        return sum(cj % p * w for cj, w in zip(c, powers))
+
+    def times(u, v):
+        c = [0] * (2 * e - 1)
+        for i, ui in enumerate(digits[u]):
+            for j, vj in enumerate(digits[v]):
+                c[i + j] += ui * vj
+        for top in range(2 * e - 2, e - 1, -1):  # x^top = x^(top-e) * sum r_j x^j
+            for j, r in enumerate(low):
+                c[top - e + j] += c[top] * r
+        return number(c)
+
+    add = [[number(map(sum, zip(digits[u], digits[v]))) for v in range(q)] for u in range(q)]
+    mul = [[times(u, v) for v in range(q)] for u in range(q)]
+    frobenius = list(range(q))
+    for _ in range(p - 1):
+        frobenius = [mul[f][v] for v, f in enumerate(frobenius)]
+    return add, mul, frobenius
+
+
+def _affine(q: int, matrix, shift, power) -> Permutation:
+    """x -> A x^(p^power) + b on GF(q)^d, d = len(b), the matrix A given
+    row by row; the vector (x_1..x_d) sits at point sum x_j q^(d-j) + 1."""
+    add, mul, frobenius = _field(q)
+    d = len(shift)
+
+    def image(v):
+        x = [v // q ** (d - 1 - j) % q for j in range(d)]
+        for _ in range(power):
+            x = [frobenius[xj] for xj in x]
+        out = 0
+        for i, acc in enumerate(shift):
+            for a, xj in zip(matrix[i * d:(i + 1) * d], x):
+                acc = add[acc][mul[a][xj]]
+            out = out * q + acc
+        return out + 1
+
+    return Permutation([image(v) for v in range(q**d)])
+
+
+def _projective(q: int, matrix, power) -> Permutation:
+    """x -> (a x^(p^power) + b) / (c x^(p^power) + d) on the projective line
+    over GF(q), (a, b, c, d) = matrix: element v at point v + 1 and
+    infinity at point q + 1."""
+    a, b, c, d = matrix
+    add, mul, frobenius = _field(q)
+
+    def over(num, den):
+        return q if den == 0 else mul[num][mul[den].index(1)]
+
+    def image(v):
+        if v == q:
+            return over(a, c)
+        for _ in range(power):
+            v = frobenius[v]
+        return over(add[mul[a][v]][b], add[mul[c][v]][d])
+
+    return Permutation([image(v) + 1 for v in range(q + 1)])
 
 
 @dataclass(frozen=True)
@@ -302,121 +153,130 @@ class CatalogEntry:
     generators: tuple[Permutation, ...]
 
 
-# name, degree, order, primitive, description, generator builder
+# name, degree, order, primitive, description, generators: cycle strings,
+# or (action, q, maps) with one argument tuple per map after q, field
+# elements by their numbers (in GF(8) 2 is x, in GF(9) 4 is 1 + i)
 _NAMED_SPECS = (
     (
         "AGL(1,5)", 5, 20, True,
         "maps x -> ax + b on the 5-element field; point i is field value i - 1",
-        _gens_agl_1_5,
+        (_affine, 5, (((1,), (1,), 0), ((2,), (0,), 0))),
     ),
     (
         "PGL(2,5)", 6, 120, True,
         "fractional linear maps on the projective line over the 5-element "
         "field; points 1..5 are field values 0..4 and point 6 is infinity",
-        _gens_pgl_2_5,
+        (_projective, 5, (((1, 1, 0, 1), 0), ((2, 0, 0, 1), 0), ((0, 1, 1, 0), 0))),
     ),
     (
         "C_3 wr S_2", 6, 18, False,
         "independent 3-cycles inside the blocks {1,2,3} and {4,5,6}, plus "
         "the swap of the two blocks",
-        _gens_wreath_c3_s2,
+        ("(1 2 3)", "(1 4)(2 5)(3 6)"),
     ),
     (
         "S_3 wr S_2", 6, 72, False,
         "independent permutations inside the blocks {1,2,3} and {4,5,6}, "
         "plus the swap of the two blocks",
-        _gens_wreath_s3_s2,
+        ("(1 2 3)", "(1 2)", "(1 4)(2 5)(3 6)"),
     ),
     (
         "S_3 wr_sd S_2", 6, 36, False,
         "index-2 subgroup of S_3 wr S_2 keeping the block swap: the two "
         "in-block permutations must have equal parity",
-        _gens_glued_wreath_s3_s2,
+        ("(1 2 3)", "(1 2)(4 5)", "(1 4)(2 5)(3 6)"),
     ),
     (
         "(S_3 wr S_2) cap A_6", 6, 36, False,
         "even elements of S_3 wr S_2",
-        _gens_even_wreath_s3_s2,
+        ("(4 5 6)", "(2 3)(5 6)", "(1 2)(5 6)", "(1 4)(2 5 3 6)"),
     ),
     (
         "R(cube)", 6, 24, False,
         "rotations of the cube acting on its faces, numbered 1 up, 2 front, "
         "3 right, 4 back, 5 left, 6 down",
-        _gens_cube_rotations,
+        ("(2 3 4 5)", "(1 2 6 4)"),
     ),
     (
         "S(cube)", 6, 48, False,
         "all isometries of the cube on its faces: rotations together with "
         "the central inversion",
-        _gens_cube_full,
+        ("(2 3 4 5)", "(1 2 6 4)", "(1 6)(2 4)(3 5)"),
     ),
     (
         "F_21", 7, 21, True,
         "maps x -> ax + b on the 7-element field with a a nonzero cube",
-        _gens_f21,
+        (_affine, 7, (((1,), (1,), 0), ((2,), (0,), 0))),
     ),
     (
         "AGL(1,8)", 8, 56, True,
         "maps x -> ax + b on the 8-element field; point i is the field "
         "element with bit value i - 1",
-        _gens_agl_1_8,
+        (_affine, 8, (((1,), (1,), 0), ((2,), (0,), 0))),
     ),
     (
         "AGammaL(1,8)", 8, 168, True,
         "AGL(1,8) extended by the squaring field automorphism",
-        _gens_agammal_1_8,
+        (_affine, 8, (((1,), (1,), 0), ((2,), (0,), 0), ((1,), (0,), 1))),
     ),
     (
         "ASL(3,2)", 8, 1344, True,
         "invertible linear maps of the 2-element-field cube followed by "
         "translations; point i is the vector with bit value i - 1",
-        _gens_asl_3_2,
+        (_affine, 2, (((1, 0, 0, 0, 1, 0, 0, 0, 1), (0, 0, 1), 0),
+                      ((0, 1, 0, 0, 0, 1, 1, 0, 0), (0, 0, 0), 0),
+                      ((1, 1, 0, 0, 1, 0, 0, 0, 1), (0, 0, 0), 0))),
     ),
     (
         "AGL(1,9)", 9, 72, True,
         "maps x -> ax + b on the 9-element field; the element a*i + b "
         "(i squaring to -1) sits at point 3a + b + 1",
-        _gens_agl_1_9,
+        (_affine, 9, (((1,), (1,), 0), ((4,), (0,), 0))),
     ),
     (
         "AGammaL(1,9)", 9, 144, True,
         "AGL(1,9) extended by the cubing field automorphism",
-        _gens_agammal_1_9,
+        (_affine, 9, (((1,), (1,), 0), ((4,), (0,), 0), ((1,), (0,), 1))),
     ),
     (
         "ASL(2,3)", 9, 216, True,
         "determinant-1 linear maps of the 3-element-field plane followed by "
         "translations; the vector (x, y) sits at point 3x + y + 1",
-        _gens_asl_2_3,
+        (_affine, 3, (((1, 0, 0, 1), (0, 1), 0), ((1, 1, 0, 1), (0, 0), 0),
+                      ((1, 0, 1, 1), (0, 0), 0))),
     ),
     (
         "AGL(2,3)", 9, 432, True,
         "all invertible affine maps of the 3-element-field plane",
-        _gens_agl_2_3,
+        (_affine, 3, (((1, 0, 0, 1), (0, 1), 0), ((1, 1, 0, 1), (0, 0), 0),
+                      ((1, 0, 1, 1), (0, 0), 0), ((2, 0, 0, 1), (0, 0), 0))),
     ),
     (
         "PSL(2,8)", 9, 504, True,
         "fractional linear maps on the projective line over the 8-element "
         "field; points 1..8 are field values and point 9 is infinity",
-        _gens_psl_2_8,
+        (_projective, 8, (((1, 1, 0, 1), 0), ((2, 0, 0, 1), 0), ((0, 1, 1, 0), 0))),
     ),
     (
         "PGammaL(2,8)", 9, 1512, True,
         "PSL(2,8) extended by the squaring field automorphism",
-        _gens_pgammal_2_8,
+        (_projective, 8, (((1, 1, 0, 1), 0), ((2, 0, 0, 1), 0), ((0, 1, 1, 0), 0),
+                          ((1, 0, 0, 1), 1))),
     ),
     (
         "PGL(2,9)", 10, 720, True,
         "fractional linear maps on the projective line over the 9-element "
         "field; points 1..9 are field values and point 10 is infinity",
-        _gens_pgl_2_9,
+        (_projective, 9, (((1, 1, 0, 1), 0), ((4, 0, 0, 1), 0), ((0, 1, 1, 0), 0))),
     ),
     (
         "PGammaL(2,9)", 10, 1440, True,
         "PGL(2,9) extended by the cubing field automorphism",
-        _gens_pgammal_2_9,
+        (_projective, 9, (((1, 1, 0, 1), 0), ((4, 0, 0, 1), 0), ((0, 1, 1, 0), 0),
+                          ((1, 0, 0, 1), 1))),
     ),
 )
+
 
 def _normalize_name(name: str) -> str:
     s = name.strip().lower()
@@ -437,10 +297,14 @@ def _catalog() -> dict[str, tuple[CatalogEntry, PermGroup]]:
     the caller's: the package defaults hold every entry, and ``get_group``
     checks each order against the caller's bound."""
     out: dict[str, tuple[CatalogEntry, PermGroup]] = {}
-    for name, degree, order, primitive, desc, builder in _NAMED_SPECS:
+    for name, degree, order, primitive, desc, data in _NAMED_SPECS:
         key = _normalize_name(name)
         assert key not in out, f"two catalog names normalize to {key!r}"
-        gens = tuple(builder())
+        if isinstance(data[0], str):
+            gens = tuple(parse_perm(text, degree) for text in data)
+        else:
+            action, q, maps = data
+            gens = tuple(action(q, *args) for args in maps)
         group = generate_group(gens, ground_set=range(1, degree + 1), budgets=Budgets())
         if group.order != order:
             raise CatalogValidationError(
@@ -549,9 +413,7 @@ def survey_candidates(n: int) -> tuple[tuple[str, PermGroup], ...]:
     if n == 3:
         return (("A_3", get_group("A_3")), ("S_3", get_group("S_3")))
     if n == 4:
-        return tuple(
-            (nm, get_group(nm)) for nm in ("C_4", "D_4", "A_4", "S_4")
-        )
+        return tuple((nm, get_group(nm)) for nm in ("C_4", "D_4", "A_4", "S_4"))
     if n == 5:
         s2 = symmetric_on((4, 5), 5)
         return (

@@ -584,7 +584,8 @@ def closure_kearnes(
     a[g(i)]) exactly when they lie in one right coset of G ∩ stab(a), so
     stab(a) . G = stab(a) . R for R holding one g per distinct a^g, and its
     |stab(a)|.|R| products are distinct: one gather of n-byte rows, with no
-    dedup.  The intersection is kept as sorted lexicographic ranks.  Each
+    dedup.  The intersection is kept as the sorted base-n values of its
+    rows, which order them as lex order does.  Each
     candidate is an n-byte row, so the candidate budget is charged n per
     candidate, before each product set.  ``candidates_examined`` totals
     the product-set sizes formed before the intersection stabilized."""
@@ -593,6 +594,9 @@ def closure_kearnes(
     n = group.degree
     b = resolve(budgets)
     g_rows = group._rows
+    # a row as a number in base n, below n^n: exact in int64 up to degree
+    # 15, and the first stab(a), S_n, is unlistable past it
+    row_weights = _weights(n, n)
     running: np.ndarray | None = None
     examined = 0
     for classes in _set_partitions(n, min(k, n)):
@@ -604,19 +608,18 @@ def closure_kearnes(
         stab_rows = _symmetric_product(
             [np.flatnonzero(a == v) + 1 for v in range(len(sizes))], n
         )
-        # a^g as a number in base len(sizes), below n^n: exact in intp up
-        # to degree 15, and the first stab(a), S_n, is unlistable past it
+        # a^g as a number in base len(sizes), below n^n as the rows are
         _, first = np.unique(a[g_rows] @ _weights(n, len(sizes)), return_index=True)
         pset = stab_rows[:, g_rows[first]].reshape(-1, n)
-        ranks = _lex_ranks(pset)
+        keys = pset @ row_weights
         examined += len(pset)
-        running = np.sort(ranks) if running is None else running[np.isin(running, ranks)]
+        running = np.sort(keys) if running is None else running[np.isin(running, keys)]
         if len(running) == group.order:
             break
     assert running is not None
-    # the extra rows, in rank order, from the last product set
-    keep = np.isin(ranks, np.setdiff1d(running, group._ranks, assume_unique=True))
-    extra = pset[keep][np.argsort(ranks[keep])]
+    # the extra rows, in lex order, from the last product set
+    keep = np.isin(keys, np.setdiff1d(running, g_rows @ row_weights, assume_unique=True))
+    extra = pset[keep][np.argsort(keys[keep])]
     closure = _group_from_union(group, extra, extra, b)
     return ClosureReport(
         group, k, closure, "kearnes", examined, None, time.perf_counter() - t0

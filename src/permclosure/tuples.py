@@ -275,9 +275,9 @@ def _class_tables(
     limbs, each limb's radix and distinct member keys, ascending, and,
     where the keys are one limb and the class fills at least
     1/_DENSE_WORDS of alphabet^(arity-1), the dense inverse of its
-    members' ``index // alphabet``: a gather there costs a fraction of a
-    binary search.  Cached, since closures and orbit equivalence at one
-    degree and alphabet size all scan the same class.
+    members' ``index // alphabet`` as int32 positions: a gather there
+    costs a fraction of a binary search.  Cached, since closures and orbit
+    equivalence at one degree and alphabet size all scan the same class.
 
     The content fixes a member's last digit, as the one value its first
     arity - 1 digits leave over, so those digits, ``index // alphabet``,
@@ -311,8 +311,9 @@ def _class_tables(
     for table in (weights, *(prefix for _, prefix in chain)):
         table.flags.writeable = False
     where = None
-    if len(chain) == 1 and alphabet ** (arity - 1) <= _DENSE_WORDS * size:
-        where = np.zeros(alphabet ** (arity - 1), dtype=np.intp)
+    dense = len(chain) == 1 and alphabet ** (arity - 1) <= _DENSE_WORDS * size
+    if dense and size <= np.iinfo(np.int32).max:  # int32 positions halve its bytes
+        where = np.zeros(alphabet ** (arity - 1), dtype=np.int32)
         where[chain[0][1] // alphabet] = np.arange(size)
         where.flags.writeable = False
     return rows, weights, tuple(chain), where
@@ -372,10 +373,11 @@ class ContentClass:
     def positions(self, keys: np.ndarray) -> np.ndarray:
         """Positions of members given by their keys, limbs first: one
         gather at the index of their first arity - 1 digits where the
-        class has a dense inverse, else a binary search per limb.  A key
+        class has a dense inverse, else a binary search per limb.  Either
+        way they are ``intp``, which ``_min_labels`` gathers with.  A key
         that is no member's gives some position; ``encode`` checks it."""
         if self._where is not None:
-            return self._where[keys[0] // self.alphabet]
+            return self._where[keys[0] // self.alphabet].astype(np.intp)
         (_, first), *rest = self._chain
         pos = np.searchsorted(first, keys[0])
         for (radix, prefix), key in zip(rest, keys[1:]):

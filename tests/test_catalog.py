@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from permclosure import catalog
+from permclosure import budgets, catalog
+from permclosure.budgets import KINDS, default_budgets
 from permclosure.catalog import (
     catalog_entries,
     catalog_names,
@@ -25,7 +26,6 @@ from permclosure.perm import (
     format_perm,
     is_primitive,
     is_transitive,
-    parse_perm,
 )
 
 
@@ -48,8 +48,8 @@ def test_catalog_entries_match_the_recorded_digest():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CATALOG_DIGEST
 
 
-def _two_triangles():
-    return (parse_perm("(1 2 3)", 6), parse_perm("(4 5 6)", 6))
+def _spec_generators(name):
+    return next(spec[5] for spec in catalog._NAMED_SPECS if spec[0] == name)
 
 
 @pytest.fixture()
@@ -60,11 +60,11 @@ def fresh_catalog():
 
 
 @pytest.mark.parametrize("spec, message", [
-    (("AGL(1,5)", 5, 21, True, "", catalog._gens_agl_1_5),
+    (("AGL(1,5)", 5, 21, True, "", _spec_generators("AGL(1,5)")),
      "AGL(1,5): generators produce order 20, not 21"),
-    (("F_21", 7, 21, False, "", catalog._gens_f21),
+    (("F_21", 7, 21, False, "", _spec_generators("F_21")),
      "F_21: primitivity flag is wrong"),
-    (("Two triangles", 6, 9, False, "", _two_triangles),
+    (("Two triangles", 6, 9, False, "", ("(1 2 3)", "(4 5 6)")),
      "Two triangles: generators are not transitive"),
 ])
 def test_a_wrong_spec_is_refused(fresh_catalog, monkeypatch, capsys, spec, message):
@@ -77,10 +77,31 @@ def test_a_wrong_spec_is_refused(fresh_catalog, monkeypatch, capsys, spec, messa
 
 
 def test_spec_names_must_normalize_apart(fresh_catalog, monkeypatch):
-    spec = ("AGL(1,5)", 5, 20, True, "", catalog._gens_agl_1_5)
+    spec = ("AGL(1,5)", 5, 20, True, "", _spec_generators("AGL(1,5)"))
     monkeypatch.setattr(catalog, "_NAMED_SPECS", (spec, ("agl(1, 5)",) + spec[1:]))
     with pytest.raises(AssertionError):
         catalog_entries()
+
+
+def test_the_environment_budget_does_not_reach_the_catalog_build(
+    fresh_catalog, monkeypatch, capsys
+):
+    """A bound of 50 in the environment admits F_21 (order 21) and its
+    closure, as the same bound given by flag does, although the catalog
+    holds larger groups."""
+    monkeypatch.setenv(KINDS["materialization"].env, "50")
+    monkeypatch.setattr(budgets, "DEFAULT", default_budgets())
+    assert main(["closure", "catalog:F_21", "-k", "3"]) == 0
+    assert "closure order: 21" in capsys.readouterr().out
+
+
+def test_entries_agree_with_sympy():
+    """Order and primitivity of every entry, by sympy from its generators."""
+    sympy = pytest.importorskip("sympy.combinatorics")
+    for entry in catalog_entries():
+        group = sympy.PermutationGroup([sympy.Permutation(list(g._img)) for g in entry.generators])
+        assert group.order() == entry.order, entry.name
+        assert group.is_primitive() == entry.primitive, entry.name
 
 
 def test_every_entry_resolves_with_matching_order():
