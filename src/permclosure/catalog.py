@@ -395,78 +395,71 @@ def get_group(name: str, budgets: Budgets | None = None) -> PermGroup:
 # the naming pool for the degree-at-most-6 closure survey
 
 
-def _trivial_on(points: tuple[int, ...], degree: int) -> PermGroup:
-    return generate_group([], ground_set=points, degree=degree)
-
-
 @lru_cache(maxsize=None)
 def survey_candidates(n: int) -> tuple[tuple[str, PermGroup], ...]:
     """Named comparison groups used to label survey rows at one degree.
 
     Every group acts on all n points (no fixed points), and the pool is
     rich enough to name each non-closed class of the survey and its
-    closure.  Unicode display names match the reference table."""
+    closure.  Unicode display names match the reference table.  The pool
+    is built under the package defaults, ``Budgets()``, as the catalog is,
+    and cached: it reads no bound from the environment, which would not be
+    the caller's."""
     if n < 2 or n > 6:
         raise ValueError("the survey naming pool covers degrees 2..6")
+    b = Budgets()
+
+    def named(*names: str) -> tuple[tuple[str, PermGroup], ...]:
+        return tuple((nm, get_group(nm, b)) for nm in names)
+
+    def sym(points: tuple[int, ...]) -> PermGroup:
+        return symmetric_on(points, n, b)
+
+    def alt(points: tuple[int, ...]) -> PermGroup:
+        return alternating_on(points, n, b)
+
+    def gen(*texts: str) -> PermGroup:
+        return generate_group([parse_perm(t, n) for t in texts], budgets=b)
+
+    def trivial(points: tuple[int, ...]) -> PermGroup:
+        return generate_group([], ground_set=points, degree=n, budgets=b)
+
     if n == 2:
-        return (("S_2", get_group("S_2")),)
+        return named("S_2")
     if n == 3:
-        return (("A_3", get_group("A_3")), ("S_3", get_group("S_3")))
+        return named("A_3", "S_3")
     if n == 4:
-        return tuple((nm, get_group(nm)) for nm in ("C_4", "D_4", "A_4", "S_4"))
+        return named("C_4", "D_4", "A_4", "S_4")
     if n == 5:
-        s2 = symmetric_on((4, 5), 5)
-        return (
-            ("C_5", get_group("C_5")),
-            ("D_5", get_group("D_5")),
-            ("AGL(1,5)", get_group("AGL(1,5)")),
-            ("A_5", get_group("A_5")),
-            ("S_5", get_group("S_5")),
-            (
-                "S_3×_sd S_2",
-                index2_subdirect(
-                    symmetric_on((1, 2, 3), 5), s2, _trivial_on((4, 5), 5)
-                ),
-            ),
-            ("A_3×S_2", direct_product(alternating_on((1, 2, 3), 5), s2)),
-            ("S_3×S_2", direct_product(symmetric_on((1, 2, 3), 5), s2)),
+        s2 = sym((4, 5))
+        return named("C_5", "D_5", "AGL(1,5)", "A_5", "S_5") + (
+            ("S_3×_sd S_2", index2_subdirect(sym((1, 2, 3)), s2, trivial((4, 5)))),
+            ("A_3×S_2", direct_product(alt((1, 2, 3)), s2, b)),
+            ("S_3×S_2", direct_product(sym((1, 2, 3)), s2, b)),
         )
-    s2 = symmetric_on((5, 6), 6)
-    s3_right = symmetric_on((4, 5, 6), 6)
-    d4 = generate_group([parse_perm("(1 2 3 4)", 6), parse_perm("(2 4)", 6)])
-    c4 = generate_group([parse_perm("(1 2 3 4)", 6)])
+    s2 = sym((5, 6))
+    s3_right = sym((4, 5, 6))
+    d4 = gen("(1 2 3 4)", "(2 4)")
+    c4 = gen("(1 2 3 4)")
     # D_4 on {1..4} glued to S_2 on {5,6} along D_4 / C_4
-    d4_glued = generate_group([parse_perm("(1 2 3 4)", 6), parse_perm("(2 4)(5 6)", 6)])
-    return (
-        ("PGL(2,5)", get_group("PGL(2,5)")),
-        ("A_6", get_group("A_6")),
-        ("S_6", get_group("S_6")),
-        (
-            "S_4×_sd S_2",
-            index2_subdirect(
-                symmetric_on((1, 2, 3, 4), 6), s2, _trivial_on((5, 6), 6)
-            ),
-        ),
-        ("A_4×S_2", direct_product(alternating_on((1, 2, 3, 4), 6), s2)),
-        ("S_4×S_2", direct_product(symmetric_on((1, 2, 3, 4), 6), s2)),
-        (
-            "S_3×_sd S_3",
-            index2_subdirect(
-                symmetric_on((1, 2, 3), 6), s3_right, alternating_on((4, 5, 6), 6)
-            ),
-        ),
-        ("A_3×S_3", direct_product(alternating_on((1, 2, 3), 6), s3_right)),
-        ("A_3×A_3", direct_product(alternating_on((1, 2, 3), 6), alternating_on((4, 5, 6), 6))),
-        ("S_3×S_3", direct_product(symmetric_on((1, 2, 3), 6), s3_right)),
+    d4_glued = gen("(1 2 3 4)", "(2 4)(5 6)")
+    return named("PGL(2,5)", "A_6", "S_6") + (
+        ("S_4×_sd S_2", index2_subdirect(sym((1, 2, 3, 4)), s2, trivial((5, 6)))),
+        ("A_4×S_2", direct_product(alt((1, 2, 3, 4)), s2, b)),
+        ("S_4×S_2", direct_product(sym((1, 2, 3, 4)), s2, b)),
+        ("S_3×_sd S_3", index2_subdirect(sym((1, 2, 3)), s3_right, alt((4, 5, 6)))),
+        ("A_3×S_3", direct_product(alt((1, 2, 3)), s3_right, b)),
+        ("A_3×A_3", direct_product(alt((1, 2, 3)), alt((4, 5, 6)), b)),
+        ("S_3×S_3", direct_product(sym((1, 2, 3)), s3_right, b)),
         ("D_4×_sd S_2", d4_glued),
-        ("C_4×S_2", direct_product(c4, s2)),
-        ("D_4×S_2", direct_product(d4, s2)),
-        ("C_3≀S_2", get_group("C_3 wr S_2")),
-        ("S_3≀_sd S_2", get_group("S_3 wr_sd S_2")),
-        ("(S_3≀S_2)∩A_6", get_group("(S_3 wr S_2) cap A_6")),
-        ("S_3≀S_2", get_group("S_3 wr S_2")),
-        ("R(cube)", get_group("R(cube)")),
-        ("S(cube)", get_group("S(cube)")),
+        ("C_4×S_2", direct_product(c4, s2, b)),
+        ("D_4×S_2", direct_product(d4, s2, b)),
+        ("C_3≀S_2", get_group("C_3 wr S_2", b)),
+        ("S_3≀_sd S_2", get_group("S_3 wr_sd S_2", b)),
+        ("(S_3≀S_2)∩A_6", get_group("(S_3 wr S_2) cap A_6", b)),
+        ("S_3≀S_2", get_group("S_3 wr S_2", b)),
+        ("R(cube)", get_group("R(cube)", b)),
+        ("S(cube)", get_group("S(cube)", b)),
     )
 
 

@@ -31,7 +31,6 @@ from .budgets import Budgets, resolve
 from .closure import _accepted_rows, _group_from_union, galois_closure
 from .perm import (
     PermGroup,
-    Permutation,
     _lex_ranks,
     _symmetric_product,
     alternating_on,
@@ -165,7 +164,7 @@ def classify_main(
     on_block = _projection(g, block)
     on_complement = _projection(g, complement)
     bfact = math.factorial(len(block))
-    sym_block = symmetric_on(block, n)
+    sym_block = symmetric_on(block, n, budgets)
 
     # alternating x L: even on the block, full product order
     if (
@@ -173,14 +172,14 @@ def classify_main(
         and all(p.sign == 1 for p in on_block.generators)
         and g.order == on_block.order * on_complement.order
     ):
-        alt_block = alternating_on(block, n)
-        product = direct_product(alt_block, on_complement)
+        alt_block = alternating_on(block, n, budgets)
+        product = direct_product(alt_block, on_complement, budgets)
         if product == g:
             return NonClosedForm(
                 FormKind.ALTERNATING_TIMES_L, n, k, d, threshold,
                 block=block, complement=complement,
                 complement_factor=on_complement,
-                predicted_closure=direct_product(sym_block, on_complement),
+                predicted_closure=direct_product(sym_block, on_complement, budgets),
                 note=note or "alternating on the block times the complement action",
             )
 
@@ -190,7 +189,8 @@ def classify_main(
         and g.order * 2 == bfact * on_complement.order
         and on_complement.order % 2 == 0
     ):
-        even = np.isin(_lex_ranks(_restricted_rows(g, block)), alternating_on(block, n)._ranks)
+        alt_ranks = alternating_on(block, n, budgets)._ranks
+        even = np.isin(_lex_ranks(_restricted_rows(g, block)), alt_ranks)
         half_rows = _restricted_rows(g, complement)[even]
         try:
             # index2_subdirect refuses a half that is not of index 2
@@ -204,7 +204,7 @@ def classify_main(
                 block=block, complement=complement,
                 complement_factor=on_complement,
                 complement_half=half,
-                predicted_closure=direct_product(sym_block, on_complement),
+                predicted_closure=direct_product(sym_block, on_complement, budgets),
                 note=note or "index-2 gluing of the symmetric block with the complement action",
             )
 
@@ -366,25 +366,32 @@ def check_wielandt_containment(
 
 def degree7_panel() -> tuple[tuple[str, PermGroup], ...]:
     """Ten structurally varied groups of degree 7 used to exercise the
-    shape test at k = 5."""
+    shape test at k = 5.  They are built under the package defaults,
+    ``Budgets()``, as the catalog is: a fixed panel reads no bound from the
+    environment, which would not be the caller's."""
+    b = Budgets()
 
-    def p(text: str) -> Permutation:
-        return parse_perm(text, 7)
+    def gen(*texts: str) -> PermGroup:
+        return generate_group([parse_perm(t, 7) for t in texts], budgets=b)
 
-    s5 = symmetric_on(range(1, 6), 7)
-    s2_tail = symmetric_on((6, 7), 7)
-    triv_tail = generate_group([], degree=7, ground_set=(6, 7))
+    def sym(points) -> PermGroup:
+        return symmetric_on(points, 7, b)
+
+    def alt(points) -> PermGroup:
+        return alternating_on(points, 7, b)
+
+    triv_tail = generate_group([], degree=7, ground_set=(6, 7), budgets=b)
     panel = (
-        ("A_7", alternating_on(range(1, 8), 7)),
-        ("A_6 embedded", alternating_on(range(1, 7), 7)),
-        ("S_7", symmetric_on(range(1, 8), 7)),
-        ("C_7", generate_group([p("(1 2 3 4 5 6 7)")])),
-        ("D_7", generate_group([p("(1 2 3 4 5 6 7)"), p("(2 7)(3 6)(4 5)")])),
-        ("S_3 x S_4", direct_product(symmetric_on((1, 2, 3), 7), symmetric_on((4, 5, 6, 7), 7))),
-        ("A_3 x A_4", direct_product(alternating_on((1, 2, 3), 7), alternating_on((4, 5, 6, 7), 7))),
-        ("S_5 sd S_2", index2_subdirect(s5, s2_tail, triv_tail)),
-        ("F_21", generate_group([p("(1 2 3 4 5 6 7)"), p("(2 3 5)(4 7 6)")])),
-        ("S_6 embedded", symmetric_on(range(1, 7), 7)),
+        ("A_7", alt(range(1, 8))),
+        ("A_6 embedded", alt(range(1, 7))),
+        ("S_7", sym(range(1, 8))),
+        ("C_7", gen("(1 2 3 4 5 6 7)")),
+        ("D_7", gen("(1 2 3 4 5 6 7)", "(2 7)(3 6)(4 5)")),
+        ("S_3 x S_4", direct_product(sym((1, 2, 3)), sym((4, 5, 6, 7)), b)),
+        ("A_3 x A_4", direct_product(alt((1, 2, 3)), alt((4, 5, 6, 7)), b)),
+        ("S_5 sd S_2", index2_subdirect(sym(range(1, 6)), sym((6, 7)), triv_tail)),
+        ("F_21", gen("(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)")),
+        ("S_6 embedded", sym(range(1, 7))),
     )
     return panel
 

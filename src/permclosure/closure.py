@@ -240,8 +240,8 @@ def _accepted_rows(
     group: if f(sigma.t) = f(t) for every t, then f(sigma^-1.t) =
     f(sigma.(sigma^-1.t)) = f(t).  A candidate and its inverse therefore
     get the same verdict.  Entry i of sigma^-1.t is t[sigma^-1(i)], so the
-    key of sigma^-1.t weights digit j by ``key_weights[:, sigma(j)]``: a
-    gather by the candidate's own images.
+    key of sigma^-1.t, its index in alphabet^arity, weights digit j by
+    ``weights[sigma(j)]``: a gather by the candidate's own images.
 
     Tuple 0 is never read.  A candidate permutes the space, so each label
     is taken as often as it is given; if it is kept at every other tuple,
@@ -252,48 +252,45 @@ def _accepted_rows(
     and a candidate leaves at its first failing chunk.  The first chunk
     holds at most ``_FIRST_CELLS`` cells and at least one tuple, which is
     all it holds when candidates are many; most of them fail there.  Each
-    later chunk doubles, up to ``_TEST_CELLS`` over the live candidates
-    and limbs.
+    later chunk doubles, up to ``_TEST_CELLS`` over the live candidates.
 
     Per chunk, each run's key table holds its part of the key for each
     tuple and each of its local rows, so a candidate's key is the sum of
     one gather per run.  Once the runs have as many local rows together as
     there are live candidates, as explicit rows have from the start, each
     candidate's weights are gathered once into a column of one table, and
-    a chunk's keys are one product.  The labels are read at
-    ``space.positions`` of the keys, one row per limb.  A block holds at
-    most ``_TEST_CELLS`` / (limbs . arity) candidates, so that table stays
+    a chunk's keys are one product, a (tuples, candidates) table.  The
+    labels are read at ``space.positions`` of the keys.  A block holds at
+    most ``_TEST_CELLS`` / arity candidates, so the weights table stays
     within ``_TEST_CELLS`` too.  The keys are integer products, which are
     exact and, unlike floating-point ones, do not go through a
     multithreaded BLAS.
     """
-    size, arity, weights = space.size, space.arity, space.key_weights
-    limbs = len(weights)
+    size, arity, weights = space.size, space.arity, space.weights
     count = len(runs[0][2])
-    block = max(1, _TEST_CELLS // (limbs * arity))
+    block = max(1, _TEST_CELLS // arity)
     kept = [np.empty(0, dtype=np.intp)]
     for start in range(0, count, block):
         alive = np.arange(start, min(start + block, count))
         live = [(off, perms, digits[start:start + block]) for off, perms, digits in runs]
-        lo, rows = 1, max(1, _FIRST_CELLS // (alive.size * limbs))
+        lo, rows = 1, max(1, _FIRST_CELLS // alive.size)
         while alive.size and lo < size:
             if live and sum(len(perms) for _, perms, _ in live) >= alive.size:
                 # one local row per candidate: weigh all points at once
                 moved = np.concatenate(
-                    [weights[:, off:off + perms.shape[1]][:, perms[digits]]
+                    [weights[off:off + perms.shape[1]][perms[digits]]
                      for off, perms, digits in live],
-                    axis=2,
-                ).transpose(0, 2, 1)
+                    axis=1,
+                ).T
                 live = []
-            cap = max(1, _TEST_CELLS // max(alive.size * limbs, arity))
+            cap = max(1, _TEST_CELLS // max(alive.size, arity))
             hi = min(size, lo + min(rows, cap))
             tuples = space.rows(lo, hi)
             if live:
-                keys = np.zeros((limbs, hi - lo, alive.size), dtype=np.intp)
+                keys = np.zeros((hi - lo, alive.size), dtype=np.intp)
                 for off, perms, digits in live:
                     run = slice(off, off + perms.shape[1])
-                    table = tuples[:, run] @ weights[:, run][:, perms].transpose(0, 2, 1)
-                    keys += np.take(table, digits, axis=2)
+                    keys += np.take(tuples[:, run] @ weights[run][perms].T, digits, axis=1)
             else:
                 keys = tuples @ moved
             at = space.positions(keys)
@@ -305,7 +302,7 @@ def _accepted_rows(
             if live:
                 live = [(off, perms, digits[ok]) for off, perms, digits in live]
             else:
-                moved = moved[:, :, ok]
+                moved = moved[:, ok]
             lo = hi
         kept.append(alive)
     return np.concatenate(kept)

@@ -25,25 +25,25 @@ A ContentClass holds only the tuples of one content, value v occurring
 ``content[v - 1]`` times: one S_n-orbit, so every coordinate action maps it
 onto itself.  It keeps its members as ``uint8`` digit rows in lex order,
 written directly as permutations of a multiset (Knuth, TAOCP 4A, 7.2.1.2),
-and their keys, which lex order makes ascending: the k^n index while k^n
-fits in intp, else one intp limb per run of digits, each ranked against the
-limb before (``_class_tables``).  Its coordinate map sends each member to
-another member, whose position is found from its key by ``np.searchsorted``,
-or by one gather where the class fills at least 1/16 of k^(n-1): the
-content fixes a member's last digit, so a dense inverse indexed by the
-first n-1 digits, ``key // k``, tells the members apart.  Its labels are
-least positions.  The balanced content (``balanced_sizes``) decides every
-closure and orbit-equivalence question (see ``closure``), and the hook
-content (1^k, n-k) over k+1 letters, the injective k-tuples of points,
-decides the Wielandt closure (see ``classify``).
+and their keys, their indices in k^n as one intp each, which lex order makes
+ascending (``_class_tables``); a class whose k^n passes 2^63 is refused.
+Its coordinate map sends each member to another member, whose position is
+found from its key by ``np.searchsorted``, or by one gather where the class
+fills at least 1/16 of k^(n-1): the content fixes a member's last digit, so
+a dense inverse indexed by the first n-1 digits, ``key // k``, tells the
+members apart.  Its labels are least positions.  The balanced content
+(``balanced_sizes``) decides every closure and orbit-equivalence question
+(see ``closure``), and the hook content (1^k, n-k) over k+1 letters, the
+injective k-tuples of points, decides the Wielandt closure (see
+``classify``).
 ``cached_orbit_partition(..., content=c)`` labels n!/prod(c_v!) tuples
 instead of k^n.
 
 Both sets answer ``coordinate_index_map(sigma)``, so one ``orbit_partition``
 labels either, and ``rows(lo, hi)``, the digit rows of members lo..hi-1, and
-``positions(keys)`` for keys made with ``key_weights``, where the candidate
-test in ``closure`` looks up the labels of image tuples: all of k^n, one
-limb, computes its digits from the index range as
+``positions(keys)`` for keys made with ``weights``, where the candidate
+test in ``closure`` looks up the labels of image tuples: all of k^n, whose
+keys are its positions, computes its digits from the index range as
 ``t // weights % alphabet``, and a class slices its stored rows.
 """
 
@@ -128,15 +128,10 @@ class TupleSpace:
         """Digit rows of the tuples of index lo..hi-1."""
         return np.arange(lo, hi)[:, None] // self.weights % self.alphabet
 
-    @property
-    def key_weights(self) -> np.ndarray:
-        """The weights as the one limb of a key (see ``ContentClass``)."""
-        return self.weights[None]
-
     def positions(self, keys: np.ndarray) -> np.ndarray:
-        """Where the tuples of the given keys sit: at their indices, the
-        keys' one limb."""
-        return keys[0]
+        """Where the tuples of the given keys sit: at the keys, their
+        indices."""
+        return keys
 
     def coordinate_index_map(self, sigma: Permutation) -> np.ndarray:
         """Index array I with I[t] = index of the coordinate action of sigma.
@@ -233,33 +228,12 @@ def _multiset_rows(counts: tuple[int, ...]) -> np.ndarray:
 
 
 def _digit_keys(digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``weights @ digits.T`` as intp, one row per limb of ``weights``,
-    summed a column at a time: no (rows, arity) intp copy."""
-    keys = np.zeros((len(weights), len(digits)), dtype=np.intp)
-    for column, w in zip(digits.T, weights.T):
-        keys += column * w[:, None]
+    """``digits @ weights`` as intp, summed a column at a time: no
+    (rows, arity) intp copy."""
+    keys = np.zeros(len(digits), dtype=np.intp)
+    for column, w in zip(digits.T, weights):
+        keys += column * w
     return keys
-
-
-# Every key is below this: a limb's index, or a rank times a limb's radix
-# plus its index.
-_KEY_CAP = int(np.iinfo(np.intp).max) + 1
-
-
-def _limb_widths(arity: int, alphabet: int, size: int) -> tuple[int, ...]:
-    """Digits per limb of the keys of a class of ``size`` members: the
-    first limb as many as keep its index in alphabet^width below
-    ``_KEY_CAP``, each later one as many as keep a rank below ``size``
-    times alphabet^width, plus that index, below it."""
-    widths: list[int] = []
-    scale = 1
-    while sum(widths) < arity:
-        width = 1
-        while sum(widths) + width < arity and scale * alphabet ** (width + 1) <= _KEY_CAP:
-            width += 1
-        widths.append(width)
-        scale = size
-    return tuple(widths)
 
 
 # Most words per member that a dense inverse of a class's members, indexed
@@ -270,53 +244,32 @@ _DENSE_WORDS = 16
 @functools.lru_cache(maxsize=8)
 def _class_tables(
     counts: tuple[int, ...], alphabet: int
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, np.ndarray], ...], np.ndarray | None]:
-    """A class's digit rows (``_multiset_rows``), the weights of its key
-    limbs, each limb's radix and distinct member keys, ascending, and,
-    where the keys are one limb and the class fills at least
-    1/_DENSE_WORDS of alphabet^(arity-1), the dense inverse of its
-    members' ``index // alphabet`` as int32 positions: a gather there
-    costs a fraction of a binary search.  Cached, since closures and orbit
-    equivalence at one degree and alphabet size all scan the same class.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """A class's digit rows (``_multiset_rows``), the weights of
+    alphabet^arity, its members' keys, their indices there, which lex
+    order makes ascending, and, where the class fills at least
+    1/_DENSE_WORDS of alphabet^(arity-1), the dense inverse of the keys
+    ``// alphabet`` as int32 positions: a gather there costs a fraction of
+    a binary search.  Cached, since closures and orbit equivalence at one
+    degree and alphabet size all scan the same class.
 
     The content fixes a member's last digit, as the one value its first
-    arity - 1 digits leave over, so those digits, ``index // alphabet``,
+    arity - 1 digits leave over, so those digits, ``key // alphabet``,
     already tell the members apart, and the inverse needs alphabet^(arity-1)
-    entries, not alphabet^arity.
-
-    A member's key at the first limb is the index of its first digits in
-    alphabet^width, and at each later limb the rank of its key at the
-    limb before, times alphabet^width, plus the index of the limb's
-    digits.  Lex order of the rows makes every limb's keys ascend, and at
-    the last limb they are distinct, so a member's rank there is its
-    position.  One limb holds the whole index wherever alphabet^arity
-    fits in intp."""
+    entries, not alphabet^arity.  ``ContentClass`` refuses an
+    alphabet^arity past intp before it asks for these tables."""
     rows = _multiset_rows(counts)
     size, arity = rows.shape
-    widths = _limb_widths(arity, alphabet, size)
-    weights = np.zeros((len(widths), arity), dtype=np.intp)
-    start = 0
-    for limb, width in zip(weights, widths):
-        limb[start:start + width] = _weights(width, alphabet)
-        start += width
-    chain = []
-    for key, width in zip(_digit_keys(rows, weights), widths):
-        radix = alphabet**width
-        if chain:
-            key += rank * radix
-        new = np.ones(size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        chain.append((radix, key[new]))
-        rank = np.cumsum(new) - 1
-    for table in (weights, *(prefix for _, prefix in chain)):
-        table.flags.writeable = False
+    weights = _weights(arity, alphabet)
+    keys = _digit_keys(rows, weights)
+    weights.flags.writeable = keys.flags.writeable = False
     where = None
-    dense = len(chain) == 1 and alphabet ** (arity - 1) <= _DENSE_WORDS * size
+    dense = alphabet ** (arity - 1) <= _DENSE_WORDS * size
     if dense and size <= np.iinfo(np.int32).max:  # int32 positions halve its bytes
         where = np.zeros(alphabet ** (arity - 1), dtype=np.int32)
-        where[chain[0][1] // alphabet] = np.arange(size)
+        where[keys // alphabet] = np.arange(size)
         where.flags.writeable = False
-    return rows, weights, tuple(chain), where
+    return rows, weights, keys, where
 
 
 class ContentClass:
@@ -327,15 +280,12 @@ class ContentClass:
 
     ``digits`` holds the members as read-only uint8 digit rows (value - 1)
     in lex order; positions 0..size-1 name them.  A member is found from
-    its key, ``key_weights @ digits``, one intp row per limb
-    (``_class_tables``): one limb, its index in alphabet^arity, while that
-    fits in intp, and more past it, so that a class of a large arity
-    stays exact.  The tuple budget is charged the class size, before any
-    row is built."""
+    its key, ``digits @ weights``, its index in alphabet^arity as one intp
+    (``_class_tables``).  The tuple budget is charged the class size, and
+    then an alphabet^arity past 2^63, whose keys would not fit in 64 bits,
+    is refused as a UsageError, both before any row is built."""
 
-    __slots__ = (
-        "arity", "alphabet", "content", "size", "digits", "key_weights", "_chain", "_where"
-    )
+    __slots__ = ("arity", "alphabet", "content", "size", "digits", "weights", "_keys", "_where")
 
     def __init__(
         self, arity: int, alphabet: int, content: Iterable[int], budgets: Budgets | None = None
@@ -343,20 +293,21 @@ class ContentClass:
         content = tuple(content)
         size = _class_size(arity, alphabet, content)
         resolve(budgets).check("tuple-space", size)
+        if alphabet**arity - 1 > np.iinfo(np.intp).max:  # the largest key
+            raise UsageError(
+                f"{alphabet}^{arity} passes 2^63: the keys of tuples of arity {arity} "
+                f"over {alphabet} letters do not fit in 64 bits"
+            )
         self.arity = arity
         self.alphabet = alphabet
         self.content = content
         self.size = size
-        self.digits, self.key_weights, self._chain, self._where = _class_tables(
-            content, alphabet
-        )
+        self.digits, self.weights, self._keys, self._where = _class_tables(content, alphabet)
 
     def encode(self, a: Iterable[int]) -> int:
         """The position of a member tuple."""
         t = tuple(a)
-        _encode(t, self.arity, self.alphabet)  # refuses a wrong length or entry
-        keys = self.key_weights @ (np.array(t, dtype=np.intp)[:, None] - 1)
-        pos = int(self.positions(keys)[0])
+        pos = int(self.positions(np.intp(_encode(t, self.arity, self.alphabet))))
         if pos == self.size or not np.array_equal(self.digits[pos] + 1, t):
             raise ValueError(f"tuple {t} does not have the content {self.content}")
         return pos
@@ -371,26 +322,22 @@ class ContentClass:
         return self.digits[lo:hi]
 
     def positions(self, keys: np.ndarray) -> np.ndarray:
-        """Positions of members given by their keys, limbs first: one
-        gather at the index of their first arity - 1 digits where the
-        class has a dense inverse, else a binary search per limb.  Either
-        way they are ``intp``, which ``_min_labels`` gathers with.  A key
-        that is no member's gives some position; ``encode`` checks it."""
+        """Positions of members given by their keys: one gather at the
+        index of their first arity - 1 digits where the class has a dense
+        inverse, else one binary search.  Either way they are ``intp``,
+        which ``_min_labels`` gathers with.  A key that is no member's
+        gives some position; ``encode`` checks it."""
         if self._where is not None:
-            return self._where[keys[0] // self.alphabet].astype(np.intp)
-        (_, first), *rest = self._chain
-        pos = np.searchsorted(first, keys[0])
-        for (radix, prefix), key in zip(rest, keys[1:]):
-            pos = np.searchsorted(prefix, pos * radix + key)
-        return pos
+            return self._where[keys // self.alphabet].astype(np.intp)
+        return np.searchsorted(self._keys, keys)
 
     def coordinate_index_map(self, sigma: Permutation) -> np.ndarray:
         """Position array P with P[p] = position of the coordinate action
         of sigma on member p.  Entry i of the image of a is ``a[sigma(i)]``,
-        so its key weights digit j by ``key_weights[:, sigma^-1(j)]``."""
+        so its key weights digit j by ``weights[sigma^-1(j)]``."""
         if sigma.degree != self.arity:
             raise DegreeMismatch(f"degree {sigma.degree} vs arity {self.arity}")
-        moved = self.key_weights[:, list(sigma.inverse()._img)]
+        moved = self.weights[list(sigma.inverse()._img)]
         return self.positions(_digit_keys(self.digits, moved))
 
     def __repr__(self) -> str:

@@ -17,7 +17,8 @@ from permclosure.classify import (
 )
 from permclosure.closure import galois_closure
 from permclosure.subgroups import all_subgroups
-from permclosure.tuples import kpow_orbit_partition
+from permclosure.errors import UsageError
+from permclosure.tuples import cached_orbit_partition, kpow_orbit_partition
 from permclosure.perm import (
     Permutation,
     alternating_on,
@@ -174,6 +175,20 @@ def test_point_tuple_closure_past_intp_indices(cycles):
         got = wielandt_closure(g, k)
         assert got.order == len(want) and all(sigma in got for sigma in want), (cycles, k)
     assert wielandt_closure(g, 2) == g
+
+
+def test_point_tuple_closure_moving_40_points_refuses_keys_past_64_bits():
+    """A group moving all 40 points labels the hook class over k+1
+    letters: at k = 2, 3^40 passes 2^63, so the closure is refused as a
+    usage error, while at k = 1 the class of 2^40 keys is labelled.  The
+    closure at k = 1 itself ranks 2^20 candidates as Python ints, which
+    takes seconds, so only the partition it reads is built here."""
+    g = grp(40, " ".join(f"({p} {p + 1})" for p in range(1, 40, 2)))
+    with pytest.raises(UsageError, match="arity 40 over 3 letters"):
+        wielandt_closure(g, 2)
+    part = cached_orbit_partition(g, 2, content=(1, 39))
+    assert part.orbit_count == 20
+    assert part.same_orbit((1,) + (2,) * 39, (2, 1) + (2,) * 38)
 
 
 @pytest.mark.parametrize("support", [(36, 37, 38, 39, 40), (3, 11, 17, 29, 40)])

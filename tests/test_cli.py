@@ -154,6 +154,46 @@ def test_catalog_is_built_under_no_environment_budget(capsys, monkeypatch):
         catalog._catalog.cache_clear()
 
 
+@pytest.fixture()
+def environment_bound(monkeypatch):
+    """Sets the environment's materialization bound as start-up reads it,
+    with the cached survey naming pool cleared before and after."""
+    def set_bound(value):
+        env = KINDS["materialization"].env
+        if value is None:
+            monkeypatch.delenv(env, raising=False)
+        else:
+            monkeypatch.setenv(env, str(value))
+        monkeypatch.setattr(budgets, "DEFAULT", default_budgets())
+
+    catalog.survey_candidates.cache_clear()
+    yield set_bound
+    catalog.survey_candidates.cache_clear()
+
+
+@pytest.mark.parametrize("bound, argv", [
+    # classify_main's block groups: S_8 on the eight points of A_8
+    (30000, ["verify", "--theorem", "main", "--group", "catalog:A_8", "-k", "7",
+             "--materialization-bound", "1000000"]),
+    # the survey naming pool: S_4 in the degree-4 pool
+    (20, ["table1", "--materialization-bound", "100000"]),
+    # the degree-7 panel: S_5 in S_5 sd S_2
+    (100, ["verify", "--theorem", "main", "--materialization-bound", "1000000"]),
+])
+def test_fixed_groups_are_built_under_no_environment_budget(
+    capsys, environment_bound, bound, argv
+):
+    """A low bound in the environment, lifted by the flag: the command
+    builds its own groups under the flag's bound or the package defaults,
+    and prints what it prints without the variable."""
+    environment_bound(bound)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    environment_bound(None)
+    catalog.survey_candidates.cache_clear()
+    assert run(capsys, *argv, "--format", "json") == (0, out, "")
+
+
 def test_environment_sets_each_budget(monkeypatch):
     for kind in KINDS.values():
         monkeypatch.setenv(kind.env, "7")

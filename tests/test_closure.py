@@ -492,16 +492,16 @@ def test_tester_verdicts_do_not_change_under_inversion():
         ]
 
 
-def test_tester_with_keys_in_two_limbs():
-    """The injective point pairs of degree 40 as a class over 3 letters:
-    3^40 passes intp, so the keys take two limbs.  The product of the
-    symmetric groups on the orbits of <(1 2 3)(4 5)> and random
-    permutations of the 40 points are tested against one map at a time
-    as rows, and so is the product with the symmetric group on (6 7 8) as
-    runs of ranks."""
+def test_tester_with_keys_over_forty_points():
+    """The points of degree 40 as the class of content (1, 39) over 2
+    letters, whose keys run below 2^40.  The product of the symmetric
+    groups on the orbits of <(1 2 3)(4 5)>, which keeps every point orbit,
+    and random permutations of the 40 points are tested against one map
+    at a time as rows, and so is the product with the symmetric group on
+    (6 7 8) as runs of ranks."""
     g = grp(40, "(1 2 3)(4 5)")
-    part = cached_orbit_partition(g, 3, content=(1, 1, 38))
-    assert len(part.space.key_weights) == 2
+    part = cached_orbit_partition(g, 2, content=(1, 39))
+    assert part.space.weights[0] == 2**39 and part.orbit_count == 37
     rng = np.random.default_rng(40)
     product = direct_product(symmetric_on((1, 2, 3), 40), symmetric_on((4, 5), 40))
     rows = np.concatenate([product._rows, [rng.permutation(40) for _ in range(20)]])
@@ -509,14 +509,14 @@ def test_tester_with_keys_in_two_limbs():
     got = _accepted_rows(part.space, part.labels, _one_run(rows))
     want = [i for i, row in enumerate(rows)
             if _accepts_by_index_map(part.space, part.labels, row)]
-    assert got.tolist() == want and len(want) == g.order
+    assert got.tolist() == want and len(want) == product.order
     # 72 candidates against 46 local rows: the first chunk adds run tables
     young = closure_module._YoungSubgroup((3, 2, 3) + (1,) * 32, 40)
     ranks = np.arange(young.order)
     got = _accepted_rows(part.space, part.labels, young.runs(ranks))
     want = [r for r, row in zip(ranks, young.rows(ranks))
             if _accepts_by_index_map(part.space, part.labels, row)]
-    assert got.tolist() == want and len(want) == g.order
+    assert got.tolist() == want and len(want) == product.order
 
 
 def test_tester_reads_the_first_tuple_of_every_later_chunk(monkeypatch):

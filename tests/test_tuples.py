@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import cyclic_4, grp, klein_four
 from permclosure.budgets import Budgets
-from permclosure.errors import BudgetExceeded, DegreeMismatch
+from permclosure.errors import BudgetExceeded, DegreeMismatch, UsageError
 from permclosure.perm import (
     Permutation,
     _min_labels,
@@ -399,11 +399,11 @@ def test_balanced_class_lists_its_content_in_lex_order():
                 assert cls.digits.dtype == np.uint8
                 assert cls.digits.tolist() == [list(t) for t in want]
                 space = TupleSpace(n, k)
-                # k^n fits in intp, so the key is one limb: the index in k^n
-                assert cls.key_weights.tolist() == [space.weights.tolist()]
-                keys = cls.key_weights @ cls.digits.T
-                assert keys[0].tolist() == [space.encode(np.add(t, 1)) for t in want]
-                assert not cls.digits.flags.writeable and not cls.key_weights.flags.writeable
+                # a member's key is its index in k^n
+                assert cls.weights.tolist() == space.weights.tolist()
+                keys = cls.digits @ cls.weights
+                assert keys.tolist() == [space.encode(np.add(t, 1)) for t in want]
+                assert not cls.digits.flags.writeable and not cls.weights.flags.writeable
                 assert np.array_equal(cls.rows(1, 3), cls.digits[1:3])
                 assert np.array_equal(cls.positions(keys), np.arange(cls.size))
     # 3^4 = 81 <= 16 * 30 tuples: a dense inverse over the first four
@@ -430,30 +430,46 @@ def test_the_labelled_balanced_classes_find_members_by_one_gather(n, k):
     found by a gather, not a binary search."""
     cls = ContentClass(n, k, balanced_sizes(n, k))
     assert cls._where is not None and len(cls._where) == k ** (n - 1)
-    assert np.array_equal(cls.positions(cls.key_weights @ cls.digits.T), np.arange(cls.size))
+    assert np.array_equal(cls.positions(cls.digits @ cls.weights), np.arange(cls.size))
 
 
-@pytest.mark.parametrize("k, limbs", [(2, 1), (3, 2), (4, 2)])
-def test_a_class_past_intp_keys_its_members_in_limbs(k, limbs):
-    """At arity 40, 2^40 fits in intp, while 3^40 and 4^40 do not: the
-    injective point pairs and triples then take a second limb, and stay
-    exact."""
-    cls = ContentClass(40, k, _hook(40, k))
-    assert cls.size == math.perm(40, k - 1)
-    assert len(cls.key_weights) == limbs
-    # every digit goes to exactly one limb
-    assert (np.count_nonzero(cls.key_weights, axis=0) == 1).all()
-    assert np.array_equal(cls.positions(cls.key_weights @ cls.digits.T), np.arange(cls.size))
+def test_a_class_of_arity_40_over_two_letters_stays_exact():
+    """2^40 fits in 64 bits, so the 40 tuples of one 1 and 39 2s, the
+    hook class of the points of degree 40, are keyed by their indices."""
+    cls = ContentClass(40, 2, _hook(40, 2))
+    assert cls.size == 40
+    assert cls.weights[0] == 2**39
+    assert np.array_equal(cls.positions(cls.digits @ cls.weights), np.arange(cls.size))
     rng = np.random.default_rng(40)
     for p in rng.integers(cls.size, size=20).tolist():
         assert cls.encode(cls.decode(p)) == p
     with pytest.raises(ValueError):
-        cls.encode((k,) * 40)
+        cls.encode((2,) * 40)
     sigma = Permutation((rng.permutation(40) + 1).tolist())
     imap = cls.coordinate_index_map(sigma)
     for p in rng.integers(cls.size, size=50).tolist():
         a = cls.decode(p)
         assert cls.decode(int(imap[p])) == act_tuple(a, sigma)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_a_class_past_64_bit_keys_is_refused_before_it_is_built(monkeypatch, k):
+    """3^40 and 4^40 pass 2^63, so the injective point pairs and triples
+    of degree 40 have no 64-bit keys: a UsageError naming the alphabet and
+    the arity, after the tuple budget and before any row."""
+    def fail(*args):
+        raise AssertionError("class built before the key check")
+
+    monkeypatch.setattr(tuples_module, "_class_tables", fail)
+    with pytest.raises(BudgetExceeded):
+        ContentClass(40, k, _hook(40, k), budgets=Budgets(tuple_budget=math.perm(40, k - 1) - 1))
+    with pytest.raises(UsageError, match=f"arity 40 over {k} letters"):
+        ContentClass(40, k, _hook(40, k))
+    # the keys of 2^63 tuples end at 2^63 - 1, the largest 64-bit key
+    monkeypatch.undo()
+    assert ContentClass(63, 2, (1, 62)).size == 63
+    with pytest.raises(UsageError):
+        ContentClass(64, 2, (1, 63))
 
 
 def test_content_class_refuses_a_content_that_does_not_fit():
