@@ -30,9 +30,6 @@ from .perm import (
 from .tuples import (
     OrbitPartition,
     TupleSpace,
-    act_points,
-    act_tuple,
-    kpow_orbit_partition,
     orbit_partition,
 )
 from .closure import (

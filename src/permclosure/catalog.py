@@ -500,16 +500,13 @@ class SeressReport:
     matches: bool
     wall_time: float
 
-    def summary_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def summary_dict(self) -> dict:
+        return {
             "degree": self.degree,
             "classes": [list(c) for c in self.classes],
             "expected": [list(c) for c in self.expected],
             "matches": self.matches,
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def seress_report(n: int, budgets: Budgets | None = None) -> SeressReport:
@@ -552,8 +549,8 @@ class PrimitiveClosureReport:
     matches: bool
     wall_time: float
 
-    def summary_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def summary_dict(self) -> dict:
+        return {
             "degree": self.degree,
             "alphabet": self.alphabet,
             "entries": [
@@ -563,9 +560,6 @@ class PrimitiveClosureReport:
             "expected_nonclosed": list(self.expected_nonclosed),
             "matches": self.matches,
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def primitive_3closed_report(

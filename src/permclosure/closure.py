@@ -84,7 +84,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .budgets import Budgets, resolve
-from .errors import BudgetExceeded, DegreeMismatch, ParseError, UsageError
+from .errors import DegreeMismatch, ParseError, UsageError
 from .perm import (
     PermGroup,
     Permutation,
@@ -151,8 +151,8 @@ class ClosureReport:
     def is_closed(self) -> bool:
         return self.closure.order == self.group.order
 
-    def summary_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def summary_dict(self) -> dict:
+        return {
             "degree": self.group.degree,
             "k": self.k,
             "group_order": self.group.order,
@@ -164,9 +164,6 @@ class ClosureReport:
             "group_generators": [format_perm(g) for g in self.group.generators],
             "closure_generators": [format_perm(g) for g in self.closure.generators],
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 @dataclass(frozen=True)
@@ -977,7 +974,8 @@ def min_codomain_report(
 
     Only orbit-constant colorings need checking, so the search runs over
     set partitions of the orbit classes, smallest m first; each candidate
-    is rejected as soon as one outside permutation preserves it."""
+    is rejected as soon as one outside permutation preserves it.  More
+    than ``max_orbits`` orbits is a UsageError, since it is no budget."""
     b = resolve(budgets)
     n = group.degree
     clo = galois_closure(group, k, budgets=b)
@@ -986,7 +984,7 @@ def min_codomain_report(
     part = cached_orbit_partition(group, k, budgets=b)
     r = part.orbit_count
     if r > max_orbits:
-        raise BudgetExceeded("orbit-partition search", r, max_orbits)
+        raise UsageError(f"{r} orbits on {k}^{n} pass max_orbits={max_orbits}; raise max_orbits")
     b.check("candidate", math.factorial(n))
     # blocks, so that a coloring is rejected at the first block accepting it
     outside = list(_rows_outside(group))

@@ -39,7 +39,6 @@ __all__ = [
     "sign",
     "extend_degree",
     "shift_perm",
-    "restrict_to",
     "generate_group",
     "viewed_at_degree",
     "direct_product",
@@ -50,8 +49,6 @@ __all__ = [
     "is_primitive",
     "symmetric_on",
     "alternating_on",
-    "conjugate_group",
-    "are_conjugate_in_symmetric",
     "parse_group_text",
     "read_group_file",
 ]
@@ -235,18 +232,6 @@ def shift_group(group: "PermGroup", offset: int, degree: int) -> "PermGroup":
     gens = tuple(shift_perm(g, offset, degree)._img for g in group.generators)
     ground = tuple(p + offset for p in group.ground_set)
     return PermGroup._build(degree, rows, gens, ground or None)
-
-
-def restrict_to(p: Permutation, points: Iterable[int]) -> Permutation:
-    """The action of p on a p-invariant point set, as identity elsewhere."""
-    pts = set(points)
-    img = list(range(p.degree))
-    for q in pts:
-        v = p._img[q - 1] + 1
-        if v not in pts:
-            raise ValueError(f"point set not invariant: {q} maps to {v}")
-        img[q - 1] = v - 1
-    return Permutation._raw(tuple(img))
 
 
 # ---------------------------------------------------------------------------
@@ -877,71 +862,6 @@ def is_primitive(group: PermGroup) -> bool:
         if 1 < size < len(omega):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# conjugacy
-
-
-def conjugate_group(group: PermGroup, s: Permutation) -> PermGroup:
-    """The relabeled group s * G * s^-1."""
-    if s.degree != group.degree:
-        raise DegreeMismatch("conjugating element has the wrong degree")
-    # s.t.s^-1 maps s(i) to s(t(i))
-    si = np.array(s._img, dtype=np.intp)
-    rows = np.empty_like(group._rows)
-    rows[:, si] = si[group._rows]
-    gen_tuples = tuple(conjugate(g, s)._img for g in group.generators)
-    ground = tuple(sorted(s(p) for p in group.ground_set))
-    return PermGroup._build(group.degree, rows, gen_tuples, ground)
-
-
-def _conjugate_ranks(group: PermGroup) -> np.ndarray:
-    """The distinct conjugates s * G * s^-1 over the whole symmetric group,
-    one row of sorted lex ranks each, rows in lexicographic order.
-
-    The (n!, |G|) rank matrix is filled one element of G at a time, so the
-    (n!, n) relabeled rows are the largest temporary.
-    """
-    n = group.degree
-    s, _ = _symmetric_rows(range(1, n + 1), n)
-    s_inv = np.argsort(s, axis=1)
-    out = np.empty((len(s), group.order), dtype=np.int64)
-    for j, h in enumerate(group._rows):
-        # s.h.s^-1 maps s(i) to s(h(i))
-        out[:, j] = _lex_ranks(np.take_along_axis(s, h[s_inv], axis=1))
-    out.sort(axis=1)
-    return _distinct_rows(out)
-
-
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-d array, in lexicographic order."""
-    # lexsort plus adjacent differences: np.unique(axis=0) compares rows as
-    # structured records, 20x slower on S_6
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
-
-
-def are_conjugate_in_symmetric(
-    g: PermGroup, h: PermGroup, budgets: Budgets | None = None
-) -> bool:
-    """Conjugacy inside the symmetric group of their common degree.
-
-    Equal groups and groups of different orders are answered at once.
-    Otherwise h's ranks are looked up among the rank rows of all n!
-    conjugates of g.  Those n! * |G| ranks must fit the materialization
-    bound; the default of 10! admits every group up to degree 6, groups of
-    order at most 720 at degree 7 and at most 90 at degree 8.  Larger
-    cases raise BudgetExceeded before anything is allocated.
-    """
-    if g.degree != h.degree:
-        raise DegreeMismatch("conjugacy test requires equal degrees")
-    if g == h:
-        return True
-    if g.order != h.order:
-        return False
-    resolve(budgets).check("materialization", math.factorial(g.degree) * g.order)
-    return bool((_conjugate_ranks(g) == h._ranks).all(axis=1).any())
 
 
 # ---------------------------------------------------------------------------

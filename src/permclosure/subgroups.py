@@ -140,9 +140,11 @@ _catalog_cache: dict[int, SubgroupCatalog] = {}
 def _span(mul: np.ndarray, base: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """Sorted ranks of the group generated by the sorted ranks ``base`` and
     the generator ranks ``gens``, which also generate base: a breadth-first
-    closure under right multiplication over a mask of all n! ranks.  Every
-    ``PermGroup`` is built by Dimino's algorithm (``perm._dimino_extend``);
-    this exists only for enumeration, where all of S_n (n <= 6) fits in a 720-row table."""
+    closure under right multiplication over a mask of all n! ranks.  A
+    ``PermGroup`` from generators is built by Dimino's algorithm
+    (``perm._dimino_extend``), and ``symmetric_on``, ``alternating_on`` and
+    the products write their rows directly; this exists only for
+    enumeration, where all of S_n (n <= 6) fits in a 720-row table."""
     member = np.zeros(len(mul), dtype=bool)
     member[base] = True
     frontier = base
@@ -403,16 +405,13 @@ class Table1Report:
     matches_reference: bool
     wall_time: float
 
-    def summary_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def summary_dict(self) -> dict:
+        return {
             "reference_rows": [r.summary_dict() for r in self.reference_rows],
             "additional_rows": [r.summary_dict() for r in self.extra_rows],
             "missing_reference": [list(m) for m in self.missing_reference],
             "matches_reference": self.matches_reference,
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def reference_table_rows() -> tuple[tuple[int, int, str, str], ...]:

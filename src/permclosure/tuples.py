@@ -3,21 +3,13 @@
 A TupleSpace indexes all length-``arity`` tuples over {1..alphabet} in mixed
 radix: coordinate 1 is the most significant digit and digit values are
 ``value - 1``, so lexicographic order of tuples coincides with numeric order
-of indices.  Two group actions matter here:
+of indices.  The one group action is the coordinate action on
+alphabet^degree, where sigma sends a to the tuple with entries ``a[sigma(i)]``
+(so the composite ``p*q`` acts as p then q on the right:
+``a^(p*q) = (a^p)^q``).
 
-* the coordinate action on alphabet^degree, where sigma sends a to the tuple
-  with entries ``a[sigma(i)]`` (so the composite ``p*q`` acts as p then q
-  on the right: ``a^(p*q) = (a^p)^q``);
-* the value action on degree^arity, where sigma maps each entry through
-  ``sigma`` itself.
-
-The engine decides everything under the coordinate action.  The value action
-stays as ``kpow_orbit_partition`` and ``act_points``, the brute-force view of
-k-tuples of points.
-
-Index maps come straight from the tuple cube ``arange(size)`` reshaped to
-``(alphabet,) * arity``: an axis transpose for the coordinate action, an
-outer sum over the weights for the value action.  Min-label propagation over
+Its index maps come straight from the tuple cube ``arange(size)`` reshaped
+to ``(alphabet,) * arity``, by an axis transpose.  Min-label propagation over
 them gives the orbit partition as a label array: ``labels[t]`` is the least
 index, hence the lexicographically least member, of the orbit of t.
 
@@ -64,29 +56,9 @@ __all__ = [
     "TupleSpace",
     "ContentClass",
     "OrbitPartition",
-    "act_tuple",
-    "act_points",
     "orbit_partition",
-    "kpow_orbit_partition",
     "cached_orbit_partition",
 ]
-
-
-def act_tuple(a: tuple[int, ...], sigma: Permutation) -> tuple[int, ...]:
-    """Coordinate action: entry i of the result is ``a[sigma(i)]``."""
-    if len(a) != sigma.degree:
-        raise DegreeMismatch(f"tuple length {len(a)} vs degree {sigma.degree}")
-    img = sigma._img
-    return tuple(a[img[i]] for i in range(len(a)))
-
-
-def act_points(r: tuple[int, ...], sigma: Permutation) -> tuple[int, ...]:
-    """Value action: each entry of r (a point) is mapped through sigma."""
-    img = sigma._img
-    for v in r:
-        if not 1 <= v <= sigma.degree:
-            raise ValueError(f"entry {v} outside 1..{sigma.degree}")
-    return tuple(img[v - 1] + 1 for v in r)
 
 
 class TupleSpace:
@@ -144,17 +116,6 @@ class TupleSpace:
             raise DegreeMismatch(f"degree {sigma.degree} vs arity {self.arity}")
         cube = np.arange(self.size, dtype=np.intp).reshape((self.alphabet,) * self.arity)
         return cube.transpose(sigma.inverse()._img).ravel()
-
-    def value_index_map(self, sigma: Permutation) -> np.ndarray:
-        """Index array for the value action of sigma on alphabet points:
-        the outer sum over positions j of ``sigma(a_j) * weights[j]``."""
-        if sigma.degree != self.alphabet:
-            raise DegreeMismatch(f"degree {sigma.degree} vs alphabet {self.alphabet}")
-        vimg = np.array(sigma._img, dtype=np.intp)
-        imap = np.zeros((), dtype=np.intp)
-        for w in self.weights:
-            imap = np.add.outer(imap, vimg * w)
-        return imap.ravel()
 
     def __repr__(self) -> str:
         return f"TupleSpace(arity={self.arity}, alphabet={self.alphabet}, size={self.size})"
@@ -396,21 +357,6 @@ class OrbitPartition:
         self._check_same_set(other)
         return bool(np.all(other.labels[self.labels] == other.labels))
 
-    def census(self, max_listed: int = 64) -> dict:
-        """A deterministic summary used by reports and the CLI."""
-        reps = self.representatives
-        sizes = self.orbit_sizes
-        hist: dict[int, int] = {}
-        for s in sizes.tolist():
-            hist[s] = hist.get(s, 0) + 1
-        listed = [self.space.decode(int(r)) for r in reps[:max_listed]]
-        return {
-            "orbit_count": self.orbit_count,
-            "size_histogram": {str(k): v for k, v in sorted(hist.items())},
-            "representatives": [list(t) for t in listed],
-            "representatives_truncated": bool(reps.size > max_listed),
-        }
-
     def __repr__(self) -> str:
         return (
             f"OrbitPartition(space={self.space!r}, orbit_count={self.orbit_count})"
@@ -443,17 +389,6 @@ def orbit_partition(group: PermGroup, space: TupleSpace | ContentClass) -> Orbit
             continue
         ge = extend_degree(g, space.arity) if g.degree < space.arity else g
         maps.append(space.coordinate_index_map(ge))
-    return OrbitPartition(space, _min_labels(space.size, maps))
-
-
-def kpow_orbit_partition(
-    group: PermGroup, k: int, budgets: Budgets | None = None
-) -> OrbitPartition:
-    """Orbits of the value action on (degree)^k: k-tuples of points."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    space = TupleSpace(k, group.degree, budgets=budgets)
-    maps = [space.value_index_map(g) for g in group.generators if not g.is_identity]
     return OrbitPartition(space, _min_labels(space.size, maps))
 
 

@@ -1,6 +1,25 @@
-"""Tiny builders shared across test modules."""
+"""Tiny builders and independent oracles shared across test modules.
 
-from permclosure.perm import PermGroup, generate_group, parse_perm
+The oracles are small and unbudgeted: the coordinate action on one tuple,
+a group relabelled generator by generator, the conjugates of a group over
+all of S_n, the value action on k-tuples of points, and the closure at
+k = 2 by sympy's subgroup search.
+"""
+
+import itertools
+
+import numpy as np
+
+from permclosure.perm import (
+    PermGroup,
+    Permutation,
+    _lex_ranks,
+    _min_labels,
+    conjugate,
+    generate_group,
+    parse_perm,
+)
+from permclosure.tuples import OrbitPartition, TupleSpace
 
 
 def grp(degree: int, *cycles: str) -> PermGroup:
@@ -14,3 +33,84 @@ def klein_four() -> PermGroup:
 
 def cyclic_4() -> PermGroup:
     return grp(4, "(1 2 3 4)")
+
+
+def act_tuple(a: tuple[int, ...], sigma: Permutation) -> tuple[int, ...]:
+    """Coordinate action: entry i of the result is ``a[sigma(i)]``."""
+    return tuple(a[sigma(i) - 1] for i in range(1, len(a) + 1))
+
+
+def relabel(group: PermGroup, s: Permutation) -> PermGroup:
+    """s * G * s^-1, generated by the conjugates of G's generators in
+    order, on the image of G's ground set."""
+    gens = [conjugate(g, s) for g in group.generators]
+    ground = [s(p) for p in group.ground_set]
+    return generate_group(gens, ground_set=ground, degree=group.degree)
+
+
+def conjugate_ranks(group: PermGroup) -> np.ndarray:
+    """The distinct conjugates s * G * s^-1 over all of S_n, one row of
+    sorted lex ranks each, rows in lexicographic order."""
+    n = group.degree
+    s = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    s_inv = np.argsort(s, axis=1)
+    # s.h.s^-1 maps s(i) to s(h(i))
+    out = np.stack(
+        [_lex_ranks(np.take_along_axis(s, h[s_inv], axis=1)) for h in group._rows], axis=1
+    )
+    out.sort(axis=1)
+    return np.unique(out, axis=0)
+
+
+def are_conjugate(g: PermGroup, h: PermGroup) -> bool:
+    """Conjugacy in S_n: h's ranks are a row of ``conjugate_ranks(g)``."""
+    if g == h:
+        return True
+    return g.order == h.order and bool((conjugate_ranks(g) == h._ranks).all(axis=1).any())
+
+
+def value_index_map(sigma: Permutation, k: int) -> np.ndarray:
+    """Index map of the value action of sigma on the k-tuples of points,
+    indexed as by ``TupleSpace(k, degree)``: an outer sum over positions."""
+    vimg = np.array(sigma.images, dtype=np.intp) - 1
+    imap = np.zeros((), dtype=np.intp)
+    for _ in range(k):
+        imap = np.add.outer(imap * sigma.degree, vimg)
+    return imap.ravel()
+
+
+def point_tuple_partition(group: PermGroup, k: int) -> OrbitPartition:
+    """Orbits of the value action of the group on its k-tuples of points."""
+    space = TupleSpace(k, group.degree)
+    maps = [value_index_map(g, k) for g in group.generators]
+    return OrbitPartition(space, _min_labels(space.size, maps))
+
+
+def sympy_closure_k2(group: PermGroup):
+    """The closure at k = 2 computed by ``sympy.combinatorics`` alone, as a
+    sympy ``PermutationGroup``: the permutations of S_n that keep every
+    subset of the points inside its orbit under G.  A word over two letters
+    is the subset of the positions holding the second letter.
+
+    Every subset is checked, not one per orbit: a property true of one
+    subset per orbit need not define a group."""
+    from sympy.combinatorics import Permutation as SympyPerm, PermutationGroup
+    from sympy.combinatorics.named_groups import SymmetricGroup
+
+    n = group.degree
+    g = PermutationGroup([SympyPerm([v - 1 for v in p.images]) for p in group.generators]
+                         or [SympyPerm(n - 1)])
+    orbit_of = {frozenset(): {frozenset()}, frozenset(range(n)): {frozenset(range(n))}}
+    for p in range(n):
+        orbit_of[frozenset([p])] = {frozenset([q]) for q in g.orbit(p)}
+    for m in range(2, n):
+        for subset in map(frozenset, itertools.combinations(range(n), m)):
+            if subset not in orbit_of:
+                orbit = {frozenset(s) for s in g.orbit(tuple(subset), action="sets")}
+                orbit_of.update(dict.fromkeys(orbit, orbit))
+
+    def prop(sigma) -> bool:
+        img = sigma.array_form
+        return all(frozenset(img[i] for i in a) in orbit for a, orbit in orbit_of.items())
+
+    return SymmetricGroup(n).subgroup_search(prop)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import are_conjugate, relabel
 from permclosure import budgets, catalog
 from permclosure.budgets import KINDS, default_budgets
 from permclosure.catalog import (
@@ -21,8 +22,6 @@ from permclosure.data import load_expected_equiv_classes, load_reference_table
 from permclosure.errors import CatalogValidationError, UnknownGroupName
 from permclosure.perm import (
     Permutation,
-    are_conjugate_in_symmetric,
-    conjugate_group,
     format_perm,
     is_primitive,
     is_transitive,
@@ -161,7 +160,7 @@ def test_catalog_entries_are_relabel_invariant():
         images = list(range(1, g.degree + 1))
         rng.shuffle(images)
         sigma = Permutation(images)
-        assert are_conjugate_in_symmetric(g, conjugate_group(g, sigma))
+        assert are_conjugate(g, relabel(g, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,6 @@ def test_pairwise_equivalence_survey_degree_five():
     assert {frozenset(c) for c in rep.classes} == {frozenset(c) for c in rep.expected}
     d = rep.summary_dict()
     assert d["degree"] == 5 and d["matches"] is True
-    assert "wall_time" in rep.summary_dict(include_timing=True)
 
 
 def test_pairwise_equivalence_survey_degree_six():

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import cyclic_4, grp
+from helpers import cyclic_4, grp, point_tuple_partition, relabel, value_index_map
 from permclosure.classify import (
     FormKind,
     check_wielandt_containment,
@@ -18,11 +18,10 @@ from permclosure.classify import (
 from permclosure.closure import galois_closure
 from permclosure.subgroups import all_subgroups
 from permclosure.errors import UsageError
-from permclosure.tuples import cached_orbit_partition, kpow_orbit_partition
+from permclosure.tuples import cached_orbit_partition
 from permclosure.perm import (
     Permutation,
     alternating_on,
-    conjugate_group,
     direct_product,
     generate_group,
     index2_subdirect,
@@ -129,11 +128,11 @@ def test_point_tuple_closure_grows_the_dihedral_group():
 def _wielandt_by_brute_force(group, k):
     """Ranks of every permutation of the degree whose value action keeps
     the group's orbits on k-tuples of points."""
-    part = kpow_orbit_partition(group, k)
+    part = point_tuple_partition(group, k)
     n = group.degree
     return [
         r for r, sigma in enumerate(symmetric_on(range(1, n + 1), n).elements)
-        if np.array_equal(part.labels[part.space.value_index_map(sigma)], part.labels)
+        if np.array_equal(part.labels[value_index_map(sigma, k)], part.labels)
     ]
 
 
@@ -167,10 +166,10 @@ def test_point_tuple_closure_past_intp_indices(cycles):
     orbits = [tuple(int(x) for x in c.strip("()").split()) for c in cycles]
     product = direct_product(symmetric_on(orbits[0], 40), symmetric_on(orbits[1], 40))
     for k in (1, 2, 3):
-        part = kpow_orbit_partition(g, k)
+        part = point_tuple_partition(g, k)
         want = [
             sigma for sigma in product.elements
-            if np.array_equal(part.labels[part.space.value_index_map(sigma)], part.labels)
+            if np.array_equal(part.labels[value_index_map(sigma, k)], part.labels)
         ]
         got = wielandt_closure(g, k)
         assert got.order == len(want) and all(sigma in got for sigma in want), (cycles, k)
@@ -199,9 +198,9 @@ def test_point_tuple_closure_of_a_moved_group_is_the_moved_closure(s5_catalog, s
     # points 1..5 go to the support in order, the rest to the rest in order
     pi = Permutation(list(support) + [p for p in range(1, 41) if p not in support])
     for cls in s5_catalog.classes:
-        moved = conjugate_group(viewed_at_degree(cls.representative, 40), pi)
+        moved = relabel(viewed_at_degree(cls.representative, 40), pi)
         for k in range(1, 5):
-            want = conjugate_group(viewed_at_degree(wielandt_closure(cls.representative, k), 40), pi)
+            want = relabel(viewed_at_degree(wielandt_closure(cls.representative, k), 40), pi)
             got = wielandt_closure(moved, k)
             assert got == want, (cls.order, k, support)
             assert got.generators == want.generators and got.ground_set == want.ground_set

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import cyclic_4, grp, klein_four
-from permclosure import perm
+from helpers import are_conjugate, cyclic_4, grp, klein_four, relabel
 from permclosure.budgets import Budgets
 from permclosure.catalog import catalog_names, get_group
 from permclosure.errors import BudgetExceeded, DegreeMismatch, ParseError
@@ -19,10 +18,8 @@ from permclosure.perm import (
     Permutation,
     _lex_permutations,
     alternating_on,
-    are_conjugate_in_symmetric,
     compose,
     conjugate,
-    conjugate_group,
     direct_product,
     extend_degree,
     format_perm,
@@ -35,7 +32,6 @@ from permclosure.perm import (
     parse_group_text,
     parse_perm,
     read_group_file,
-    restrict_to,
     shift_group,
     shift_perm,
     symmetric_on,
@@ -185,13 +181,6 @@ def test_extend_and_shift():
         extend_degree(p, 1)
     with pytest.raises(ValueError):
         shift_perm(p, 4, 5)
-
-
-def test_restrict_to_invariant_set():
-    p = parse_perm("(1 2)(3 4 5)", 5)
-    assert restrict_to(p, {3, 4, 5}) == parse_perm("(3 4 5)", 5)
-    with pytest.raises(ValueError):
-        restrict_to(p, {1, 3})
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +381,14 @@ def test_primitivity():
     assert not is_primitive(grp(6, "(1 2 3)", "(1 4)(2 5)(3 6)"))
 
 
+# ---------------------------------------------------------------------------
+# the S_n-conjugacy oracle of the tests, against a scan over relabelings
+
+
 def test_conjugacy_in_the_symmetric_group():
     other = grp(4, "(1 3 2 4)")
-    assert are_conjugate_in_symmetric(cyclic_4(), other)
-    assert not are_conjugate_in_symmetric(cyclic_4(), klein_four())
+    assert are_conjugate(cyclic_4(), other)
+    assert not are_conjugate(cyclic_4(), klein_four())
 
 
 def _group_fingerprint(group: PermGroup) -> tuple:
@@ -431,7 +424,7 @@ def test_conjugacy_matches_the_relabeling_scan_on_degree_four_subgroups():
     members = all_subgroups(4).all_groups()
     verdicts = set()
     for g, h in itertools.product(members, repeat=2):
-        verdict = are_conjugate_in_symmetric(g, h)
+        verdict = are_conjugate(g, h)
         assert verdict == _are_conjugate_by_relabeling(g, h)
         verdicts.add((g.order == h.order, verdict))
     # both verdicts occur between distinct groups of one order
@@ -450,48 +443,11 @@ def test_conjugacy_matches_the_relabeling_scan_on_catalog_groups():
         for g, h in itertools.product(groups, repeat=2):
             images = list(range(1, h.degree + 1))
             rng.shuffle(images)
-            relabeled = conjugate_group(h, Permutation(images))
-            verdict = are_conjugate_in_symmetric(g, relabeled)
+            relabeled = relabel(h, Permutation(images))
+            verdict = are_conjugate(g, relabeled)
             assert verdict == _are_conjugate_by_relabeling(g, relabeled)
             if g is h:
                 assert verdict
-
-
-def test_conjugacy_refuses_before_allocating(monkeypatch):
-    g = get_group("ASL(3,2)")
-    h = conjugate_group(g, parse_perm("(1 2)", 8))
-    assert g != h
-
-    def unreachable(*args):
-        raise AssertionError("the rank matrix was started")
-
-    monkeypatch.setattr(perm, "_symmetric_rows", unreachable)
-    monkeypatch.setattr(perm, "_conjugate_ranks", unreachable)
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceeded) as err:
-            are_conjugate_in_symmetric(g, h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert err.value.budget_name == "materialization"
-    assert err.value.needed == 40320 * 1344
-    assert err.value.allowed == math.factorial(10)
-    assert peak < 1 << 20
-    # the cheap answers need no rank matrix
-    assert are_conjugate_in_symmetric(g, g)
-    assert not are_conjugate_in_symmetric(g, get_group("AGL(1,8)"))
-
-
-def test_conjugacy_bound_can_be_raised():
-    """S_4 x C_2 x C_2 at degree 8 needs 8! * 96 ranks, just over 10!."""
-    g = grp(8, "(1 2 3 4)", "(1 2)", "(5 6)", "(7 8)")
-    h = conjugate_group(g, parse_perm("(4 5)", 8))
-    assert g != h
-    with pytest.raises(BudgetExceeded) as err:
-        are_conjugate_in_symmetric(g, h)
-    assert (err.value.needed, err.value.allowed) == (40320 * 96, math.factorial(10))
-    assert are_conjugate_in_symmetric(g, h, budgets=Budgets(materialization_bound=40320 * 96))
 
 
 # ---------------------------------------------------------------------------

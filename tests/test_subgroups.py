@@ -14,15 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import are_conjugate, conjugate_ranks, relabel
 from permclosure import subgroups
 from permclosure.perm import (
     PermGroup,
     Permutation,
-    _conjugate_ranks,
     _lex_rank,
     _symmetric_rows,
-    are_conjugate_in_symmetric,
-    conjugate_group,
     generate_group,
 )
 from permclosure.subgroups import (
@@ -92,13 +90,13 @@ def test_members_are_conjugate_and_distinct(s4_catalog):
         assert len({m.element_images() for m in members}) == cls.class_size
         for m in members[:3]:
             assert m.order == cls.order
-            assert are_conjugate_in_symmetric(m, cls.representative)
+            assert are_conjugate(m, cls.representative)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_conjugate_ranks_are_the_class_members(n):
     for cls in all_subgroups(n).classes:
-        rows = _conjugate_ranks(cls.representative)
+        rows = conjugate_ranks(cls.representative)
         assert rows.shape == (cls.class_size, cls.order)
         assert tuple(map(tuple, rows.tolist())) == cls._members
 
@@ -372,7 +370,7 @@ def test_survey_refuses_ambiguous_names(monkeypatch):
         pool = real(n)
         if n == 4:
             c4 = dict(pool)["C_4"]
-            pool += (("C_4'", conjugate_group(c4, Permutation([2, 1, 3, 4]))),)
+            pool += (("C_4'", relabel(c4, Permutation([2, 1, 3, 4]))),)
         return pool
 
     monkeypatch.setattr(subgroups, "survey_candidates", with_conjugate_duplicate)
