@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, UsageError
 
+__all__ = ["KINDS", "Budgets", "default_budgets", "resolve"]
+
 
 class Kind(NamedTuple):
     field: str
@@ -31,9 +33,9 @@ class Kind(NamedTuple):
 KINDS = {
     "tuple-space": Kind(
         "tuple_budget", "PERMCLOSURE_TUPLE_BUDGET",
-        "cap on tuples labelled: the balanced class for the pruned closure "
-        "and orbit equivalence, the injective point tuples for the Wielandt "
-        "closure, all of k^n elsewhere",
+        "cap on tuples labelled or counted: the balanced class for the "
+        "pruned closure and orbit equivalence, the injective point tuples "
+        "for the Wielandt closure, all of k^n elsewhere",
     ),
     "candidate": Kind("candidate_budget", "PERMCLOSURE_CANDIDATE_BUDGET", "cap on candidates"),
     "materialization": Kind(

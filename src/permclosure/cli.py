@@ -26,7 +26,7 @@ from .closure import (
     invariance_group,
     orbit_equivalent,
 )
-from .tuples import cached_orbit_partition
+from .tuples import orbit_count
 from .catalog import (
     get_group,
     primitive_3closed_report,
@@ -171,7 +171,7 @@ def _cmd_orbit_equiv(args: argparse.Namespace, budgets: Budgets) -> int:
     g = _load_group(args.group1, budgets)
     h = _load_group(args.group2, budgets)
     # the counts are on all of k^n, so its tuple budget is checked first
-    counts = [cached_orbit_partition(x, args.k, budgets=budgets).orbit_count for x in (g, h)]
+    counts = [orbit_count(x, args.k, budgets=budgets) for x in (g, h)]
     equal = orbit_equivalent(g, h, args.k, budgets=budgets)
     lines = [
         f"degree: {g.degree}",

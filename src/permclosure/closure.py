@@ -58,15 +58,22 @@ they have the same orbits on all of k^n:
 Hence sigma is in the closure exactly when it keeps every G-orbit of the
 balanced class (take L = <G, sigma>), and G and H are orbit equivalent
 exactly when their orbits on the balanced class agree (take L = <G, H>,
-whose orbits there are the join of theirs).  ``closure_pruned`` and
-``orbit_equivalent`` therefore label n!/prod(lambda*_v!) tuples, not k^n,
-through ``cached_orbit_partition(..., content=balanced_sizes(n, k))``.
+whose orbits there are the join of theirs).  ``closure_pruned``
+therefore labels n!/prod(lambda*_v!) tuples, not k^n, through
+``cached_orbit_partition(..., content=balanced_sizes(n, k))``.  So does
+``orbit_equivalent`` for a pair that is not nested.  For H <= G, every
+H-orbit lies in a G-orbit, so the two agree exactly when they have
+equally many orbits on the class, and ``orbit_equivalent`` compares their
+``tuples.orbit_count``s, which come from the cycle index for a group no
+larger than the class.
 ``classify.wielandt_closure`` labels another class the same way, the hook
 content (1^k, n-k) over k+1 letters, and tests its candidates with the same
 ``_accepted_rows``: there is one action and one kind of labelled set.
 The full k^n partition stays in ``closure_naive``, the independent
 oracle, and where a k^n table is an input or an output: ``orbit_coloring``,
 ``invariance_group``, ``min_codomain_report`` and ``is_k_thick``.
+``min_codomain_report`` counts its orbits first, so too many of them are
+refused before k^n is labelled.
 
 Derived conveniences: closure chains in k, orbit equivalence, thickness
 certificates, invariance groups of concrete colorings, and the least
@@ -108,6 +115,7 @@ from .tuples import (
     _weights,
     balanced_sizes,
     cached_orbit_partition,
+    orbit_count,
 )
 
 __all__ = [
@@ -123,6 +131,7 @@ __all__ = [
     "galois_closure",
     "is_closed",
     "closure_chain",
+    "closure_report",
     "orbit_equivalent",
     "is_k_thick",
     "invariance_group",
@@ -704,10 +713,18 @@ def orbit_equivalent(
 ) -> bool:
     """Same orbits on k^degree under the coordinate action, decided by the
     orbits on the balanced class (module docstring), whose size the tuple
-    budget is charged."""
+    budget is charged.
+
+    When the smaller group lies in the other, each of its orbits lies in
+    one of the other's, so they agree exactly when they are equally many:
+    two ``orbit_count``s, with no tuple labelled for a group no larger
+    than the class.  Other pairs compare labelled partitions."""
     if g.degree != h.degree:
         raise DegreeMismatch("orbit equivalence requires equal degrees")
     content = balanced_sizes(g.degree, k)
+    small, large = (g, h) if g.order <= h.order else (h, g)
+    if small.is_subgroup_of(large):
+        return orbit_count(small, k, content, budgets) == orbit_count(large, k, content, budgets)
     pg = cached_orbit_partition(g, k, budgets=budgets, content=content)
     ph = cached_orbit_partition(h, k, budgets=budgets, content=content)
     return pg.equals(ph)
@@ -981,11 +998,11 @@ def min_codomain_report(
     clo = galois_closure(group, k, budgets=b)
     if clo.order != group.order:
         return MinCodomainReport(group, k, NotRepresentable(clo), {}, None)
-    part = cached_orbit_partition(group, k, budgets=b)
-    r = part.orbit_count
+    r = orbit_count(group, k, budgets=b)
     if r > max_orbits:
         raise UsageError(f"{r} orbits on {k}^{n} pass max_orbits={max_orbits}; raise max_orbits")
     b.check("candidate", math.factorial(n))
+    part = cached_orbit_partition(group, k, budgets=b)
     # blocks, so that a coloring is rejected at the first block accepting it
     outside = list(_rows_outside(group))
     outside_count = sum(len(rows) for rows in outside)

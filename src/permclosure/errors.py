@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "PermcloseError",
+    "ParseError",
+    "DegreeMismatch",
+    "BudgetExceeded",
+    "UsageError",
+    "UnknownGroupName",
+    "CatalogValidationError",
+]
+
 
 class PermcloseError(Exception):
     """Base class for every error this package raises deliberately."""

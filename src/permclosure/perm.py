@@ -633,9 +633,11 @@ class PermGroup:
         )
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
+        """Every generator of this group lies in the other: one rank
+        lookup each."""
         if not isinstance(other, PermGroup) or self._degree != other._degree:
             raise DegreeMismatch("subgroup test requires equal degrees")
-        return bool(np.isin(self._ranks, other._ranks).all())
+        return all(g in other for g in self._gens)
 
     def __le__(self, other: "PermGroup") -> bool:
         return self.is_subgroup_of(other)

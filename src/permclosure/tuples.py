@@ -31,6 +31,14 @@ injective k-tuples of points, decides the Wielandt closure (see
 ``cached_orbit_partition(..., content=c)`` labels n!/prod(c_v!) tuples
 instead of k^n.
 
+``orbit_count`` counts the orbits on either set without labelling a
+tuple, for a group no larger than the set.  By Burnside's lemma the
+count is the mean over the group of the tuples each element fixes, which
+depends only on the element's cycle type (Pólya's cycle index): k^c on
+k^n for an element of c cycles, and on a class the ways to give each
+cycle one letter so that the letters' counts are the content.  The cycle
+types come from the group's rows by pointer doubling (``_cycle_census``).
+
 Both sets answer ``coordinate_index_map(sigma)``, so one ``orbit_partition``
 labels either, and ``rows(lo, hi)``, the digit rows of members lo..hi-1, and
 ``positions(keys)`` for keys made with ``weights``, where the candidate
@@ -58,6 +66,7 @@ __all__ = [
     "OrbitPartition",
     "orbit_partition",
     "cached_orbit_partition",
+    "orbit_count",
 ]
 
 
@@ -68,11 +77,7 @@ class TupleSpace:
     content = None  # all of alphabet^arity, so never the set of a ContentClass
 
     def __init__(self, arity: int, alphabet: int, budgets: Budgets | None = None):
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
-        if alphabet < 2:
-            raise UsageError("alphabet must be at least 2")
-        size = alphabet**arity
+        size = _set_size(arity, alphabet, None)
         resolve(budgets).check("tuple-space", size)
         self.arity = arity
         self.alphabet = alphabet
@@ -137,13 +142,16 @@ def _encode(a: Iterable[int], arity: int, alphabet: int) -> int:
     return idx
 
 
-def _class_size(arity: int, alphabet: int, content: tuple[int, ...]) -> int:
-    """The number of tuples of the content class, once the content is
-    checked to split the arity into at most ``alphabet`` positive parts."""
+def _set_size(arity: int, alphabet: int, content: tuple[int, ...] | None) -> int:
+    """The number of tuples of alphabet^arity, or with ``content`` of that
+    content class, once the content is checked to split the arity into at
+    most ``alphabet`` positive parts."""
     if arity < 1:
         raise ValueError("arity must be at least 1")
     if alphabet < 2:
         raise UsageError("alphabet must be at least 2")
+    if content is None:
+        return alphabet**arity
     if sum(content) != arity or len(content) > alphabet or min(content) < 1:
         raise ValueError(
             f"content {content} is not {arity} split into at most {alphabet} positive parts"
@@ -252,7 +260,7 @@ class ContentClass:
         self, arity: int, alphabet: int, content: Iterable[int], budgets: Budgets | None = None
     ):
         content = tuple(content)
-        size = _class_size(arity, alphabet, content)
+        size = _set_size(arity, alphabet, content)
         resolve(budgets).check("tuple-space", size)
         if alphabet**arity - 1 > np.iinfo(np.intp).max:  # the largest key
             raise UsageError(
@@ -414,7 +422,7 @@ def cached_orbit_partition(
     """
     n = group.degree
     content = None if content is None else tuple(content)
-    size = k**n if content is None else _class_size(n, k, content)
+    size = _set_size(n, k, content)
     resolve(budgets).check("tuple-space", size)
     key = (group, k, content)
     hit = _CACHE.get(key)
@@ -432,5 +440,125 @@ def cached_orbit_partition(
     return part
 
 
+# ---------------------------------------------------------------------------
+# orbit counts from the cycle index
+
+_CENSUS: OrderedDict[PermGroup, tuple[tuple[tuple[int, ...], int], ...]] = OrderedDict()
+# Most points of elements whose cycles are traced at once: the work arrays
+# hold this many int32 entries, whatever the group's order.
+_CENSUS_CELLS = 1 << 20
+
+
+def _cycle_census(group: PermGroup) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The group's cycle types, each as its cycle lengths in descending
+    order with the number of elements of that type.  LRU-cached like the
+    partitions.
+
+    A block of elements, at most ``_CENSUS_CELLS`` points in all, is one
+    permutation of its flattened rows, entry (g, i) to (g, g(i)), whose
+    cycles are the elements' cycles.  Pointer doubling labels each entry
+    by the least entry on its cycle: after s steps the label is the least
+    of the entry and its next 2^s - 1 images, so ceil(log2 n) steps of two
+    gathers each cover every cycle.  A cycle's length is its label's
+    count.  A lexsort of the elements' per-length cycle counts collects
+    the types: rows, not integer keys, so no degree overflows a key."""
+    hit = _CENSUS.get(group)
+    if hit is not None:
+        _CENSUS.move_to_end(group)
+        return hit
+    n = group.degree
+    block = max(1, _CENSUS_CELLS // n)
+    tally: dict[tuple[int, ...], int] = {}
+    for lo in range(0, group.order, block):
+        rows = group._rows[lo:lo + block]
+        entry = np.arange(rows.size, dtype=np.int32)
+        jump = (rows + entry[::n, None]).ravel()
+        least, reach = entry, 1
+        while reach < n:
+            least = np.minimum(least, least.take(jump))
+            jump, reach = jump.take(jump), 2 * reach
+        leader = least == entry
+        size = np.bincount(least, minlength=rows.size)[leader]
+        row_size = entry[leader] // n * (n + 1) + size
+        cycles = np.bincount(row_size, minlength=len(rows) * (n + 1)).reshape(-1, n + 1)[:, 1:]
+        cycles = cycles[np.lexsort(cycles.T)]
+        first = np.ones(len(cycles), dtype=bool)
+        first[1:] = (cycles[1:] != cycles[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=len(cycles))
+        for per_length, count in zip(map(tuple, cycles[starts].tolist()), counts.tolist()):
+            tally[per_length] = tally.get(per_length, 0) + count
+    census = tuple(
+        (tuple(j for j in range(n, 0, -1) for _ in range(per_length[j - 1])), count)
+        for per_length, count in tally.items()
+    )
+    _CENSUS[group] = census
+    while len(_CENSUS) > _CACHE_MAX:
+        _CENSUS.popitem(last=False)
+    return census
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _fixed_words(lengths: tuple[int, ...], content: tuple[int, ...]) -> int:
+    """The words of the content that a permutation with these cycle
+    lengths fixes: the ways to give each cycle one letter so that the
+    letters' counts are the content.  Both descending, the content without
+    zeros; letters with equal counts left are alike, so the first cycle
+    takes each count r once, times the letters that have r left."""
+    if not lengths:
+        return 1  # the content is spent too, since both sum to the degree
+    first, rest = lengths[0], lengths[1:]
+    total = 0
+    for r in set(content):
+        if r >= first:
+            left = list(content)
+            left.remove(r)
+            if r > first:
+                left.append(r - first)
+            total += content.count(r) * _fixed_words(rest, tuple(sorted(left, reverse=True)))
+    return total
+
+
+def orbit_count(
+    group: PermGroup,
+    k: int,
+    content: Iterable[int] | None = None,
+    budgets: Budgets | None = None,
+) -> int:
+    """The number of orbits of the coordinate action on all of k^degree,
+    or with ``content`` on that ContentClass of it.
+
+    The tuple budget is charged the set's size on every call, before any
+    work, as by ``cached_orbit_partition``.  A group no larger than the set
+    is counted by its cycle index, with no tuple labelled
+    (``_burnside_count``).  A larger one is labelled, since its census
+    would cost more than the labelling it replaces."""
+    n = group.degree
+    content = None if content is None else tuple(content)
+    size = _set_size(n, k, content)
+    resolve(budgets).check("tuple-space", size)
+    if group.order > size:
+        return cached_orbit_partition(group, k, budgets=budgets, content=content).orbit_count
+    return _burnside_count(group, k, content)
+
+
+def _burnside_count(group: PermGroup, k: int, content: tuple[int, ...] | None) -> int:
+    """The orbit count by Burnside's lemma and Pólya's cycle index (de
+    Bruijn, "Pólya's theory of counting", 1964), unbudgeted: the mean over
+    the group of the words each element fixes, k^(cycles) on k^n and
+    ``_fixed_words`` on a class."""
+    census = _cycle_census(group)
+    if content is None:
+        total = sum(count * k ** len(lengths) for lengths, count in census)
+    else:
+        parts = tuple(sorted(content, reverse=True))
+        total = sum(count * _fixed_words(lengths, parts) for lengths, count in census)
+    if total % group.order:
+        raise AssertionError(f"Burnside sum {total} is not a multiple of |G| = {group.order}")
+    return total // group.order
+
+
 def clear_partition_cache() -> None:
+    """Forget every cached partition and cycle census."""
     _CACHE.clear()
+    _CENSUS.clear()

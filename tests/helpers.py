@@ -2,8 +2,9 @@
 
 The oracles are small and unbudgeted: the coordinate action on one tuple,
 a group relabelled generator by generator, the conjugates of a group over
-all of S_n, the value action on k-tuples of points, and the closure at
-k = 2 by sympy's subgroup search.
+all of S_n, the value action on k-tuples of points, the closure at k = 2
+by sympy's subgroup search, and Burnside's orbit count on k^n, one element
+at a time.
 """
 
 import itertools
@@ -84,6 +85,14 @@ def point_tuple_partition(group: PermGroup, k: int) -> OrbitPartition:
     space = TupleSpace(k, group.degree)
     maps = [value_index_map(g, k) for g in group.generators]
     return OrbitPartition(space, _min_labels(space.size, maps))
+
+
+def burnside_count(group: PermGroup, k: int) -> int:
+    """Orbits on k^n by Burnside's lemma: the mean over the elements of
+    k^(cycles), each element's cycles read by ``Permutation.cycle_type``."""
+    total = sum(k ** len(p.cycle_type()) for p in group)
+    assert total % group.order == 0
+    return total // group.order
 
 
 def sympy_closure_k2(group: PermGroup):

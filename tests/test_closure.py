@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import cyclic_4, grp, klein_four, sympy_closure_k2
-from permclosure import closure as closure_module
+from permclosure import closure as closure_module, tuples as tuples_module
 from permclosure.budgets import Budgets, resolve
 from permclosure.catalog import catalog_entries, get_group
 from permclosure.closure import (
@@ -594,6 +594,57 @@ def test_orbit_equivalence_matches_closure_equality():
         orbit_equivalent(c4, grp(5, "(1 2 3 4 5)"), 2)
 
 
+def _labelling_spy(monkeypatch, refuse=lambda group, space: False) -> list:
+    """Record the order of each group whose orbits are labelled, and fail
+    a labelling that ``refuse`` names."""
+    labelled = []
+    real = tuples_module.orbit_partition
+
+    def spy(group, space):
+        assert not refuse(group, space), f"labelled {space!r} for a group of order {group.order}"
+        labelled.append(group.order)
+        return real(group, space)
+
+    monkeypatch.setattr(tuples_module, "orbit_partition", spy)
+    return labelled
+
+
+@pytest.mark.parametrize("small, large, k", [
+    ("AGL(1,9)", "AGammaL(1,9)", 3),
+    ("PSL(2,8)", "PGammaL(2,8)", 3),
+    ("ASL(2,3)", "AGL(2,3)", 4),
+    ("PGL(2,9)", "PGammaL(2,9)", 4),
+    ("C_9", "D_9", 3),
+])
+def test_nested_verdicts_label_no_tuple(monkeypatch, small, large, k):
+    """Groups no larger than the balanced class are counted there by
+    their cycle index, whichever order they come in, and the verdict is
+    the labelled partitions' verdict."""
+    g, h = get_group(small), get_group(large)
+    content = balanced_sizes(g.degree, k)
+    want = cached_orbit_partition(g, k, content=content).equals(
+        cached_orbit_partition(h, k, content=content)
+    )
+    clear_partition_cache()
+    _labelling_spy(monkeypatch, refuse=lambda group, space: True)
+    class_size = math.factorial(g.degree) // math.prod(map(math.factorial, content))
+    assert g.is_subgroup_of(h) and h.order <= class_size
+    assert orbit_equivalent(g, h, k) == want == orbit_equivalent(h, g, k)
+
+
+def test_a_nested_verdict_meets_a_count_and_a_labelling(monkeypatch):
+    """Where the balanced class is smaller than the larger group only, the
+    smaller group is counted by its cycle index and the larger labelled.
+    C_4 <= D_4 at k = 2 have 2 orbits each on the 6 tuples of the class;
+    D_5 <= AGL(1,5) have 2 against 1 on its 10."""
+    labelled = _labelling_spy(monkeypatch)
+    clear_partition_cache()
+    assert orbit_equivalent(cyclic_4(), _dihedral(4), 2)
+    assert labelled == [8]
+    assert not orbit_equivalent(get_group("AGL(1,5)"), get_group("D_5"), 2)
+    assert labelled == [8, 20]
+
+
 def test_orbit_equivalence_is_refused_warm_as_cold():
     """The tuple budget is checked before the partition cache is read, so
     classes labelled under the default budget do not let a smaller one
@@ -735,6 +786,17 @@ def test_too_many_orbits_is_a_usage_error_naming_max_orbits():
     with pytest.raises(UsageError, match=r"7 orbits on 2\^4 pass max_orbits=6"):
         min_codomain_report(klein_four(), 2, max_orbits=6)
     assert min_codomain(klein_four(), 2, max_orbits=7) == 3
+
+
+def test_too_many_orbits_are_refused_before_k_to_the_n_is_labelled(monkeypatch):
+    """The orbits are counted by the cycle index first; only the closure's
+    balanced class is labelled before the refusal."""
+    _labelling_spy(monkeypatch, refuse=lambda group, space: isinstance(space, TupleSpace))
+    clear_partition_cache()
+    with pytest.raises(UsageError, match=r"7 orbits on 2\^4 pass max_orbits=6"):
+        min_codomain_report(klein_four(), 2, max_orbits=6)
+    with pytest.raises(UsageError, match=r"27 orbits on 3\^4 pass max_orbits=16"):
+        min_codomain_report(klein_four(), 3)
 
 
 def test_min_codomain_reports_are_unchanged_and_small():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import grp
 from permclosure.budgets import Budgets
 from permclosure.closure import _group_from_union, _rows_outside, closure_pruned
-from permclosure.errors import BudgetExceeded
+from permclosure.errors import BudgetExceeded, DegreeMismatch
 from permclosure.perm import (
     PermGroup,
     Permutation,
@@ -94,6 +94,17 @@ def test_element_arrays_match_the_tuple_definitions(case, data):
             assert hash(h) == hash(g)
     same = PermGroup.from_elements(reversed(g.elements), ground_set=range(1, n + 1))
     assert same == g and hash(same) == hash(g)
+
+
+def test_subgroup_test_reads_generators_and_refuses_other_degrees():
+    """A group built from its elements tests the generators it derived;
+    the trivial group, with none, lies in every group of its degree."""
+    s4 = symmetric_on(range(1, 5), 4)
+    a4 = PermGroup.from_elements(alternating_on(range(1, 5), 4).elements)
+    assert a4 <= s4 and not s4 <= a4
+    assert generate_group([], degree=4) <= a4
+    with pytest.raises(DegreeMismatch):
+        a4.is_subgroup_of(symmetric_on(range(1, 6), 5))
 
 
 @settings(max_examples=40)

@@ -33,6 +33,19 @@ def test_every_name_the_package_imports_resolves():
         assert hasattr(permclosure, name), name
 
 
+def test_every_name_the_package_imports_is_in_its_modules_all():
+    """A name re-exported by the package is public in its own module too."""
+    tree = ast.parse(Path(permclosure.__file__).read_text(encoding="utf-8"))
+    missing = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name not in getattr(importlib.import_module(f"permclosure.{node.module}"),
+                                     "__all__", ())
+    ]
+    assert not missing
+
+
 @pytest.mark.parametrize("path", [
     "perm.conjugate_group",
     "perm.are_conjugate_in_symmetric",

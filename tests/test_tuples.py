@@ -1,5 +1,6 @@
 """Tuple spaces, index maps, and orbit partitions."""
 
+import collections
 import itertools
 import math
 
@@ -16,6 +17,7 @@ from helpers import (
     value_index_map,
 )
 from permclosure.budgets import Budgets
+from permclosure.catalog import catalog_names, get_group
 from permclosure.errors import BudgetExceeded, DegreeMismatch, UsageError
 from permclosure.perm import (
     Permutation,
@@ -29,10 +31,13 @@ from permclosure import tuples as tuples_module
 from permclosure.tuples import (
     ContentClass,
     TupleSpace,
+    _burnside_count,
+    _cycle_census,
     _orbit_ranks,
     balanced_sizes,
     cached_orbit_partition,
     clear_partition_cache,
+    orbit_count,
     orbit_partition,
 )
 
@@ -516,3 +521,73 @@ def test_label_arrays_use_least_indices():
     assert part.labels.min() == 0
     for r in reps.tolist():
         assert part.labels[r] == r
+
+
+# ---------------------------------------------------------------------------
+# orbit counts from the cycle index
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "C_9", "D_10", "A_7", "S_6"])
+def test_the_cycle_index_counts_what_labelling_counts(name):
+    """On every named catalog group, and a few of the families, the census
+    is the cycle types read one element at a time; at k <= 4, on all of
+    k^n and on the balanced class, the Burnside count equals the labelled
+    partition's, and so does ``orbit_count``, whichever of the two it
+    picks."""
+    group = get_group(name)
+    assert dict(_cycle_census(group)) == collections.Counter(p.cycle_type() for p in group)
+    for k in (2, 3, 4):
+        for content in (None, balanced_sizes(group.degree, k)):
+            labelled = cached_orbit_partition(group, k, content=content).orbit_count
+            assert _burnside_count(group, k, content) == labelled, (k, content)
+            assert orbit_count(group, k, content) == labelled, (k, content)
+
+
+def test_the_census_of_many_blocks_adds_up(monkeypatch):
+    """Elements are traced a block at a time; blocks of 99 points, 11
+    elements of degree 9, split PGammaL(2,8) into 138, the last of 5."""
+    group = get_group("PGammaL(2,8)")
+    whole = _cycle_census(group)
+    clear_partition_cache()
+    monkeypatch.setattr(tuples_module, "_CENSUS_CELLS", 99)
+    assert dict(_cycle_census(group)) == dict(whole)
+    assert sum(count for _, count in whole) == group.order == 1512
+
+
+def test_the_cycle_index_counts_necklaces_of_forty_beads():
+    """C_40 has phi(d) elements of d-cycles for each divisor d of 40; its
+    census rows hold 40 cycle counts each, past any base-41 key in 64
+    bits.  Its orbits are necklaces: the mean of phi(d) 2^(40/d) on 2^40,
+    and of phi(d) C(40/d, 20/d) over d | 20 on the balanced class."""
+    c40 = grp(40, "(" + " ".join(map(str, range(1, 41))) + ")")
+    divisors = [d for d in range(1, 41) if 40 % d == 0]
+    phi = {d: sum(math.gcd(d, i) == 1 for i in range(1, d + 1)) for d in divisors}
+    assert dict(_cycle_census(c40)) == {(d,) * (40 // d): phi[d] for d in divisors}
+    big = Budgets(tuple_budget=2**40)
+    assert orbit_count(c40, 2, budgets=big) == sum(phi[d] * 2 ** (40 // d) for d in divisors) // 40
+    balanced = sum(phi[d] * math.comb(40 // d, 20 // d) for d in divisors if 20 % d == 0) // 40
+    assert orbit_count(c40, 2, balanced_sizes(40, 2), budgets=big) == balanced
+
+
+def test_orbit_count_charges_the_set_size_on_every_call():
+    """Warm or cold, on k^n or a class, the size is charged before any
+    work, as ``cached_orbit_partition`` charges it."""
+    v4, small = klein_four(), Budgets(tuple_budget=5)
+    clear_partition_cache()
+    for _ in range(2):
+        assert orbit_count(v4, 2) == 7 and orbit_count(v4, 2, (2, 2)) == 3
+        for content, size in ((None, 16), ((2, 2), 6)):
+            with pytest.raises(BudgetExceeded) as err:
+                orbit_count(v4, 2, content, budgets=small)
+            assert (err.value.budget_name, err.value.needed) == ("tuple-space", size)
+    with pytest.raises(ValueError, match="content"):
+        orbit_count(v4, 2, (3, 2))
+    with pytest.raises(UsageError):
+        orbit_count(v4, 1)
+
+
+def test_a_burnside_sum_off_the_group_order_is_an_assertion(monkeypatch):
+    """A census of three identities for a group of order 4 sums 3 * 3^4."""
+    monkeypatch.setattr(tuples_module, "_cycle_census", lambda group: (((1, 1, 1, 1), 3),))
+    with pytest.raises(AssertionError, match="243 is not a multiple"):
+        orbit_count(klein_four(), 3)
