@@ -82,9 +82,9 @@ codomain size over which a closed group is an invariance group.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -652,31 +652,27 @@ def closure_report(
 # cached convenience layer
 
 
-_closure_cache: OrderedDict[tuple[PermGroup, tuple[int, ...], int], PermGroup] = OrderedDict()
-# table1 leaves 243 closures and the verify theorems 576: neither evicts
-_CLOSURE_CACHE_MAX = 1024
-
-
 def galois_closure(
     group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> PermGroup:
     """The closure itself, via the pruned algorithm, LRU-cached per (group,
-    ground set, k): groups compare equal regardless of their ground sets,
-    but the closure's ground set contains the group's."""
-    key = (group, group.ground_set, k)
-    hit = _closure_cache.get(key)
-    if hit is not None:
-        _closure_cache.move_to_end(key)
-        return hit
-    hit = closure_pruned(group, k, budgets=budgets).closure
-    _closure_cache[key] = hit
-    while len(_closure_cache) > _CLOSURE_CACHE_MAX:
-        _closure_cache.popitem(last=False)
-    return hit
+    ground set, k, budgets): groups compare equal regardless of their
+    ground sets, but the closure's ground set contains the group's, and a
+    closure computed under one set of budgets does not answer a call that
+    another would refuse."""
+    return _closure(group, group.ground_set, k, resolve(budgets))
+
+
+# table1 leaves 243 closures and the verify theorems 576: neither evicts
+@functools.lru_cache(maxsize=1024)
+def _closure(
+    group: PermGroup, ground_set: tuple[int, ...], k: int, budgets: Budgets
+) -> PermGroup:
+    return closure_pruned(group, k, budgets=budgets).closure
 
 
 def clear_closure_cache() -> None:
-    _closure_cache.clear()
+    _closure.cache_clear()
 
 
 def is_closed(group: PermGroup, k: int, budgets: Budgets | None = None) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import zlib
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -494,7 +495,7 @@ class PermGroup:
     Equality and hashing see the degree and the elements, not the ground
     set: the same permutations form the same group however it is viewed.
     Whatever depends on the ground set keys on it explicitly, as the
-    closure cache keys on (group, ground set, k).
+    closure cache keys on (group, ground set, k, budgets).
     """
 
     __slots__ = ("_degree", "_ground", "_gens", "_rows", "_ranks", "_eltups", "_hash", "_perms")
@@ -509,7 +510,8 @@ class PermGroup:
     ):
         # internal constructor: use generate_group / from_elements instead
         self._degree = degree
-        self._rows = rows.astype(_point_dtype(degree), copy=False)
+        # C order, so the hash reads the rows' buffer in place
+        self._rows = np.ascontiguousarray(rows, dtype=_point_dtype(degree))
         self._ranks = ranks
         self._rows.flags.writeable = False
         self._ranks.flags.writeable = False
@@ -643,9 +645,10 @@ class PermGroup:
         return self.is_subgroup_of(other)
 
     def __hash__(self) -> int:
-        # the rows determine the ranks and have one dtype per degree
+        # the rows determine the ranks and have one dtype per degree; a
+        # checksum over their buffer makes no copy of them
         if self._hash is None:
-            self._hash = hash((self._degree, self._rows.tobytes()))
+            self._hash = hash((self._degree, zlib.crc32(self._rows)))
         return self._hash
 
     def __repr__(self) -> str:

@@ -51,6 +51,7 @@ extensions and 79 greedy steps.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -132,9 +133,6 @@ def _prime_of_power(m: int) -> int:
                 m //= p
             return p if m == 1 else 0
     return 0
-
-
-_catalog_cache: dict[int, SubgroupCatalog] = {}
 
 
 def _span(mul: np.ndarray, base: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -248,22 +246,26 @@ def _extension_labels(
     return candidates, labels[candidates]
 
 
-def all_subgroups(
-    n: int, budgets: Budgets | None = None, _extension_order: str = "forward"
-) -> SubgroupCatalog:
+def all_subgroups(n: int, budgets: Budgets | None = None) -> SubgroupCatalog:
     """All subgroups of the symmetric group of degree n, up to conjugacy.
 
-    Supported for n up to 6.  Raises BudgetExceeded up front when the
-    materialization bound is below n!, as the spans reach S_n itself.
-    ``_extension_order="reversed"`` spans each label class from its greatest
-    candidate instead of its least; the result must not depend on it
-    (checked in the test suite).
+    Supported for n up to 6.  Raises BudgetExceeded up front, on every
+    call, when the materialization bound is below n!, as the spans reach
+    S_n itself.  The catalog is enumerated once per degree and cached: it
+    reads no budget past that check.
     """
     if not 1 <= n <= 6:
         raise UsageError("subgroup enumeration is supported for degree 1..6")
     resolve(budgets).check("materialization", math.factorial(n))
-    if _extension_order == "forward" and n in _catalog_cache:
-        return _catalog_cache[n]
+    return _enumerate(n, "forward")
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerate(n: int, extension_order: str) -> SubgroupCatalog:
+    """The catalog ``all_subgroups`` returns.  ``extension_order="reversed"``
+    spans each label class from its greatest candidate instead of its
+    least ("forward"); the result must not depend on it (checked in the
+    test suite)."""
     sn_rows, _ = _symmetric_rows(range(1, n + 1), n)  # row r has lex rank r
     t = _tables(sn_rows)
     mul, inv = t.mul, t.inv
@@ -306,7 +308,7 @@ def all_subgroups(
     while pending:
         base, base_gens, normalizer_gens = pending.pop()
         candidates, labels = _extension_labels(t, base, base_gens, normalizer_gens, power_maps)
-        if _extension_order == "reversed":
+        if extension_order == "reversed":
             candidates, labels = candidates[::-1], labels[::-1]
         # a stable sort keeps the scan order within each label class, so
         # each run's first candidate is the class's least (greatest reversed)
@@ -328,8 +330,6 @@ def all_subgroups(
             f"enumeration found {catalog.total_subgroups} subgroups at degree {n}, "
             f"expected {EXPECTED_TOTALS[n]}"
         )
-    if _extension_order == "forward":
-        _catalog_cache[n] = catalog
     return catalog
 
 

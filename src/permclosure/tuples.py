@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from typing import Iterable
 
 import numpy as np
@@ -334,21 +333,6 @@ class OrbitPartition:
         self.representatives = np.flatnonzero(labels == np.arange(space.size))
         self.orbit_count = int(self.representatives.size)
 
-    # -- queries
-
-    def canonical_tuple(self, a: Iterable[int]) -> tuple[int, ...]:
-        return self.space.decode(int(self.labels[self.space.encode(a)]))
-
-    def same_orbit(self, a: Iterable[int], b: Iterable[int]) -> bool:
-        return bool(
-            self.labels[self.space.encode(a)] == self.labels[self.space.encode(b)]
-        )
-
-    @property
-    def orbit_sizes(self) -> np.ndarray:
-        """Orbit sizes, in the order of ``representatives``."""
-        return np.bincount(self.labels, minlength=self.space.size)[self.representatives]
-
     def _check_same_set(self, other: "OrbitPartition") -> None:
         """Refuse partitions of different tuple sets: arity, alphabet and
         content (None for all of alphabet^arity) name the set."""
@@ -359,11 +343,6 @@ class OrbitPartition:
     def equals(self, other: "OrbitPartition") -> bool:
         self._check_same_set(other)
         return bool(np.array_equal(self.labels, other.labels))
-
-    def refines(self, other: "OrbitPartition") -> bool:
-        """Every orbit here is contained in an orbit of the other partition."""
-        self._check_same_set(other)
-        return bool(np.all(other.labels[self.labels] == other.labels))
 
     def __repr__(self) -> str:
         return (
@@ -401,10 +380,10 @@ def orbit_partition(group: PermGroup, space: TupleSpace | ContentClass) -> Orbit
 
 
 # ---------------------------------------------------------------------------
-# a small partition cache; closures of the same group at several k reuse it
-
-_CACHE: OrderedDict[tuple, OrbitPartition] = OrderedDict()
-_CACHE_MAX = 24
+# a small partition cache; closures of the same group at several k reuse it.
+# Like every memo in the package it is an lru_cache on a builder that takes
+# all it reads, the budgets included, behind an entry point that checks the
+# budget on every call: a warm call is refused exactly when a cold one is.
 
 
 def cached_orbit_partition(
@@ -418,41 +397,43 @@ def cached_orbit_partition(
 
     The tuple budget is checked on every call, a cache hit included, and
     the space is built only on a miss.  The key holds the content, so no
-    partition ever answers for another set of tuples.
+    partition ever answers for another set of tuples, and the budgets, so
+    no call is answered that a fresh process would refuse.
     """
-    n = group.degree
     content = None if content is None else tuple(content)
-    size = _set_size(n, k, content)
-    resolve(budgets).check("tuple-space", size)
-    key = (group, k, content)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        _CACHE.move_to_end(key)
-        return hit
+    b = resolve(budgets)
+    b.check("tuple-space", _set_size(group.degree, k, content))
+    return _partition(group, k, content, b)
+
+
+@functools.lru_cache(maxsize=24)
+def _partition(
+    group: PermGroup, k: int, content: tuple[int, ...] | None, budgets: Budgets
+) -> OrbitPartition:
+    """The partition ``cached_orbit_partition`` returns, with its set built
+    under the budgets it was checked against."""
+    n = group.degree
     if content is None:
         space = TupleSpace(n, k, budgets=budgets)
     else:
         space = ContentClass(n, k, content, budgets=budgets)
-    part = orbit_partition(group, space)
-    _CACHE[key] = part
-    while len(_CACHE) > _CACHE_MAX:
-        _CACHE.popitem(last=False)
-    return part
+    return orbit_partition(group, space)
 
 
 # ---------------------------------------------------------------------------
 # orbit counts from the cycle index
 
-_CENSUS: OrderedDict[PermGroup, tuple[tuple[tuple[int, ...], int], ...]] = OrderedDict()
 # Most points of elements whose cycles are traced at once: the work arrays
 # hold this many int32 entries, whatever the group's order.
 _CENSUS_CELLS = 1 << 20
 
 
+@functools.lru_cache(maxsize=24)
 def _cycle_census(group: PermGroup) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The group's cycle types, each as its cycle lengths in descending
     order with the number of elements of that type.  LRU-cached like the
-    partitions.
+    partitions; it reads no budget, and ``orbit_count`` charges the tuple
+    budget before it asks.
 
     A block of elements, at most ``_CENSUS_CELLS`` points in all, is one
     permutation of its flattened rows, entry (g, i) to (g, g(i)), whose
@@ -462,10 +443,6 @@ def _cycle_census(group: PermGroup) -> tuple[tuple[tuple[int, ...], int], ...]:
     gathers each cover every cycle.  A cycle's length is its label's
     count.  A lexsort of the elements' per-length cycle counts collects
     the types: rows, not integer keys, so no degree overflows a key."""
-    hit = _CENSUS.get(group)
-    if hit is not None:
-        _CENSUS.move_to_end(group)
-        return hit
     n = group.degree
     block = max(1, _CENSUS_CELLS // n)
     tally: dict[tuple[int, ...], int] = {}
@@ -488,14 +465,10 @@ def _cycle_census(group: PermGroup) -> tuple[tuple[tuple[int, ...], int], ...]:
         counts = np.diff(starts, append=len(cycles))
         for per_length, count in zip(map(tuple, cycles[starts].tolist()), counts.tolist()):
             tally[per_length] = tally.get(per_length, 0) + count
-    census = tuple(
+    return tuple(
         (tuple(j for j in range(n, 0, -1) for _ in range(per_length[j - 1])), count)
         for per_length, count in tally.items()
     )
-    _CENSUS[group] = census
-    while len(_CENSUS) > _CACHE_MAX:
-        _CENSUS.popitem(last=False)
-    return census
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -560,5 +533,5 @@ def _burnside_count(group: PermGroup, k: int, content: tuple[int, ...] | None) -
 
 def clear_partition_cache() -> None:
     """Forget every cached partition and cycle census."""
-    _CACHE.clear()
-    _CENSUS.clear()
+    _partition.cache_clear()
+    _cycle_census.cache_clear()

@@ -187,7 +187,8 @@ def test_point_tuple_closure_moving_40_points_refuses_keys_past_64_bits():
         wielandt_closure(g, 2)
     part = cached_orbit_partition(g, 2, content=(1, 39))
     assert part.orbit_count == 20
-    assert part.same_orbit((1,) + (2,) * 39, (2, 1) + (2,) * 38)
+    hook = part.space
+    assert part.labels[hook.encode((1,) + (2,) * 39)] == part.labels[hook.encode((2, 1) + (2,) * 38)]
 
 
 @pytest.mark.parametrize("support", [(36, 37, 38, 39, 40), (3, 11, 17, 29, 40)])

@@ -257,22 +257,19 @@ def test_closure_cache_tells_ground_sets_apart():
     assert galois_closure(b, 2).ground_set == closure_pruned(b, 2).closure.ground_set
 
 
-def test_closure_cache_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(closure_module, "_CLOSURE_CACHE_MAX", 2)
+def test_clear_functions_empty_the_caches_they_own():
+    galois_closure(cyclic_4(), 2)
+    assert orbit_equivalent(cyclic_4(), grp(4, "(1 2 3 4)", "(1 3)"), 2)
+    assert tuples_module._partition.cache_info().currsize > 0
+    assert tuples_module._cycle_census.cache_info().currsize > 0
+    clear_partition_cache()
+    for builder in (tuples_module._partition, tuples_module._cycle_census):
+        info = builder.cache_info()
+        assert (info.maxsize, info.currsize) == (24, 0)
+    assert closure_module._closure.cache_info().currsize > 0
     clear_closure_cache()
-    cache = closure_module._closure_cache
-    first, second, third = cyclic_4(), klein_four(), grp(4, "(1 2 3)")
-    galois_closure(first, 2)
-    galois_closure(second, 2)
-    assert [key[0] for key in cache] == [first, second]
-    # a re-read moves its entry to the end, so the third closure evicts the second
-    hit = galois_closure(first, 2)
-    assert [key[0] for key in cache] == [second, first]
-    galois_closure(third, 2)
-    assert [key[0] for key in cache] == [first, third]
-    assert galois_closure(first, 2) is hit
-    clear_closure_cache()
-    assert not cache
+    info = closure_module._closure.cache_info()
+    assert (info.maxsize, info.currsize) == (1024, 0)
 
 
 def test_closure_report_dispatch():
@@ -646,18 +643,34 @@ def test_a_nested_verdict_meets_a_count_and_a_labelling(monkeypatch):
 
 
 def test_orbit_equivalence_is_refused_warm_as_cold():
-    """The tuple budget is checked before the partition cache is read, so
-    classes labelled under the default budget do not let a smaller one
+    """The tuple budget is checked before the cycle census cache is read,
+    so censuses taken under the default budget do not let a smaller one
     through."""
     c8, d8 = get_group("C_8"), get_group("D_8")
     small = Budgets(tuple_budget=10)
     clear_partition_cache()
     with pytest.raises(BudgetExceeded):
         orbit_equivalent(c8, d8, 3, budgets=small)
-    assert not orbit_equivalent(c8, d8, 3)  # labels both classes
+    assert not orbit_equivalent(c8, d8, 3)  # counts both groups by cycle index
     with pytest.raises(BudgetExceeded) as err:
         orbit_equivalent(c8, d8, 3, budgets=small)
     assert (err.value.budget_name, err.value.needed) == ("tuple-space", 560)
+
+
+def test_closure_is_refused_warm_as_cold():
+    """The closure cache keys on the budgets, so a closure computed under
+    the defaults does not answer a call whose tuple budget is below the
+    balanced class of 4,200 tuples."""
+    group = get_group("PGL(2,9)")
+    small = Budgets(tuple_budget=100)
+    clear_closure_cache()
+    with pytest.raises(BudgetExceeded):
+        galois_closure(group, 3, budgets=small)
+    assert galois_closure(group, 3).order == 720
+    for call in (galois_closure, is_closed):
+        with pytest.raises(BudgetExceeded) as err:
+            call(group, 3, budgets=small)
+        assert (err.value.budget_name, err.value.needed) == ("tuple-space", 4200)
 
 
 # ---------------------------------------------------------------------------

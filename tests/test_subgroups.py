@@ -121,13 +121,13 @@ def test_enumeration_ignores_scan_order(monkeypatch):
         spanned.append(gens.tolist())
         return real(mul, base, gens)
 
-    monkeypatch.setattr(subgroups, "_catalog_cache", {})
+    subgroups._enumerate.cache_clear()
     monkeypatch.setattr(subgroups, "_span", recording)
     for n in (3, 4, 5):
         forward = all_subgroups(n)
         forward_spans = sorted(spanned)
         spanned.clear()
-        backward = all_subgroups(n, _extension_order="reversed")
+        backward = subgroups._enumerate(n, "reversed")
         assert sorted(spanned) != forward_spans
         spanned.clear()
         key = lambda cat: sorted((c.order, c.class_size, c._members[0]) for c in cat.classes)
@@ -198,7 +198,7 @@ def test_labels_normalizers_and_members_match_brute_force(monkeypatch, n):
         normalized.append((ranks, gens, *out))
         return out
 
-    monkeypatch.setattr(subgroups, "_catalog_cache", {})
+    subgroups._enumerate.cache_clear()
     monkeypatch.setattr(subgroups, "_extension_labels", recording_labels)
     monkeypatch.setattr(subgroups, "_normalizer", recording_normalizer)
     catalog = all_subgroups(n)
@@ -247,7 +247,7 @@ def test_enumeration_at_degree_six_spans_few_groups(monkeypatch):
         calls += 1
         return real(*args)
 
-    monkeypatch.setattr(subgroups, "_catalog_cache", {})
+    subgroups._enumerate.cache_clear()
     monkeypatch.setattr(subgroups, "_span", counting)
     assert all_subgroups(6).total_subgroups == EXPECTED_TOTALS[6]
     assert 0 < calls < 500
@@ -257,7 +257,7 @@ def test_cold_degree_six_enumeration_stays_small(monkeypatch):
     """No step builds an n! x |H| or n! x |N(H)| array: the cold degree-6
     enumeration peaks near 2.4 MiB under tracemalloc (4.5 MiB when each new
     class was conjugated by all 720 elements), mostly the 1 MiB table."""
-    monkeypatch.setattr(subgroups, "_catalog_cache", {})
+    subgroups._enumerate.cache_clear()
     tracemalloc.start()
     try:
         all_subgroups(6)

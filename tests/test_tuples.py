@@ -267,10 +267,9 @@ def test_orbit_statistics_match_unique_counts(gens, k, value_action):
         part = orbit_partition(group, TupleSpace(group.degree, k))
     labels, idx = part.labels, np.arange(part.space.size)
     assert np.array_equal(labels[labels], labels) and np.all(labels <= idx)
-    reps, counts = np.unique(labels, return_counts=True)
+    reps = np.unique(labels)
     assert part.orbit_count == reps.size
     assert np.array_equal(part.representatives, reps)
-    assert np.array_equal(part.orbit_sizes, counts)
     assert np.array_equal(_orbit_ranks(labels), np.searchsorted(reps, labels))
 
 
@@ -284,20 +283,21 @@ def test_partition_of_subgroup_refines_supergroup():
     space = TupleSpace(4, 2)
     fine = orbit_partition(cyclic_4(), space)
     coarse = orbit_partition(symmetric_on(range(1, 5), 4), space)
-    assert fine.refines(coarse)
-    assert not coarse.refines(fine)
+    # each orbit of the subgroup lies in one orbit of S_4, not conversely
+    assert np.array_equal(coarse.labels[fine.labels], coarse.labels)
+    assert not np.array_equal(fine.labels[coarse.labels], fine.labels)
     # the 4-cycle and the full dihedral group have the same two-letter orbits
     dihedral = orbit_partition(grp(4, "(1 2 3 4)", "(1 3)"), space)
-    assert fine.refines(dihedral) and dihedral.refines(fine)
     assert fine.equals(dihedral)
 
 
 def test_partition_queries():
-    part = orbit_partition(cyclic_4(), TupleSpace(4, 2))
-    assert part.same_orbit((1, 1, 2, 2), (2, 2, 1, 1))
-    assert not part.same_orbit((1, 1, 2, 2), (1, 2, 1, 2))
-    assert part.canonical_tuple((2, 2, 1, 1)) == (1, 1, 2, 2)
-    assert int(part.orbit_sizes.sum()) == 16
+    space = TupleSpace(4, 2)
+    part = orbit_partition(cyclic_4(), space)
+    label = lambda a: int(part.labels[space.encode(a)])
+    assert label((1, 1, 2, 2)) == label((2, 2, 1, 1))
+    assert label((1, 1, 2, 2)) != label((1, 2, 1, 2))
+    assert space.decode(label((2, 2, 1, 1))) == (1, 1, 2, 2)
     assert part.orbit_count == 6 and part.representatives[0] == 0
 
 
@@ -357,8 +357,6 @@ def test_class_labels_and_full_partitions_never_answer_for_each_other():
         for one, two in itertools.permutations(parts.values(), 2):
             with pytest.raises(DegreeMismatch):
                 one.equals(two)
-            with pytest.raises(DegreeMismatch):
-                one.refines(two)
     clear_partition_cache()
     for content, part in parts.items():
         assert cached_orbit_partition(group, 3, content=content) is not part
@@ -508,9 +506,11 @@ def test_partition_rejects_oversized_group_degree():
 
 def test_partition_on_wider_space_leaves_extra_coordinates():
     """A degree-2 swap inside arity 3: the third coordinate rides along."""
-    part = orbit_partition(grp(2, "(1 2)"), TupleSpace(3, 2))
-    assert part.same_orbit((1, 2, 1), (2, 1, 1))
-    assert not part.same_orbit((1, 2, 1), (1, 2, 2))
+    space = TupleSpace(3, 2)
+    part = orbit_partition(grp(2, "(1 2)"), space)
+    label = lambda a: part.labels[space.encode(a)]
+    assert label((1, 2, 1)) == label((2, 1, 1))
+    assert label((1, 2, 1)) != label((1, 2, 2))
     assert part.orbit_count == 6
 
 
