@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .budgets import Budgets, resolve
-from .closure import _accepted_rows, _group_from_union, galois_closure
+from .closure import _accepted_rows, _chain_pairs, _closure_of_cosets, _leading, galois_closure
 from .perm import (
     PermGroup,
     _lex_ranks,
@@ -278,16 +278,18 @@ def wielandt_closure(
     For k <= m-2, candidates are restricted to permutations preserving
     every point orbit setwise, which is sound: orbits of constant tuples
     recover the point orbits, so any permutation with the same tuple
-    orbits preserves them.  They are built at once, as the product of the
-    symmetric groups on the orbits, and tested in one batch against the
-    group's orbits on the hook class of content (1^k, m-k) over k+1
-    letters under the coordinate action:
+    orbits preserves them.  They form the product of the symmetric groups
+    on the orbits, which contains the closure, itself a union of left
+    cosets of G.  So the least element of each left coset of G in the
+    product other than G is tested, against the group's orbits on the hook
+    class of content (1^k, m-k) over k+1 letters under the coordinate
+    action:
 
     * The injective k-tuple r of points corresponds to the m-tuple a with
       a_(r_i) = i and k+1 elsewhere, and sigma o r to a^(sigma^-1).  So
       sigma keeps every orbit of injective k-tuples exactly when sigma^-1,
-      hence sigma, keeps every orbit of the class: the accepted candidates,
-      and through ``_group_from_union`` the generators, are those of the
+      hence sigma, keeps every orbit of the class: the accepted cosets,
+      and through ``_closure_of_cosets`` the generators, are those of the
       value action on all of m^k.
     * Every k-tuple r is a contraction s o f of an injective k-tuple s,
       f a map of the k coordinates, and sigma o s in G o s gives
@@ -343,11 +345,10 @@ def _closure_moving_every_point(group: PermGroup, k: int, b: Budgets) -> PermGro
     content = balanced_sizes(n, k + 1) if k == n - 2 else (1,) * k + (n - k,)
     part = cached_orbit_partition(group, k + 1, budgets=b, content=content)
     cand = _symmetric_product(orbits, n)
-    ranks = _lex_ranks(cand)
-    order = np.argsort(ranks)
-    cand = cand[order[~np.isin(ranks[order], group._ranks)]]
-    extra = cand[_accepted_rows(part.space, part.labels, [(0, cand, np.arange(len(cand)))])]
-    return _group_from_union(group, extra, extra, b)
+    cand = cand[_leading(cand, _chain_pairs(group._rows))]
+    cand = cand[np.argsort(_lex_ranks(cand))][1:]  # less the identity
+    accepted = cand[_accepted_rows(part.space, part.labels, [(0, cand, np.arange(len(cand)))])]
+    return _closure_of_cosets(group, accepted, b)
 
 
 def check_wielandt_containment(

@@ -413,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alphabet size (at least 2)")
     p.add_argument(
         "--algorithm", choices=("naive", "pruned", "kearnes"), default="pruned",
-        help="naive scans all permutations; kearnes intersects "
-        "stabilizer-product sets (bounded by --candidate-budget); default pruned",
+        help="naive tests one permutation per coset on all of k^n; kearnes "
+        "intersects stabilizer-product sets (bounded by --candidate-budget); default pruned",
     )
     p.set_defaults(func=_cmd_closure)
 

@@ -5,15 +5,13 @@ orbits as G on k^n under the coordinate action; equivalently, all
 permutations sigma such that every tuple lands inside its own G-orbit.
 Three interchangeable algorithms are provided:
 
-* ``closure_naive``   scans all of the symmetric group against the orbits
-  on all of k^n, so it rests on nothing below;
+* ``closure_naive``   tests one permutation per left coset of G in the
+  symmetric group against the orbits on all of k^n, so it rests on
+  nothing below;
 * ``closure_pruned``  searches only the product set stab(a*) . G for one
   well-chosen tuple a* (the most balanced value pattern), which provably
-  contains the closure.  The set is never built: its left cosets of G
-  other than G are represented by the least element of each left coset
-  of H = G ∩ stab(a*) in stab(a*) other than H, found by min-label
-  propagation over the lexicographic ranks of stab(a*).  Each
-  representative is tested, as a rank, on the balanced class alone;
+  contains the closure, one left coset of H = G ∩ stab(a*) in stab(a*)
+  at a time, on the balanced class alone;
 * ``closure_kearnes`` intersects the product sets stab(a) . G over
   representative tuples a, one per set partition of the coordinates into
   at most k classes.  Since g, g' in G give the same tuple a^g exactly
@@ -22,14 +20,12 @@ Three interchangeable algorithms are provided:
   distinct image rows.  Oracle grade, bounded by the candidate budget.
 
 All three agree exactly; the test suite checks that on a wide panel.
-Candidates are tested in numpy batches against the orbit labels by one
-function, ``_accepted_rows``.  It takes them as a product over runs of
-points: per run, a table of local image rows and one row index per
-candidate.  Explicit rows are one run; ``closure_pruned`` passes ranks in
-stab(a*), one digit per run of a*, so a rejected representative never
-becomes an image row.  It tests sigma^-1 in place of sigma, which gets the
-same verdict because the permutations that keep a labelling form a group,
-and whose key weights are a gather by sigma itself, with no inverse.
+The permutations that keep a labelling form a group, and one containing
+a subgroup S is a union of left cosets x.S.  So every search tests only
+the least element of each coset, read off S's point-stabilizer chain
+(``_chain_pairs``; Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005), in numpy batches against the orbit labels by one function,
+``_accepted_rows``.
 
 The balanced class decides.  The tuples of k^n in which each value occurs
 a given number of times form one S_n-orbit, a content class; its content
@@ -60,20 +56,14 @@ balanced class (take L = <G, sigma>), and G and H are orbit equivalent
 exactly when their orbits on the balanced class agree (take L = <G, H>,
 whose orbits there are the join of theirs).  ``closure_pruned``
 therefore labels n!/prod(lambda*_v!) tuples, not k^n, through
-``cached_orbit_partition(..., content=balanced_sizes(n, k))``.  So does
-``orbit_equivalent`` for a pair that is not nested.  For H <= G, every
-H-orbit lies in a G-orbit, so the two agree exactly when they have
-equally many orbits on the class, and ``orbit_equivalent`` compares their
-``tuples.orbit_count``s, which come from the cycle index for a group no
-larger than the class.
+``cached_orbit_partition(..., content=balanced_sizes(n, k))``, and
+``orbit_equivalent`` decides there, by orbit counts for a nested pair.
 ``classify.wielandt_closure`` labels another class the same way, the hook
 content (1^k, n-k) over k+1 letters, and tests its candidates with the same
 ``_accepted_rows``: there is one action and one kind of labelled set.
 The full k^n partition stays in ``closure_naive``, the independent
 oracle, and where a k^n table is an input or an output: ``orbit_coloring``,
 ``invariance_group``, ``min_codomain_report`` and ``is_k_thick``.
-``min_codomain_report`` counts its orbits first, so too many of them are
-refused before k^n is labelled.
 
 Derived conveniences: closure chains in k, orbit equivalence, thickness
 certificates, invariance groups of concrete colorings, and the least
@@ -100,7 +90,6 @@ from .perm import (
     _greedy_span,
     _lex_permutations,
     _lex_ranks,
-    _min_labels,
     _moved_points,
     _point_dtype,
     _symmetric_product,
@@ -314,17 +303,38 @@ def _accepted_rows(
     return np.concatenate(kept)
 
 
+def _chain_pairs(rows: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs (i, j), j != i in the orbit of i under the stabilizer of
+    0..i-1 in the group S of the rows.  x is least in x.S exactly when
+    x(i) < x(j) at every pair: entry i of x.s is x(s(i)) and x is
+    injective, so the first point s moves decides between x and x.s."""
+    n = rows.shape[1]
+    pairs = []
+    for i in range(n - 1):
+        orbit = np.flatnonzero(np.bincount(rows[:, i], minlength=n))
+        pairs.extend((i, j) for j in orbit.tolist() if j != i)
+        rows = rows[rows[:, i] == i]
+    return pairs
+
+
+def _leading(rows: np.ndarray, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Which rows pass the ``_chain_pairs``: the least of their cosets."""
+    keep = np.ones(len(rows), dtype=bool)
+    for i, j in pairs:
+        keep &= rows[:, i] < rows[:, j]
+    return keep
+
+
 def _rows_outside(group: PermGroup) -> Iterator[np.ndarray]:
-    """The permutations of the group's degree that lie outside it, in
-    lexicographic order, as one block of image rows per first entry."""
+    """The least element of each left coset x.G of the group other than G,
+    in lexicographic order, as one block of image rows per first entry."""
     n = group.degree
     sub, _ = _lex_permutations(max(n - 1, 0))
-    # the row of lex rank i.(n-1)! + r starts with i and continues as sub[r]
-    first, rest = np.divmod(group._ranks, len(sub))
+    pairs = _chain_pairs(group._rows)
     for i in range(n):
-        keep = np.ones(len(sub), dtype=bool)
-        keep[rest[first == i]] = False
-        yield _first_entry_block(sub[keep], i)
+        block = _first_entry_block(sub, i)
+        block = block[_leading(block, pairs)]
+        yield block[1:] if i == 0 else block  # less the identity
 
 
 class _YoungSubgroup:
@@ -334,8 +344,7 @@ class _YoungSubgroup:
     Elements are indexed by lexicographic rank.  Since the runs are
     consecutive, sorted order is the product, in order, of each run's
     lexicographically ordered permutations (``_lex_permutations``), so a
-    rank is a mixed-radix number whose digits are in-run lex ranks.
-    """
+    rank is a mixed-radix number whose digits are in-run lex ranks."""
 
     __slots__ = ("degree", "order", "_runs")
 
@@ -344,16 +353,19 @@ class _YoungSubgroup:
         self._runs = [_lex_permutations(m)[0] for m in sizes]
         self.order = math.prod(len(perms) for perms in self._runs)
 
-    def rank_map(self, h: tuple[int, ...]) -> np.ndarray:
-        """For every rank r, the rank of (element r) . h, h applied first."""
-        imap = np.zeros(1, dtype=np.intp)
-        off = 0
+    def coset_leaders(self, h_rows: np.ndarray) -> np.ndarray:
+        """The ranks, ascending, of the least element of each left coset of
+        H, given by its rows, in this group.  H keeps each run, so each of
+        its ``_chain_pairs`` lies in a run and screens that run's digits."""
+        pairs = _chain_pairs(h_rows)
+        ranks, off = np.zeros(1, dtype=np.intp), 0
         for perms in self._runs:
             m = perms.shape[1]
-            local = np.array(h[off:off + m]) - off
-            imap = (imap[:, None] * len(perms) + _lex_ranks(perms[:, local])).ravel()
+            local = [(i - off, j - off) for i, j in pairs if off <= i < off + m]
+            kept = np.flatnonzero(_leading(perms, local))
+            ranks = (ranks[:, None] * len(perms) + kept).ravel()
             off += m
-        return imap
+        return ranks
 
     def runs(self, ranks: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """The elements of the given ranks as runs (``_accepted_rows``):
@@ -391,7 +403,7 @@ def _group_from_union(
     distinct and outside base (already known to be closed), with a short
     generating list grown greedily: base's own generators first, then the
     candidate rows, which lie among the extra ones.  ``order`` is that of
-    the union; given as n!, ``extra`` is not read and may be None."""
+    the union; given as n!, ``extra`` is not read."""
     if order is None:
         order = base.order + len(extra)
     b.check("materialization", order)
@@ -412,12 +424,24 @@ def _group_from_union(
     return PermGroup._build(base.degree, rows, gens, ground, ranks)
 
 
+def _closure_of_cosets(group: PermGroup, accepted: np.ndarray, b: Budgets) -> PermGroup:
+    """G with the left cosets x.G of the accepted rows x, lex-ordered coset
+    leaders.  The greedy generators are those of all its rows, since the
+    least of them outside a group containing G is a leader."""
+    n = group.degree
+    order = group.order * (len(accepted) + 1)
+    # x.G is x[g] over g in G, G applied first, unless G is trivial or the
+    # union is S_n, which is rebuilt from its own rows
+    plain = group.order == 1 or order == math.factorial(n)
+    cosets = accepted if plain else accepted[:, group._rows].reshape(-1, n)
+    return _group_from_union(group, cosets, accepted, b, order)
+
+
 def _greedy_extension(
     base: PermGroup, candidates: np.ndarray, order: int, b: Budgets
 ) -> list[tuple[int, ...]]:
     """The generators ``_greedy_span`` keeps when it scans base's
-    generators, then the candidates (none of them in base), up to a group
-    of the given order, computed without spanning base again.
+    generators, then the candidates (none in base), up to the order.
 
     The span of all of base's generators is base, so only proper prefixes
     need spanning, and its last generator is kept exactly when they fall
@@ -464,7 +488,7 @@ def _check_alphabet(k: int) -> None:
 def closure_naive(
     group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> ClosureReport:
-    """Reference algorithm: test every permutation of the degree."""
+    """Reference algorithm: one test per left coset of G, on all of k^n."""
     _check_alphabet(k)
     t0 = time.perf_counter()
     b = resolve(budgets)
@@ -484,16 +508,16 @@ def _preserving_group(
     base: PermGroup, labelled: Callable[[], tuple[TupleSpace, np.ndarray]], b: Budgets
 ) -> PermGroup:
     """Every permutation of base's degree whose coordinate action preserves
-    the labels that ``labelled()`` returns with their space, found by
-    testing all n! of them; base's own elements must preserve them.  The
-    candidate budget is checked before the labels are asked for."""
+    the labels that ``labelled()`` returns with their space; base's own
+    elements must preserve them, so one row per left coset of base is
+    tested.  The candidate budget is charged n! before the labels."""
     b.check("candidate", math.factorial(base.degree))
     space, labels = labelled()
     accepted = np.concatenate([
         rows[_accepted_rows(space, labels, [(0, rows, np.arange(len(rows)))])]
         for rows in _rows_outside(base)
     ])
-    return _group_from_union(base, accepted, accepted, b)
+    return _closure_of_cosets(base, accepted, b)
 
 
 def closure_pruned(
@@ -501,22 +525,16 @@ def closure_pruned(
 ) -> ClosureReport:
     """Search the product set stab(a*) . G for the balanced pattern a*.
 
-    That set provably contains the closure, and the closure is a union of
-    left cosets of G, so one test per coset representative settles the
-    whole coset.  gamma in stab(a*) lies in an earlier coset gamma'.G
-    exactly when it lies in gamma'.H, H = G ∩ stab(a*).  So the
-    representatives are the least elements of the left cosets of H in
-    stab(a*) other than H, in sorted order: min-label propagation over
-    the maps rank(gamma) -> rank(gamma.h), one per generator h of H.
-    H is found by scanning G, or by listing stab(a*) where |G| exceeds
-    6.|stab(a*)| + 1,500, the measured crossover.  The product set is
+    That set provably contains the closure, a union of left cosets of G.
+    gamma in stab(a*) lies in an earlier coset gamma'.G exactly when it
+    lies in gamma'.H, H = G ∩ stab(a*).  So the representatives are the
+    least elements of the left cosets of H in stab(a*) other than H, in
+    sorted order (``_YoungSubgroup.coset_leaders``).  The product set is
     never materialized, and ``candidates_examined`` is its size
     |G|.|stab(a*)|/|H|.  The representatives stay lexicographic ranks
     until they are accepted: ``_accepted_rows`` takes them as one digit
     per run of a* and tests them against G's orbits on the balanced class,
-    which decide membership (module docstring), building no image row.
-    Only accepted cosets are built, for the closure, and none when the
-    closure is S_n."""
+    which decide membership (module docstring), building no image row."""
     _check_alphabet(k)
     t0 = time.perf_counter()
     b = resolve(budgets)
@@ -529,9 +547,8 @@ def closure_pruned(
 
     stab = _YoungSubgroup(sizes, n)
     g_rows = group._rows
-    # H in lex order: stab(a*) is listed in lex order, as is G.  Per
-    # point, listing stab(a*) costs about 6 scanned rows of G per element
-    # plus 1,500 once, so n drops out (timed on the catalog groups)
+    # H = G ∩ stab(a*).  Per point, listing stab(a*) costs about 6 scanned rows
+    # of G per element plus 1,500 once, so n drops out (timed on catalog groups)
     if group.order > 6 * stab.order + 1500:
         s_rows = stab.rows(np.arange(stab.order))
         s_ranks = _lex_ranks(s_rows)
@@ -540,21 +557,13 @@ def closure_pruned(
     else:
         a = np.array(a_star, dtype=g_rows.dtype) - 1
         h_rows = g_rows[(a[g_rows] == a).all(axis=1)]
-    h_eltups = [tuple(t) for t in h_rows.tolist()]
-    h_gens, _ = _greedy_span(h_eltups, n, b, len(h_eltups))
-    labels = _min_labels(stab.order, [stab.rank_map(h) for h in h_gens])
-    reps = np.flatnonzero(labels == np.arange(stab.order))[1:]
+    reps = stab.coset_leaders(h_rows)[1:]
 
     passed = reps
     if len(reps):
         part = cached_orbit_partition(group, k, budgets=b, content=sizes)
         passed = reps[_accepted_rows(part.space, part.labels, stab.runs(reps))]
-    accepted = stab.rows(passed)
-    order = group.order * (len(accepted) + 1)
-    # the coset gamma.G of each accepted gamma, G applied first; S_n is
-    # rebuilt from its own rows
-    cosets = accepted[:, g_rows].reshape(-1, n) if order < math.factorial(n) else None
-    closure = _group_from_union(group, cosets, accepted, b, order)
+    closure = _closure_of_cosets(group, stab.rows(passed), b)
     examined = group.order * (len(reps) + 1)
     return ClosureReport(
         group, k, closure, "pruned", examined, a_star, time.perf_counter() - t0
@@ -588,9 +597,8 @@ def closure_kearnes(
     stab(a) . G = stab(a) . R for R holding one g per distinct a^g, and its
     |stab(a)|.|R| products are distinct: one gather of n-byte rows, with no
     dedup.  The intersection is kept as the sorted base-n values of its
-    rows, which order them as lex order does.  Each
-    candidate is an n-byte row, so the candidate budget is charged n per
-    candidate, before each product set.  ``candidates_examined`` totals
+    rows, which order them as lex order does.  The candidate budget is
+    charged n per candidate, an n-byte row.  ``candidates_examined`` totals
     the product-set sizes formed before the intersection stabilized."""
     _check_alphabet(k)
     t0 = time.perf_counter()
@@ -988,7 +996,8 @@ def min_codomain_report(
     Only orbit-constant colorings need checking, so the search runs over
     set partitions of the orbit classes, smallest m first; each candidate
     is rejected as soon as one outside permutation preserves it.  More
-    than ``max_orbits`` orbits is a UsageError, since it is no budget."""
+    than ``max_orbits`` orbits is a UsageError, since it is no budget.
+    One row per left coset of G is tested, but n! - |G| are charged."""
     b = resolve(budgets)
     n = group.degree
     clo = galois_closure(group, k, budgets=b)
@@ -1001,7 +1010,6 @@ def min_codomain_report(
     part = cached_orbit_partition(group, k, budgets=b)
     # blocks, so that a coloring is rejected at the first block accepting it
     outside = list(_rows_outside(group))
-    outside_count = sum(len(rows) for rows in outside)
     ranks = _orbit_ranks(part.labels)
     tested: dict[int, int] = {}
     work = 0
@@ -1011,7 +1019,7 @@ def min_codomain_report(
             if max(classes) != m - 1:
                 continue
             count += 1
-            work += max(1, outside_count)
+            work += max(1, math.factorial(n) - group.order)
             b.check("candidate", work)
             vals = np.array(classes, dtype=np.int32)[ranks] + 1
             if any(_accepted_rows(part.space, vals, [(0, rows, np.arange(len(rows)))]).size

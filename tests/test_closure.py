@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -334,6 +335,50 @@ def test_pruned_equals_naive_on_the_panel(class_panel):
             naive = closure_naive(g, k).closure
             pruned = closure_pruned(g, k).closure
             assert naive.element_images() == pruned.element_images(), (n, idx, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_coset_leaders_are_the_least_of_each_left_coset(n):
+    """For every class representative G of degree n at k = 2 and 3, with
+    H = G ∩ stab(a*), the leaders are the ranks in stab(a*) of the least
+    element of each left coset of H in stab(a*), listed by brute force."""
+    for cls in all_subgroups(n).classes:
+        inside = set(cls.representative.element_images())
+        for k in (2, 3):
+            sizes = balanced_sizes(n, k)
+            a = np.repeat(np.arange(len(sizes)), sizes)
+            stab = [x for x in itertools.permutations(range(n))  # lex order
+                    if all(a[x[i]] == a[i] for i in range(n))]
+            h = [x for x in stab if x in inside]
+            seen, want = set(), []
+            for rank, x in enumerate(stab):
+                if x not in seen:
+                    seen.update(tuple(x[i] for i in y) for y in h)
+                    want.append(rank)
+            young = closure_module._YoungSubgroup(sizes, n)
+            got = young.coset_leaders(np.array(h, dtype=np.uint8))
+            assert got.tolist() == want, (n, cls.representative, k)
+
+
+@pytest.mark.parametrize("name, k", [("A_8", 4), ("A_9", 3)])
+def test_naive_closure_tests_each_coset_once(name, k):
+    """Under default budgets, cold, the naive closures of A_8 at k = 4 and
+    of A_9 at k = 3 are S_n, with all n! permutations examined, in under
+    5 s and 64 MiB: the one coset of A_n outside it is tested by one row,
+    not n!/2."""
+    group = get_group(name)
+    n = group.degree
+    clear_partition_cache()
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        rep = closure_naive(group, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - started
+    assert rep.closure.order == rep.candidates_examined == math.factorial(n)
+    assert elapsed < 5 and peak < 64 * 2**20
 
 
 def _dihedral(n: int) -> PermGroup:

@@ -195,14 +195,20 @@ def test_closure_rebuild_keeps_the_greedy_generators(gens):
 
 @settings(max_examples=60)
 @given(gens=generator_sets(max_degree=6))
-def test_rows_outside_are_the_lex_ordered_complement(gens):
+def test_rows_outside_are_the_least_of_each_left_coset(gens):
     """Streamed one first entry at a time, the rows outside a group are the
-    permutations of its degree not in it, in lexicographic order."""
+    least element of each of its left cosets x.G other than G, in
+    lexicographic order."""
     g = generate_group(gens)
-    inside = set(g.element_images())
-    want = [t for t in itertools.permutations(range(g.degree)) if t not in inside]
-    got = [tuple(row) for block in _rows_outside(g) for row in block.tolist()]
-    assert got == want
+    elements = g.element_images()
+    seen, want = set(), []
+    for x in itertools.permutations(range(g.degree)):  # lex order
+        if x not in seen:
+            seen.update(tuple(x[i] for i in h) for h in elements)  # x.h, h first
+            want.append(x)
+    blocks = [block.tolist() for block in _rows_outside(g)]
+    assert all(row[0] == i for i, block in enumerate(blocks) for row in block)
+    assert [tuple(row) for block in blocks for row in block] == want[1:]
 
 
 def test_closure_rebuild_respects_the_materialization_bound():
