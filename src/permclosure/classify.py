@@ -28,11 +28,10 @@ from enum import Enum
 import numpy as np
 
 from .budgets import Budgets, resolve
-from .closure import _accepted_rows, _chain_pairs, _closure_of_cosets, _leading, galois_closure
+from .closure import _accepted_rows, _closure_of_cosets, _YoungSubgroup, galois_closure
 from .perm import (
     PermGroup,
     _lex_ranks,
-    _symmetric_product,
     alternating_on,
     direct_product,
     full_orbits,
@@ -344,11 +343,11 @@ def _closure_moving_every_point(group: PermGroup, k: int, b: Budgets) -> PermGro
     # order galois_closure(group, k+1) and this closure share a partition
     content = balanced_sizes(n, k + 1) if k == n - 2 else (1,) * k + (n - k,)
     part = cached_orbit_partition(group, k + 1, budgets=b, content=content)
-    cand = _symmetric_product(orbits, n)
-    cand = cand[_leading(cand, _chain_pairs(group._rows))]
-    cand = cand[np.argsort(_lex_ranks(cand))][1:]  # less the identity
-    accepted = cand[_accepted_rows(part.space, part.labels, [(0, cand, np.arange(len(cand)))])]
-    return _closure_of_cosets(group, accepted, b)
+    product = _YoungSubgroup([np.array(o) - 1 for o in orbits], n)
+    leaders = product.coset_leaders(group._rows)[1:]  # less the identity
+    accepted = product.rows(leaders[_accepted_rows(part.space, part.labels, product.runs(leaders))])
+    # the orbits need not be runs, so indices are not in lex order
+    return _closure_of_cosets(group, accepted[np.argsort(_lex_ranks(accepted))], b)
 
 
 def check_wielandt_containment(

@@ -27,6 +27,17 @@ the least element of each coset, read off S's point-stabilizer chain
 Theory, 2005), in numpy batches against the orbit labels by one function,
 ``_accepted_rows``.
 
+The search is one job: list the leaders of the left cosets of a subgroup
+H in a product of symmetric groups on blocks of points
+(``_YoungSubgroup``), test them, and rebuild the closure from G and the
+accepted ones (``_closure_of_cosets``: the materialization bound first,
+then the greedy generators, then the rows).  The blocks are all n points
+for ``closure_naive``, ``invariance_group`` and ``min_codomain_report``,
+with H = G; the runs of a* for ``closure_pruned``, with H = G ∩ stab(a*);
+and the point orbits for ``classify.wielandt_closure``, with H = G.
+``closure_kearnes`` lists stab(a) the same way and rebuilds from the
+leaders among its extra rows.
+
 The balanced class decides.  The tuples of k^n in which each value occurs
 a given number of times form one S_n-orbit, a content class; its content
 is the partition of n that the multiplicities form, and classes of one
@@ -86,13 +97,11 @@ from .perm import (
     PermGroup,
     Permutation,
     _dimino_extend,
-    _first_entry_block,
     _greedy_span,
     _lex_permutations,
     _lex_ranks,
     _moved_points,
     _point_dtype,
-    _symmetric_product,
     _symmetric_rows,
     format_perm,
     generate_group,
@@ -218,17 +227,17 @@ _FIRST_CELLS = 1 << 13
 def _accepted_rows(
     space: TupleSpace | ContentClass,
     labels: np.ndarray,
-    runs: Sequence[tuple[int, np.ndarray, np.ndarray]],
+    runs: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> np.ndarray:
     """Indices, ascending, of the candidate permutations whose coordinate
     action on the space preserves the labels.
 
-    The candidates are a product over consecutive runs of points.  A run
-    ``(offset, perms, digits)`` maps the points from offset on among
-    themselves: candidate c sends offset+j to offset+perms[digits[c], j].
-    Explicit image rows are one run, ``(0, rows, arange(len(rows)))``;
-    ``_YoungSubgroup.runs`` splits lexicographic ranks into one run per
-    class, so no image row is built for a candidate that fails.
+    The candidates are a product over runs, blocks of points that cover
+    the arity.  A run ``(points, perms, digits)`` maps its sorted points
+    among themselves: candidate c sends points[j] to
+    points[perms[digits[c], j]].  ``_YoungSubgroup.runs`` splits the
+    indices of its elements into one run per block, so no image row is
+    built for a candidate that fails.
 
     The test is of sigma^-1 in place of sigma.  Every permutation maps the
     space onto itself, so the permutations that keep the labels f form a
@@ -252,13 +261,13 @@ def _accepted_rows(
     Per chunk, each run's key table holds its part of the key for each
     tuple and each of its local rows, so a candidate's key is the sum of
     one gather per run.  Once the runs have as many local rows together as
-    there are live candidates, as explicit rows have from the start, each
-    candidate's weights are gathered once into a column of one table, and
-    a chunk's keys are one product, a (tuples, candidates) table.  The
-    labels are read at ``space.positions`` of the keys.  A block holds at
-    most ``_TEST_CELLS`` / arity candidates, so the weights table stays
-    within ``_TEST_CELLS`` too.  The keys are integer products, which are
-    exact and, unlike floating-point ones, do not go through a
+    there are live candidates, as one run of all points has from the
+    start, each candidate's weights are gathered once into a column of one
+    table, and a chunk's keys are one product, a (tuples, candidates)
+    table.  The labels are read at ``space.positions`` of the keys.  A
+    block holds at most ``_TEST_CELLS`` / arity candidates, so the weights
+    table stays within ``_TEST_CELLS`` too.  The keys are integer products,
+    which are exact and, unlike floating-point ones, do not go through a
     multithreaded BLAS.
     """
     size, arity, weights = space.size, space.arity, space.weights
@@ -267,25 +276,22 @@ def _accepted_rows(
     kept = [np.empty(0, dtype=np.intp)]
     for start in range(0, count, block):
         alive = np.arange(start, min(start + block, count))
-        live = [(off, perms, digits[start:start + block]) for off, perms, digits in runs]
+        live = [(points, perms, digits[start:start + block]) for points, perms, digits in runs]
         lo, rows = 1, max(1, _FIRST_CELLS // alive.size)
         while alive.size and lo < size:
             if live and sum(len(perms) for _, perms, _ in live) >= alive.size:
                 # one local row per candidate: weigh all points at once
-                moved = np.concatenate(
-                    [weights[off:off + perms.shape[1]][perms[digits]]
-                     for off, perms, digits in live],
-                    axis=1,
-                ).T
+                moved = np.empty((arity, alive.size), dtype=weights.dtype)
+                for points, perms, digits in live:
+                    moved[points] = weights[points][perms[digits]].T
                 live = []
             cap = max(1, _TEST_CELLS // max(alive.size, arity))
             hi = min(size, lo + min(rows, cap))
             tuples = space.rows(lo, hi)
             if live:
                 keys = np.zeros((hi - lo, alive.size), dtype=np.intp)
-                for off, perms, digits in live:
-                    run = slice(off, off + perms.shape[1])
-                    keys += np.take(tuples[:, run] @ weights[run][perms].T, digits, axis=1)
+                for points, perms, digits in live:
+                    keys += np.take(tuples[:, points] @ weights[points][perms].T, digits, axis=1)
             else:
                 keys = tuples @ moved
             at = space.positions(keys)
@@ -295,7 +301,7 @@ def _accepted_rows(
             rows = 2 * (hi - lo)
             alive = alive[ok]
             if live:
-                live = [(off, perms, digits[ok]) for off, perms, digits in live]
+                live = [(points, perms, digits[ok]) for points, perms, digits in live]
             else:
                 moved = moved[:, ok]
             lo = hi
@@ -325,116 +331,90 @@ def _leading(rows: np.ndarray, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
     return keep
 
 
-def _rows_outside(group: PermGroup) -> Iterator[np.ndarray]:
-    """The least element of each left coset x.G of the group other than G,
-    in lexicographic order, as one block of image rows per first entry."""
-    n = group.degree
-    sub, _ = _lex_permutations(max(n - 1, 0))
-    pairs = _chain_pairs(group._rows)
-    for i in range(n):
-        block = _first_entry_block(sub, i)
-        block = block[_leading(block, pairs)]
-        yield block[1:] if i == 0 else block  # less the identity
-
-
 class _YoungSubgroup:
-    """The stabilizer of a tuple whose value classes are consecutive runs
-    of the given sizes: the product of the symmetric groups on the runs.
+    """The product of the symmetric groups on blocks of 0-based points that
+    cover 0..degree-1: the stabilizer of a tuple whose value classes are
+    the blocks.  Every closure search lists the leaders of a subgroup's
+    left cosets in one: all points as one block, the runs of a*, or the
+    point orbits.
 
-    Elements are indexed by lexicographic rank.  Since the runs are
-    consecutive, sorted order is the product, in order, of each run's
-    lexicographically ordered permutations (``_lex_permutations``), so a
-    rank is a mixed-radix number whose digits are in-run lex ranks."""
+    Elements are indexed by mixed-radix numbers whose digits, block by
+    block, are the lex ranks (``_lex_permutations``) of their actions on
+    the sorted points of each block.  When the blocks are consecutive runs
+    in order, an element's index is its lexicographic rank."""
 
-    __slots__ = ("degree", "order", "_runs")
+    __slots__ = ("degree", "order", "_blocks", "_perms")
 
-    def __init__(self, sizes: Sequence[int], degree: int):
+    def __init__(self, blocks: Iterable[Sequence[int]], degree: int):
         self.degree = degree
-        self._runs = [_lex_permutations(m)[0] for m in sizes]
-        self.order = math.prod(len(perms) for perms in self._runs)
+        self._blocks = [np.asarray(points, dtype=np.intp) for points in blocks]
+        self._perms = [_lex_permutations(len(points))[0] for points in self._blocks]
+        self.order = math.prod(len(perms) for perms in self._perms)
 
     def coset_leaders(self, h_rows: np.ndarray) -> np.ndarray:
-        """The ranks, ascending, of the least element of each left coset of
-        H, given by its rows, in this group.  H keeps each run, so each of
-        its ``_chain_pairs`` lies in a run and screens that run's digits."""
+        """The indices, ascending, of the least element of each left coset
+        of H, given by its rows, in this group.  H keeps each block, so each
+        of its ``_chain_pairs`` lies in a block and screens that block's
+        digits: the points are sorted, so x(i) < x(j) exactly when the
+        local images of their places are in that order."""
         pairs = _chain_pairs(h_rows)
-        ranks, off = np.zeros(1, dtype=np.intp), 0
-        for perms in self._runs:
-            m = perms.shape[1]
-            local = [(i - off, j - off) for i, j in pairs if off <= i < off + m]
+        index = np.zeros(1, dtype=np.intp)
+        for points, perms in zip(self._blocks, self._perms):
+            place = {p: a for a, p in enumerate(points.tolist())}
+            local = [(place[i], place[j]) for i, j in pairs if i in place]
             kept = np.flatnonzero(_leading(perms, local))
-            ranks = (ranks[:, None] * len(perms) + kept).ravel()
-            off += m
-        return ranks
+            # index holds the identity, 0, so it is [0] until a block keeps more
+            index = kept if index.size == 1 else (index[:, None] * len(perms) + kept).ravel()
+        return index
 
-    def runs(self, ranks: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """The elements of the given ranks as runs (``_accepted_rows``):
-        per run its first point, its lex-ordered permutations, and each
-        element's in-run rank, a digit of its rank."""
+    def runs(self, index: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The elements of the given indices as runs (``_accepted_rows``):
+        per block its points, its lex-ordered permutations, and each
+        element's digit there."""
         digits = []
-        rest = ranks
-        for perms in reversed(self._runs[1:]):
+        rest = index
+        for perms in reversed(self._perms[1:]):
             # floor division by a scalar is several times faster than divmod
             quotient = rest // len(perms)
             digits.append(rest - quotient * len(perms))
             rest = quotient
-        digits.append(rest)  # ranks are below the order, so this is a digit
-        offsets = np.cumsum([0] + [p.shape[1] for p in self._runs[:-1]]).tolist()
-        return list(zip(offsets, self._runs, reversed(digits)))
+        digits.append(rest)  # indices are below the order, so this is a digit
+        return list(zip(self._blocks, self._perms, reversed(digits)))
 
-    def rows(self, ranks: np.ndarray) -> np.ndarray:
-        """The elements of the given ranks as 0-based image rows."""
-        out = np.empty((ranks.size, self.degree), dtype=_point_dtype(self.degree))
-        for off, perms, digits in self.runs(ranks):
-            run = out[:, off:off + perms.shape[1]]
-            run[:] = perms[digits]
-            run += off
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """The elements of the given indices as 0-based image rows."""
+        out = np.empty((index.size, self.degree), dtype=_point_dtype(self.degree))
+        for points, perms, digits in self.runs(index):
+            out[:, points] = points[perms[digits]]
         return out
 
 
-def _group_from_union(
-    base: PermGroup,
-    extra: np.ndarray | None,
-    candidates: np.ndarray,
-    b: Budgets,
-    order: int | None = None,
-) -> PermGroup:
-    """The group formed by base's elements plus the extra image rows,
-    distinct and outside base (already known to be closed), with a short
-    generating list grown greedily: base's own generators first, then the
-    candidate rows, which lie among the extra ones.  ``order`` is that of
-    the union; given as n!, ``extra`` is not read."""
-    if order is None:
-        order = base.order + len(extra)
+def _closure_of_cosets(group: PermGroup, leaders: np.ndarray, b: Budgets) -> PermGroup:
+    """G with the left cosets x.G of the leaders x, lex-ordered least
+    elements of cosets other than G.  The materialization bound is checked
+    before any row is built.  The greedy generators are those of all its
+    rows, G's own first, since the least of them outside a group
+    containing G is a leader."""
+    n = group.degree
+    order = group.order * (len(leaders) + 1)
     b.check("materialization", order)
-    gens = tuple(_greedy_extension(base, candidates, order, b))
+    gens = tuple(_greedy_extension(group, leaders, order, b))
     # the generators move what the union moves
-    ground = sorted(set(base.ground_set) | _moved_points(gens)) or None
-    if order == base.order:
-        rows, ranks = base._rows, base._ranks
-    elif order == math.factorial(base.degree):
-        rows, ranks = _symmetric_rows(range(1, base.degree + 1), base.degree)
+    ground = sorted(set(group.ground_set) | _moved_points(gens)) or None
+    if order == group.order:
+        rows, ranks = group._rows, group._ranks
+    elif order == math.factorial(n):
+        rows, ranks = _symmetric_rows(range(1, n + 1), n)
     else:
+        # x.G is x[g] over g in G, G applied first
+        cosets = leaders[:, group._rows].reshape(-1, n)
         ranks, first = np.unique(
-            np.concatenate([base._ranks, _lex_ranks(extra)]), return_index=True
+            np.concatenate([group._ranks, _lex_ranks(cosets)]), return_index=True
         )
         if len(ranks) != order:
-            raise AssertionError("extra rows repeat or meet the base group")
-        rows = np.concatenate([base._rows, extra])[first]
-    return PermGroup._build(base.degree, rows, gens, ground, ranks)
-
-
-def _closure_of_cosets(group: PermGroup, accepted: np.ndarray, b: Budgets) -> PermGroup:
-    """G with the left cosets x.G of the accepted rows x, lex-ordered coset
-    leaders.  The greedy generators are those of all its rows, since the
-    least of them outside a group containing G is a leader."""
-    n = group.degree
-    order = group.order * (len(accepted) + 1)
-    # x.G is x[g] over g in G, G applied first, unless G is trivial or the
-    # union is S_n, which is rebuilt from its own rows
-    plain = group.order == 1 or order == math.factorial(n)
-    cosets = accepted if plain else accepted[:, group._rows].reshape(-1, n)
-    return _group_from_union(group, cosets, accepted, b, order)
+            raise AssertionError("coset leaders repeat or meet the group")
+        rows = np.concatenate([group._rows, cosets])[first]
+    return PermGroup._build(n, rows, gens, ground, ranks)
 
 
 def _greedy_extension(
@@ -509,15 +489,16 @@ def _preserving_group(
 ) -> PermGroup:
     """Every permutation of base's degree whose coordinate action preserves
     the labels that ``labelled()`` returns with their space; base's own
-    elements must preserve them, so one row per left coset of base is
-    tested.  The candidate budget is charged n! before the labels."""
-    b.check("candidate", math.factorial(base.degree))
+    elements must preserve them, so the least element of each left coset
+    of base in S_n, all points as one block, is tested.  The candidate
+    budget is charged n! before the labels."""
+    n = base.degree
+    b.check("candidate", math.factorial(n))
     space, labels = labelled()
-    accepted = np.concatenate([
-        rows[_accepted_rows(space, labels, [(0, rows, np.arange(len(rows)))])]
-        for rows in _rows_outside(base)
-    ])
-    return _closure_of_cosets(base, accepted, b)
+    everything = _YoungSubgroup([range(n)], n)
+    leaders = everything.coset_leaders(base._rows)[1:]  # less the identity
+    accepted = leaders[_accepted_rows(space, labels, everything.runs(leaders))]
+    return _closure_of_cosets(base, everything.rows(accepted), b)
 
 
 def closure_pruned(
@@ -545,7 +526,8 @@ def closure_pruned(
     b.check("materialization", stab_order)
     b.check("candidate", min(stab_order * group.order, math.factorial(n)))
 
-    stab = _YoungSubgroup(sizes, n)
+    ends = np.cumsum(sizes).tolist()
+    stab = _YoungSubgroup([np.arange(e - m, e) for m, e in zip(sizes, ends)], n)
     g_rows = group._rows
     # H = G ∩ stab(a*).  Per point, listing stab(a*) costs about 6 scanned rows
     # of G per element plus 1,500 once, so n drops out (timed on catalog groups)
@@ -599,7 +581,8 @@ def closure_kearnes(
     dedup.  The intersection is kept as the sorted base-n values of its
     rows, which order them as lex order does.  The candidate budget is
     charged n per candidate, an n-byte row.  ``candidates_examined`` totals
-    the product-set sizes formed before the intersection stabilized."""
+    the product-set sizes formed before the intersection stabilized.  The
+    closure is rebuilt from the extra rows that lead their cosets of G."""
     _check_alphabet(k)
     t0 = time.perf_counter()
     n = group.degree
@@ -616,9 +599,8 @@ def closure_kearnes(
         stab_order = math.prod(math.factorial(m) for m in sizes)
         b.check("candidate", n * (examined + min(stab_order * group.order, math.factorial(n))))
         b.check("materialization", stab_order)
-        stab_rows = _symmetric_product(
-            [np.flatnonzero(a == v) + 1 for v in range(len(sizes))], n
-        )
+        blocks = [np.flatnonzero(a == v) for v in range(len(sizes))]
+        stab_rows = _YoungSubgroup(blocks, n).rows(np.arange(stab_order))
         # a^g as a number in base len(sizes), below n^n as the rows are
         _, first = np.unique(a[g_rows] @ _weights(n, len(sizes)), return_index=True)
         pset = stab_rows[:, g_rows[first]].reshape(-1, n)
@@ -631,7 +613,7 @@ def closure_kearnes(
     # the extra rows, in lex order, from the last product set
     keep = np.isin(keys, np.setdiff1d(running, g_rows @ row_weights, assume_unique=True))
     extra = pset[keep][np.argsort(keys[keep])]
-    closure = _group_from_union(group, extra, extra, b)
+    closure = _closure_of_cosets(group, extra[_leading(extra, _chain_pairs(g_rows))], b)
     return ClosureReport(
         group, k, closure, "kearnes", examined, None, time.perf_counter() - t0
     )
@@ -994,10 +976,11 @@ def min_codomain_report(
     has exactly this group as invariance group.
 
     Only orbit-constant colorings need checking, so the search runs over
-    set partitions of the orbit classes, smallest m first; each candidate
-    is rejected as soon as one outside permutation preserves it.  More
+    set partitions of the orbit classes, smallest m first; a candidate is
+    rejected when some permutation outside the group preserves it.  More
     than ``max_orbits`` orbits is a UsageError, since it is no budget.
-    One row per left coset of G is tested, but n! - |G| are charged."""
+    One row per left coset of G other than G is tested, but n! - |G| are
+    charged."""
     b = resolve(budgets)
     n = group.degree
     clo = galois_closure(group, k, budgets=b)
@@ -1008,8 +991,8 @@ def min_codomain_report(
         raise UsageError(f"{r} orbits on {k}^{n} pass max_orbits={max_orbits}; raise max_orbits")
     b.check("candidate", math.factorial(n))
     part = cached_orbit_partition(group, k, budgets=b)
-    # blocks, so that a coloring is rejected at the first block accepting it
-    outside = list(_rows_outside(group))
+    everything = _YoungSubgroup([range(n)], n)
+    outside = everything.runs(everything.coset_leaders(group._rows)[1:])
     ranks = _orbit_ranks(part.labels)
     tested: dict[int, int] = {}
     work = 0
@@ -1022,8 +1005,7 @@ def min_codomain_report(
             work += max(1, math.factorial(n) - group.order)
             b.check("candidate", work)
             vals = np.array(classes, dtype=np.int32)[ranks] + 1
-            if any(_accepted_rows(part.space, vals, [(0, rows, np.arange(len(rows)))]).size
-                   for rows in outside):
+            if _accepted_rows(part.space, vals, outside).size:
                 continue
             tested[m] = count
             witness = FunctionTable(n, k, m, vals, budgets=b)

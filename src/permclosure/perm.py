@@ -435,7 +435,8 @@ def _lex_permutations(m: int) -> tuple[np.ndarray, np.ndarray]:
         odd = np.empty(len(rows), dtype=bool)
         for i in range(m):
             block = slice(i * len(sub), (i + 1) * len(sub))
-            rows[block] = _first_entry_block(sub, i)
+            rows[block, 0] = i
+            np.add(sub, sub >= i, out=rows[block, 1:])
             odd[block] = sub_odd ^ bool(i % 2)
     rows.flags.writeable = odd.flags.writeable = False
     return rows, odd
@@ -450,15 +451,6 @@ def _all_ranks(m: int) -> np.ndarray:
     return ranks
 
 
-def _first_entry_block(sub: np.ndarray, i: int) -> np.ndarray:
-    """The lex-ordered permutations of 0..m-1 that start with i, from the
-    lex-ordered permutations ``sub`` of 0..m-2."""
-    out = np.empty((len(sub), sub.shape[1] + 1), dtype=sub.dtype)
-    out[:, 0] = i
-    np.add(sub, sub >= i, out=out[:, 1:])
-    return out
-
-
 def _symmetric_rows(points: Sequence[int], degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Every permutation of the sorted 1-based points, fixing the rest, as
     image rows in lexicographic order, and their lex ranks."""
@@ -470,16 +462,6 @@ def _symmetric_rows(points: Sequence[int], degree: int) -> tuple[np.ndarray, np.
     rows = np.tile(np.arange(degree, dtype=idx.dtype), (len(local), 1))
     rows[:, idx] = idx[local]
     return rows, _lex_ranks(rows)
-
-
-def _symmetric_product(point_sets: Iterable[Sequence[int]], degree: int) -> np.ndarray:
-    """Every product of the symmetric groups on disjoint sorted sets of
-    1-based points, as image rows, not sorted."""
-    rows = np.arange(degree, dtype=_point_dtype(degree))[None, :]
-    for points in point_sets:
-        # the sets are disjoint, so each product c.s is the row c[s]
-        rows = rows[:, _symmetric_rows(points, degree)[0]].reshape(-1, degree)
-    return rows
 
 
 class PermGroup:

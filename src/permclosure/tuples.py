@@ -209,7 +209,8 @@ def _digit_keys(digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
 _DENSE_WORDS = 16
 
 
-@functools.lru_cache(maxsize=8)
+# as many as ``_partition`` keeps, whose partitions hold their class tables
+@functools.lru_cache(maxsize=24)
 def _class_tables(
     counts: tuple[int, ...], alphabet: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from permclosure.catalog import catalog_entries, get_group
 from permclosure.perm import (
     PermGroup,
     Permutation,
@@ -20,12 +21,27 @@ from permclosure.perm import (
     generate_group,
     parse_perm,
 )
+from permclosure.subgroups import all_subgroups
 from permclosure.tuples import OrbitPartition, TupleSpace
 
 
 def grp(degree: int, *cycles: str) -> PermGroup:
     """Group generated by cycle strings at the given degree."""
     return generate_group([parse_perm(c, degree) for c in cycles], degree=degree)
+
+
+def named_panel(max_catalog_degree: int) -> list[tuple[str, PermGroup]]:
+    """Every subgroup class representative of degree 2 to 6, named
+    "degree.class index", then every named catalog group up to the given
+    degree, by name."""
+    panel = [
+        (f"{n}.{idx}", cls.representative)
+        for n in range(2, 7)
+        for idx, cls in enumerate(all_subgroups(n).classes)
+    ]
+    panel += [(e.name, get_group(e.name))
+              for e in catalog_entries() if e.degree <= max_catalog_degree]
+    return panel
 
 
 def klein_four() -> PermGroup:

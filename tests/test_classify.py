@@ -1,11 +1,19 @@
 """Shape classification of non-closed groups and the point-tuple closure."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from helpers import cyclic_4, grp, point_tuple_partition, relabel, value_index_map
+from helpers import (
+    cyclic_4,
+    grp,
+    named_panel,
+    point_tuple_partition,
+    relabel,
+    value_index_map,
+)
 from permclosure.classify import (
     FormKind,
     check_wielandt_containment,
@@ -23,6 +31,7 @@ from permclosure.perm import (
     Permutation,
     alternating_on,
     direct_product,
+    format_perm,
     generate_group,
     index2_subdirect,
     symmetric_on,
@@ -145,6 +154,24 @@ def test_point_tuple_closure_matches_brute_force(n):
     for g in groups:
         for k in range(1, n + 2):
             assert wielandt_closure(g, k)._ranks.tolist() == _wielandt_by_brute_force(g, k), (g, k)
+
+
+# sha256 over "name|k|closure order|closure generators" lines of
+# wielandt_closure at k = 1, 2 and 3 over helpers.named_panel(8), recorded
+# while the candidates were the whole product of the symmetric groups on the
+# point orbits, screened and sorted
+WIELANDT_DIGEST = "d12806e91a320730e31b69e102617c4ab48303cd5deba91852328e09f8128914"
+
+
+def test_point_tuple_closures_match_the_recorded_digest():
+    lines = []
+    for name, g in named_panel(8):
+        for k in (1, 2, 3):
+            clo = wielandt_closure(g, k)
+            gens = " ".join(format_perm(p) for p in clo.generators)
+            lines.append(f"{name}|{k}|{clo.order}|{gens}")
+    assert len(lines) == 312
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WIELANDT_DIGEST
 
 
 def test_point_tuple_closure_of_a_degree_one_group_is_itself():

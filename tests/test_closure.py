@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cyclic_4, grp, klein_four, sympy_closure_k2
+from helpers import cyclic_4, grp, klein_four, named_panel, relabel, sympy_closure_k2
 from permclosure import closure as closure_module, tuples as tuples_module
 from permclosure.budgets import Budgets, resolve
 from permclosure.catalog import catalog_entries, get_group
@@ -40,6 +40,7 @@ from permclosure.perm import (
     alternating_on,
     direct_product,
     format_perm,
+    full_orbits,
     generate_group,
     parse_perm,
     symmetric_on,
@@ -221,11 +222,29 @@ def test_kearnes_matches_naive_past_degree_six(name):
         assert closure_kearnes(g, k).closure == closure_naive(g, k).closure
 
 
+# sha256 over "name|k|closure order|candidates_examined|closure generators"
+# lines of closure_kearnes at k = 2 and 3 over helpers.named_panel(6), recorded
+# while the rebuild scanned every extra row and stab(a) was listed by a
+# product of symmetric-group row tables
+KEARNES_DIGEST = "a5415d5708a93d0d72925251fbe4c0aeaa5cc500fd300384fe8e7a5aebd63dce"
+
+
+def test_kearnes_panel_matches_the_recorded_digest():
+    lines = []
+    for name, g in named_panel(6):
+        for k in (2, 3):
+            rep = closure_kearnes(g, k)
+            gens = " ".join(format_perm(p) for p in rep.closure.generators)
+            lines.append(f"{name}|{k}|{rep.closure.order}|{rep.candidates_examined}|{gens}")
+    assert len(lines) == 200
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KEARNES_DIGEST
+
+
 def test_candidate_budget_refuses_kearnes_before_a_product_set(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a product set was started")
 
-    monkeypatch.setattr(closure_module, "_symmetric_product", unreachable)
+    monkeypatch.setattr(closure_module, "_YoungSubgroup", unreachable)
     with pytest.raises(BudgetExceeded) as err:
         closure_kearnes(cyclic_4(), 2, budgets=Budgets(candidate_budget=23))
     # the constant tuple comes first: stab . G is all of S_4, 24 candidates
@@ -355,9 +374,40 @@ def test_coset_leaders_are_the_least_of_each_left_coset(n):
                 if x not in seen:
                     seen.update(tuple(x[i] for i in y) for y in h)
                     want.append(rank)
-            young = closure_module._YoungSubgroup(sizes, n)
+            young = closure_module._YoungSubgroup(_runs(sizes), n)
             got = young.coset_leaders(np.array(h, dtype=np.uint8))
             assert got.tolist() == want, (n, cls.representative, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_block_leaders_are_the_least_of_each_left_coset(n):
+    """For every class representative G of degree n, and for G relabelled
+    by the shuffle 1, 3, 5, ..., 2, 4, ..., which scatters its orbits, with
+    the point orbits as blocks the leaders as rows are the least element of
+    each left coset of G in the product of the symmetric groups on the
+    orbits, listed by brute force; the identity comes first."""
+    shuffle = Permutation(list(range(1, n + 1, 2)) + list(range(2, n + 1, 2)))
+    scattered = 0
+    for g in (h for cls in all_subgroups(n).classes
+              for h in (cls.representative, relabel(cls.representative, shuffle))):
+        inside = g.element_images()
+        orbits = full_orbits(g, n)
+        orbit_of = {p - 1: i for i, o in enumerate(orbits) for p in o}
+        product = [x for x in itertools.permutations(range(n))  # lex order
+                   if all(orbit_of[x[i]] == orbit_of[i] for i in range(n))]
+        seen, want = set(), []
+        for x in product:
+            if x not in seen:
+                seen.update(tuple(x[i] for i in h) for h in inside)  # x.h, h first
+                want.append(x)
+        young = closure_module._YoungSubgroup([np.array(o) - 1 for o in orbits], n)
+        assert young.order == len(product)
+        leaders = young.coset_leaders(g._rows)
+        rows = [tuple(row) for row in young.rows(leaders).tolist()]
+        assert sorted(rows) == want and rows[0] == want[0], (n, g)
+        assert np.all(np.diff(leaders) > 0)
+        scattered += any(o[-1] - o[0] >= len(o) for o in orbits)
+    assert scattered or n <= 3  # from degree 4 on, blocks that are not runs
 
 
 @pytest.mark.parametrize("name, k", [("A_8", 4), ("A_9", 3)])
@@ -459,7 +509,13 @@ def _accepts_by_index_map(space, labels, row) -> bool:
 
 
 def _one_run(rows):
-    return [(0, rows, np.arange(len(rows)))]
+    """Explicit image rows as one run of all points."""
+    return [(np.arange(rows.shape[1]), rows, np.arange(len(rows)))]
+
+
+def _runs(sizes):
+    """The points of consecutive runs of the given sizes, as blocks."""
+    return np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
 
 
 def test_tester_with_no_candidates():
@@ -518,7 +574,7 @@ def test_tester_takes_young_subgroup_ranks_as_runs(monkeypatch, cells, name, k, 
     monkeypatch.setattr(closure_module, "_TEST_CELLS", cells)
     group = get_group(name)
     sizes = balanced_sizes(group.degree, k)
-    stab = closure_module._YoungSubgroup(sizes, group.degree)
+    stab = closure_module._YoungSubgroup(_runs(sizes), group.degree)
     part = cached_orbit_partition(group, k, content=sizes)
     ranks = np.arange(stab.order)
     got = _accepted_rows(part.space, part.labels, stab.runs(ranks))
@@ -566,7 +622,7 @@ def test_tester_with_keys_over_forty_points():
             if _accepts_by_index_map(part.space, part.labels, row)]
     assert got.tolist() == want and len(want) == product.order
     # 72 candidates against 46 local rows: the first chunk adds run tables
-    young = closure_module._YoungSubgroup((3, 2, 3) + (1,) * 32, 40)
+    young = closure_module._YoungSubgroup(_runs((3, 2, 3) + (1,) * 32), 40)
     ranks = np.arange(young.order)
     got = _accepted_rows(part.space, part.labels, young.runs(ranks))
     want = [r for r, row in zip(ranks, young.rows(ranks))
@@ -594,7 +650,7 @@ def test_tester_reads_the_first_tuple_of_every_later_chunk(monkeypatch):
     space = TupleSpace(5, 2)
     labels = np.zeros(space.size, dtype=np.intp)
     labels[8] = 8
-    young = closure_module._YoungSubgroup((3, 2), 5)
+    young = closure_module._YoungSubgroup(_runs((3, 2)), 5)
     ranks = np.arange(young.order)
     candidates = young.rows(ranks)
     want = [r for r, row in zip(ranks, candidates) if row[1] == 1]

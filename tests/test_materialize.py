@@ -5,6 +5,7 @@ the tuple-set definitions they replace."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,18 +13,26 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import grp
 from permclosure.budgets import Budgets
-from permclosure.closure import _group_from_union, _rows_outside, closure_pruned
+from permclosure.closure import (
+    _chain_pairs,
+    _closure_of_cosets,
+    _leading,
+    _YoungSubgroup,
+    closure_pruned,
+)
 from permclosure.errors import BudgetExceeded, DegreeMismatch
 from permclosure.perm import (
     PermGroup,
     Permutation,
     _greedy_span,
+    _lex_ranks,
     alternating_on,
     compose,
     generate_group,
     orbits_on_points,
     symmetric_on,
 )
+from permclosure.tuples import clear_partition_cache
 
 
 @st.composite
@@ -179,8 +188,10 @@ def test_derived_generators_are_the_greedy_choice(gens):
 @settings(max_examples=60)
 @given(gens=generator_sets())
 def test_closure_rebuild_keeps_the_greedy_generators(gens):
-    """The rebuild spans only proper prefixes of the base's generators, yet
-    keeps what one greedy scan over them and the candidates keeps."""
+    """The rebuild spans only proper prefixes of the base's generators and
+    scans only the leaders of the permutations outside the base, yet keeps
+    what one greedy scan over those generators and all the permutations
+    outside keeps."""
     n = gens[0].degree
     g = generate_group(gens + [compose(gens[-1], gens[0])])  # a redundant last one
     everything = symmetric_on(range(1, n + 1), n)
@@ -189,16 +200,17 @@ def test_closure_rebuild_keeps_the_greedy_generators(gens):
         scan = itertools.chain((p._img for p in g.generators), map(tuple, extra.tolist()))
         bound = Budgets(materialization_bound=math.factorial(n))
         expected, _ = _greedy_span(scan, n, bound, g.order + len(extra))
-        rebuilt = _group_from_union(g, extra, extra, bound)
+        rebuilt = _closure_of_cosets(g, extra[_leading(extra, _chain_pairs(g._rows))], bound)
+        assert rebuilt.order == g.order + len(extra)
         assert [p._img for p in rebuilt.generators] == expected
 
 
 @settings(max_examples=60)
 @given(gens=generator_sets(max_degree=6))
-def test_rows_outside_are_the_least_of_each_left_coset(gens):
-    """Streamed one first entry at a time, the rows outside a group are the
-    least element of each of its left cosets x.G other than G, in
-    lexicographic order."""
+def test_one_block_leaders_are_the_least_of_each_left_coset(gens):
+    """With all points as one block, the coset leaders of a group are the
+    least element of each of its left cosets x.G, in lexicographic order,
+    the identity first, and each one's index is its lex rank."""
     g = generate_group(gens)
     elements = g.element_images()
     seen, want = set(), []
@@ -206,9 +218,28 @@ def test_rows_outside_are_the_least_of_each_left_coset(gens):
         if x not in seen:
             seen.update(tuple(x[i] for i in h) for h in elements)  # x.h, h first
             want.append(x)
-    blocks = [block.tolist() for block in _rows_outside(g)]
-    assert all(row[0] == i for i, block in enumerate(blocks) for row in block)
-    assert [tuple(row) for block in blocks for row in block] == want[1:]
+    everything = _YoungSubgroup([range(g.degree)], g.degree)
+    leaders = everything.coset_leaders(g._rows)
+    rows = everything.rows(leaders)
+    assert leaders.tolist() == _lex_ranks(rows).tolist()
+    assert [tuple(row) for row in rows.tolist()] == want
+
+
+def test_closure_rebuild_is_refused_before_its_rows_are_built():
+    """A_9 on 10 points at k = 3 closes to S_9, 362,880 elements from one
+    accepted coset of 181,440 rows.  The bound is checked before those
+    rows are gathered, so the refusal peaks below that 1.8 MB array."""
+    a9 = alternating_on(range(1, 10), 10)
+    clear_partition_cache()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            closure_pruned(a9, 3, budgets=Budgets(materialization_bound=200_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.budget_name, err.value.needed) == ("materialization", 362880)
+    assert peak < 2**20
 
 
 def test_closure_rebuild_respects_the_materialization_bound():

@@ -323,6 +323,20 @@ def test_cached_partition_reuses_objects():
     assert cached_orbit_partition(cyclic_4(), 2) is not a
 
 
+def test_twelve_contents_asked_twice_build_twelve_class_tables():
+    """The closures of a batch of groups of degree 6 to 12 read about a
+    dozen contents in turn; each one's tables are built once."""
+    contents = [((6, 6), 2), ((4, 4, 4), 3), ((3, 3, 3, 3), 4), ((4, 4, 3), 3),
+                ((6, 5), 2), ((3, 3, 3, 2), 4), ((5, 5), 2), ((4, 3, 3), 3),
+                ((3, 3, 2, 2), 4), ((5, 4), 2), ((3, 3, 3), 3), ((4, 4), 2)]
+    assert len(set(contents)) == 12
+    tuples_module._class_tables.cache_clear()
+    for _ in range(2):
+        for content, k in contents:
+            ContentClass(sum(content), k, content)
+    assert tuples_module._class_tables.cache_info().misses == 12
+
+
 def test_a_cache_hit_checks_the_budget_and_builds_nothing(monkeypatch):
     clear_partition_cache()
     group = grp(5, "(1 2 3 4 5)")
