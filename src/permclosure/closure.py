@@ -96,7 +96,7 @@ from .errors import DegreeMismatch, ParseError, UsageError
 from .perm import (
     PermGroup,
     Permutation,
-    _dimino_extend,
+    _Span,
     _greedy_span,
     _lex_permutations,
     _lex_ranks,
@@ -421,32 +421,33 @@ def _greedy_extension(
     base: PermGroup, candidates: np.ndarray, order: int, b: Budgets
 ) -> list[tuple[int, ...]]:
     """The generators ``_greedy_span`` keeps when it scans base's
-    generators, then the candidates (none in base), up to the order.
+    generators, then the candidate rows (none in base), up to the order.
 
     The span of all of base's generators is base, so only proper prefixes
     need spanning, and its last generator is kept exactly when they fall
     short.  While the span is base, a kept candidate spans the whole group
-    when the index is prime (Lagrange), so no element set is built."""
+    when the index is prime (Lagrange), so no span is built.  Otherwise
+    the span starts from base's rows and grows by the same Dimino step."""
     base_gens = [g._img for g in base.generators]
-    gens, elems = _greedy_span(base_gens[:-1], base.degree, b, base.order)
-    if len(elems) < base.order:
+    gens, span = _greedy_span(base_gens[:-1], base.degree, b, base.order)
+    if len(span) < base.order:
         gens.append(base_gens[-1])
-    size, elems = base.order, None
-    for row in candidates:
+    size, span = base.order, None
+    for row in candidates.astype(_point_dtype(base.degree), copy=False):
         if size == order:
             break
-        c = tuple(row.tolist())
-        if elems is None:
+        key = row.tobytes()
+        if span is None:
             if _is_prime(order // size):
-                gens.append(c)
+                gens.append(tuple(row.tolist()))
                 size = order
                 break
-            elems = set(base.element_images())
-        elif c in elems:
+            span = _Span(base.degree, b, base._rows, gens)
+        elif key in span.keys:
             continue
-        _dimino_extend(elems, gens, c, b)
-        gens.append(c)
-        size = len(elems)
+        span.extend(key)
+        gens.append(tuple(row.tolist()))
+        size = len(span)
     if size != order:
         raise AssertionError("generator candidates failed to span the closure")
     return gens

@@ -9,7 +9,8 @@ Permutation objects are built only when a caller asks for them.  Every
 listing of a symmetric group's elements comes from one numpy generator of
 lex-ordered rows and their parities, ``_lex_permutations``.  Other groups
 are materialized with Dimino's algorithm, which adds a generator by adding
-whole cosets of the group generated so far, on sets of image tuples.
+whole cosets of the group generated so far (``_Span``): blocks of image
+rows, with a set of the rows' bytes for membership.
 Everything is capped by a materialization budget, so it is meant for small
 degrees, not for stabilizer-chain scale.
 """
@@ -17,11 +18,9 @@ degrees, not for stabilizer-chain scale.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import zlib
-from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -309,94 +308,254 @@ def parse_perm(text: str, degree: int) -> Permutation:
 # groups
 
 
-def _dimino_extend(
-    elems: set[tuple[int, ...]],
-    gens: Sequence[tuple[int, ...]],
-    g: tuple[int, ...],
-    budgets: Budgets,
-) -> None:
-    """Dimino's step: grow ``elems``, the element set of H = <gens>, in place
-    to the element set of <gens, g>.
+# The most cells (waiting representatives times generators times |H|
+# times the degree) for which a Dimino step forms cosets in Python, one
+# bytes.translate per element; a longer queue is one pass of numpy
+# gathers.  Timed on every subgroup of S_6 and on the orbit_equiv, A_8,
+# A_9 and S_9 generators: from 2^13 to 2^15 cells the times were flat, and
+# they were up to a fifth slower at 2^10 and at 2^16 or more (with nothing
+# gathered S_9 took 199 ms against 157 ms).  Below about 2^8 cells the
+# dozen numpy calls of a gathered pass cost more than its work: all of
+# S_6's subgroups took 2.8 times as long with every pass gathered.
+_PASS_CELLS = 1 << 14
+# The most cells of one gather: a larger pass gathers its cosets in chunks,
+# so a refused step holds at most one chunk past the bound.  A_9, S_9 and
+# S_8 x S_2 took the same time from 2^16 to 2^22 cells.
+_GATHER_CELLS = 1 << 16
 
-    The new group is a union of right cosets H.r.  Whenever a product r.s of
-    a coset representative and a generator is not yet known, the whole coset
-    H.(r.s) is added at once.  Raises BudgetExceeded once the element count
-    would pass the materialization bound.
-    """
-    if g in elems:
-        return
-    ident = tuple(range(len(g)))
-    coset_tail = [h for h in elems if h != ident]
-    getters = [itemgetter(*s) for s in (*gens, g)]
-    reps: list[tuple[int, ...]] = []
 
-    def add_coset(r: tuple[int, ...]) -> None:
-        budgets.check("materialization", len(elems) + len(coset_tail) + 1)
-        elems.add(r)
-        elems.update(map(itemgetter(*r), coset_tail))  # h.r, applying r first
-        reps.append(r)
+@functools.cache
+def _row_format(degree: int) -> tuple[np.dtype, bytes, bytes | None]:
+    """How a ``_Span`` stores the image rows of the degree: their dtype,
+    the bytes of the identity row, and, where every point fits in a byte,
+    the tail that makes a row a bytes.translate table, mapping the bytes
+    past its points to themselves."""
+    dtype = _point_dtype(degree)
+    pad = bytes(range(degree, 256)) if degree <= 256 else None
+    return dtype, np.arange(degree, dtype=dtype).tobytes(), pad
 
-    add_coset(g)
-    for r in reps:  # grows while it is scanned
-        for s in getters:
-            x = s(r)  # r.s, applying s first
-            if x not in elems:
-                add_coset(x)
+
+@functools.cache
+def _row_dtype(width: int) -> np.dtype:
+    return np.dtype((np.void, width))
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each image row: the keys of a ``_Span``."""
+    if not rows.shape[1]:
+        return [b""] * len(rows)
+    rows = np.ascontiguousarray(rows)
+    return rows.view(_row_dtype(rows.shape[1] * rows.itemsize)).ravel().tolist()
+
+
+class _Span:
+    """A group under construction by Dimino's algorithm: contiguous blocks
+    of image rows, the set of the rows' bytes for membership, and the keys
+    of its generators.  It starts as the group of ``rows`` (the identity by
+    default), which the image tuples ``gens`` must generate."""
+
+    __slots__ = ("degree", "budgets", "dtype", "identity", "pad", "blocks", "added", "keys", "gens")
+
+    def __init__(
+        self,
+        degree: int,
+        budgets: Budgets,
+        rows: np.ndarray | None = None,
+        gens: Iterable[Sequence[int]] = (),
+    ):
+        self.degree = degree
+        self.budgets = budgets
+        self.dtype, self.identity, self.pad = _row_format(degree)
+        # the rows are the blocks and the keys added since the last block
+        if rows is None:
+            self.blocks, self.added = [], [self.identity]
+            self.keys = {self.identity}
+        else:
+            self.blocks, self.added = [rows], []
+            self.keys = set(_row_keys(rows))
+        self.gens = [self.key(g) for g in gens] if gens else []
+
+    def key(self, img: Sequence[int]) -> bytes:
+        """The bytes of an image tuple's row."""
+        if self.pad is None:
+            return np.array(img, dtype=self.dtype).tobytes()
+        return bytes(img)
+
+    def image(self, key: bytes) -> tuple[int, ...]:
+        """The image tuple of a row's bytes."""
+        if self.pad is None:
+            return tuple(np.frombuffer(key, self.dtype).tolist())
+        return tuple(key)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def _block(self, keys: list[bytes]) -> np.ndarray:
+        """The rows whose bytes are the keys."""
+        return np.frombuffer(b"".join(keys), dtype=self.dtype).reshape(len(keys), self.degree)
+
+    def rows(self) -> np.ndarray:
+        """The rows of the group so far, in no particular order."""
+        return np.concatenate([*self.blocks, self._block(self.added)])
+
+    def extend(self, g: bytes) -> None:
+        """Dimino's step: grow the group H so far, which must not hold g,
+        to <H, g>.
+
+        The new group is a union of right cosets H.r.  The representatives
+        r are walked in the order they are found, H's own, the identity,
+        first, and a product r.s with a generator, taken in order, that
+        lies outside the group so far represents a new coset.  While the
+        waiting representatives hold at most ``_PASS_CELLS`` cells, they
+        are walked one at a time and their cosets formed in Python, one
+        bytes.translate per element; a longer queue is walked in one pass
+        whose products and cosets are numpy gathers.  Both find the same
+        representatives in the same order, and charge each coset as the
+        elements so far plus |H|, as adding one coset at a time does.
+        """
+        n, h = self.degree, len(self.keys)
+        self.gens.append(g)
+        keys, gens, added, pad = self.keys, self.gens, self.added, self.pad
+        check = self.budgets.check
+        h_keys = list(keys)
+        # a pass of q representatives forms at most q * cells cells
+        cells = len(gens) * h * n
+        # bytes.translate needs points that fit in a byte
+        most = _PASS_CELLS // cells if pad is not None else 0
+        tables = h_rows = gen_rows = None  # built once a pass needs them
+        reps, done = [self.identity], 0
+        while done < len(reps):
+            if len(reps) - done <= most:
+                if tables is None:
+                    tables = [k + pad for k in h_keys]
+                # one representative at a time while the queue stays small
+                while done < len(reps) and len(reps) - done <= most:
+                    table = reps[done] + pad
+                    done += 1
+                    for s in gens:
+                        # byte j of s translated by r's table is r[s[j]],
+                        # so this is r.s; H.x is x by every table of H
+                        x = s.translate(table)
+                        if x not in keys:
+                            check("materialization", len(keys) + h)
+                            coset = list(map(x.translate, tables))
+                            keys.update(coset)
+                            added += coset
+                            reps.append(x)
+            else:
+                if h_rows is None:
+                    h_rows, gen_rows = self._block(h_keys), self._block(gens)
+                batch = reps[done:]
+                done = len(reps)
+                # row (a, b) is r_a[s_b], that is r_a.s_b
+                products = _row_keys(self._block(batch)[:, gen_rows].reshape(-1, n))
+                fresh = list(dict.fromkeys(x for x in products if x not in keys))
+                reps += self._add_gathered(fresh, h_rows)
+
+    def _add_gathered(self, fresh: list[bytes], h_rows: np.ndarray) -> list[bytes]:
+        """Add the cosets of the candidates by one gather of H's rows per
+        chunk: row i of block a of ``h_rows[:, xs]`` is h_i[x_a], h_i.x_a."""
+        h, n = h_rows.shape
+        new = []
+        step = max(1, _GATHER_CELLS // (h * n))
+        for start in range(0, len(fresh), step):
+            chunk = fresh[start:start + step]
+            cosets = h_rows[:, self._block(chunk)]
+            keys = _row_keys(cosets.reshape(-1, n))
+            kept = []
+            for a, x in enumerate(chunk):
+                if x in self.keys:
+                    continue
+                self.budgets.check("materialization", len(self.keys) + h)
+                self.keys.update(keys[a::len(chunk)])
+                kept.append(a)
+            if len(kept) < len(chunk):
+                cosets = cosets[:, kept]
+            self.blocks.append(cosets.reshape(-1, n))
+            new += [chunk[a] for a in kept]
+        return new
 
 
 def _greedy_span(
-    candidates: Iterable[tuple[int, ...]],
+    candidates: np.ndarray | Iterable[Sequence[int]],
     degree: int,
     budgets: Budgets,
     target: int | None = None,
-) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
-    """Scan candidates in order, keeping each one outside the group generated
-    so far; stop once that group has ``target`` elements.
+) -> tuple[list[tuple[int, ...]], _Span]:
+    """Scan candidates, image rows or tuples, in order, keeping each one
+    outside the group generated so far; stop once that group has ``target``
+    elements.
 
-    Returns the kept generators and the element set they generate.  Which
-    candidates are kept depends only on the groups, not on how they are
-    computed.
+    Returns the kept generators as image tuples and the ``_Span`` they
+    generate.  Which candidates are kept depends only on the groups, not on
+    how they are computed.
     """
-    elems = {tuple(range(degree))}
-    gens: list[tuple[int, ...]] = []
-    for c in candidates:
-        if c in elems:
+    span = _Span(degree, budgets)
+    if isinstance(candidates, np.ndarray):
+        keys = _row_keys(candidates)
+    else:
+        keys = map(span.key, candidates)
+    for key in keys:
+        if key in span.keys:
             continue
-        _dimino_extend(elems, gens, c, budgets)
-        gens.append(c)
-        if len(elems) == target:
+        span.extend(key)
+        if len(span) == target:
             break
-    return gens, elems
+    gens = list(map(span.image, span.gens))
+    return gens, span
 
 
 # ---------------------------------------------------------------------------
 # element arrays
 
 
+@functools.cache
 def _point_dtype(degree: int) -> np.dtype:
     """The smallest unsigned dtype holding the 0-based points of the degree."""
     return np.min_scalar_type(max(degree - 1, 0))
 
 
-def _image_rows(eltups: Collection[tuple[int, ...]], degree: int) -> np.ndarray:
-    """Image tuples as one small-int array, one row each."""
-    flat = np.fromiter(
-        itertools.chain.from_iterable(eltups), dtype=_point_dtype(degree),
-        count=len(eltups) * degree,
-    )
-    return flat.reshape(len(eltups), degree)
+# Rows ranked per block by _lex_ranks: 2^12 to 2^15 ranked S_9 in 11-14
+# ms, all at once in 19 ms and 56 MiB.
+_RANK_ROWS = 1 << 13
+
+
+@functools.cache
+def _lex_weights(n: int) -> np.ndarray:
+    """(n-1-i)! for each place i, read-only: what each later entry below
+    row[i] adds to a rank."""
+    weights = np.array([math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
 
 
 def _lex_ranks(rows: np.ndarray) -> np.ndarray:
     """Rank of each row among all permutations of its length in
-    lexicographic order, read off its Lehmer code.  The ranks are int64 up
-    to degree 20 and Python ints beyond, where n! outgrows int64."""
+    lexicographic order, read off its Lehmer code: entry i counts the later
+    entries below row[i].  The ranks are int64 up to degree 20 and Python
+    ints beyond, where n! outgrows int64."""
     n = rows.shape[1]
-    dtype = np.int64 if n <= 20 else object
-    ranks = np.zeros(rows.shape[0], dtype=dtype)
-    for i in range(n - 1):
-        smaller_later = (rows[:, i + 1:] < rows[:, i:i + 1]).sum(axis=1)
-        ranks += smaller_later.astype(dtype) * math.factorial(n - 1 - i)
+    if n > 20:
+        ranks = np.zeros(rows.shape[0], dtype=object)
+        for i in range(n - 1):
+            smaller_later = (rows[:, i + 1:] < rows[:, i:i + 1]).sum(axis=1)
+            ranks += smaller_later.astype(object) * math.factorial(n - 1 - i)
+        return ranks
+    # bit p of a column stands for point p; the later entries below row[i]
+    # are the points below it missing from row[0..i], bit counts of one
+    # mask per column, on columns made contiguous.  Blocks of rows keep the
+    # temporaries, a few times the rows, small.
+    ranks = np.empty(len(rows), dtype=np.int64)
+    for start in range(0, len(rows), _RANK_ROWS):
+        block = rows[start:start + _RANK_ROWS]
+        bits = np.left_shift(1, block.T, dtype=np.int32, order="C", casting="unsafe")
+        used = bits.copy()
+        for i in range(1, n):
+            np.bitwise_or(used[i - 1], used[i], out=used[i])
+        np.invert(used, out=used)
+        bits -= 1
+        bits &= used
+        ranks[start:start + len(block)] = _lex_weights(n) @ np.bitwise_count(bits)
     return ranks
 
 
@@ -523,15 +682,13 @@ class PermGroup:
             raise ValueError("a group needs at least the identity element")
         group = cls(degree, rows, ranks, (), ())
         if gen_tuples is None:
-            # a span that outgrows or leaves the set shows it is not a group
-            eltups = group.element_images()
-            bound = Budgets(materialization_bound=len(eltups))
+            # the span holds every row it scans, so it outgrows the rows
+            # exactly when they are not closed under composition
+            bound = Budgets(materialization_bound=len(rows))
             try:
-                gen_tuples, span = _greedy_span(eltups, degree, bound, len(eltups))
+                gen_tuples, _ = _greedy_span(rows, degree, bound)
             except BudgetExceeded:
-                span = None
-            if span != set(eltups):
-                raise ValueError("element set is not closed under composition")
+                raise ValueError("element set is not closed under composition") from None
         moved = _moved_points(gen_tuples)
         ground_t = tuple(sorted(moved if ground is None else set(ground)))
         if not moved <= set(ground_t):
@@ -558,7 +715,7 @@ class PermGroup:
         for p in elems:
             if p.degree != degree:
                 raise DegreeMismatch("elements have mixed degrees")
-        rows = _image_rows([p._img for p in elems], degree)
+        rows = np.array([p._img for p in elems], dtype=_point_dtype(degree))
         return cls._build(degree, rows, None, ground_set)
 
     # -- basic views
@@ -665,8 +822,8 @@ def generate_group(
         else:
             deg = degree
     gen_tuples = tuple(g._img for g in gens)
-    _, elems = _greedy_span(gen_tuples, deg, resolve(budgets))
-    return PermGroup._build(deg, _image_rows(elems, deg), gen_tuples, ground_set)
+    _, span = _greedy_span(gen_tuples, deg, resolve(budgets))
+    return PermGroup._build(deg, span.rows(), gen_tuples, ground_set)
 
 
 def _cycle(points: Sequence[int], degree: int) -> tuple[int, ...]:

@@ -139,10 +139,10 @@ def _span(mul: np.ndarray, base: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """Sorted ranks of the group generated by the sorted ranks ``base`` and
     the generator ranks ``gens``, which also generate base: a breadth-first
     closure under right multiplication over a mask of all n! ranks.  A
-    ``PermGroup`` from generators is built by Dimino's algorithm
-    (``perm._dimino_extend``), and ``symmetric_on``, ``alternating_on`` and
-    the products write their rows directly; this exists only for
-    enumeration, where all of S_n (n <= 6) fits in a 720-row table."""
+    ``PermGroup`` from generators is built by Dimino's algorithm on image
+    rows (``perm._Span``), and ``symmetric_on``, ``alternating_on`` and the
+    products write their rows directly; this exists only for enumeration,
+    where all of S_n (n <= 6) fits in a 720-row table."""
     member = np.zeros(len(mul), dtype=bool)
     member[base] = True
     frontier = base

@@ -1,7 +1,8 @@
-"""Group materialization by Dimino's algorithm: orders against sympy, the
-element-list round trip, the greedy generator choice, and the budget of a
-closure rebuild.  The element arrays behind each group are checked against
-the tuple-set definitions they replace."""
+"""Group materialization by Dimino's algorithm on image rows: orders
+against sympy, the element-list round trip, the greedy generator choice,
+two-byte points past degree 256, memory peaks of large groups, and the
+budget of a closure rebuild.  The element arrays behind each group are
+checked against the breadth-first tuple-set definition of a span."""
 
 import itertools
 import math
@@ -30,6 +31,7 @@ from permclosure.perm import (
     compose,
     generate_group,
     orbits_on_points,
+    parse_perm,
     symmetric_on,
 )
 from permclosure.tuples import clear_partition_cache
@@ -132,6 +134,36 @@ def test_groups_past_degree_twenty_rank_by_python_ints():
     assert compose(cycle, cycle) in g and Permutation([2, 1, *range(3, 23)]) not in g
     assert PermGroup.from_elements(g.elements) == g
     assert generate_group([compose(cycle, cycle)]) <= g
+
+
+@pytest.mark.parametrize("cycles", [["(1 2)", "(299 300)"], ["(7 150 300)"]])
+def test_groups_past_degree_256_hold_two_byte_points(cycles):
+    gens = [parse_perm(c, 300) for c in cycles]
+    g = generate_group(gens)
+    elems = _span([p._img for p in gens], 300)
+    assert g._rows.dtype == np.uint16
+    assert g.element_images() == tuple(sorted(elems))
+    same = PermGroup.from_elements(reversed(g.elements))
+    assert same == g and same.element_images() == tuple(sorted(elems))
+    assert generate_group(same.generators, degree=300) == g
+
+
+@pytest.mark.parametrize("texts, order, tuple_set_peak_mib", [
+    (("(1 2 3 4 5 6 7 8 9)", "(1 2)"), 362880, 74.7),
+    (("(1 2 3)", "(1 2 3 4 5 6 7 8 9)"), 181440, 37.2),
+])
+def test_large_spans_peak_below_the_tuple_sets(texts, order, tuple_set_peak_mib):
+    """S_9 and A_9 from two generators: many cosets of a group of order 2
+    or 3.  Their peaks with image tuples in sets were 74.7 and 37.2 MiB."""
+    gens = [parse_perm(t, 9) for t in texts]
+    tracemalloc.start()
+    try:
+        g = generate_group(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == order
+    assert peak < tuple_set_peak_mib * 2**20
 
 
 @pytest.fixture(scope="module")

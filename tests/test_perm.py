@@ -17,6 +17,8 @@ from permclosure.perm import (
     PermGroup,
     Permutation,
     _lex_permutations,
+    _lex_rank,
+    _lex_ranks,
     alternating_on,
     compose,
     conjugate,
@@ -258,6 +260,40 @@ def test_materialization_budget_is_enforced():
     with pytest.raises(BudgetExceeded) as err:
         generate_group(d4_gens, budgets=Budgets(materialization_bound=7))
     assert err.value.needed == 8
+
+
+@pytest.mark.parametrize("texts, degree, bound, needed", [
+    (("(1 2)", "(1 2 3 4 5)"), 5, 3, 4),
+    (("(1 2)", "(1 2 3 4 5)"), 5, 50, 52),
+    (("(1 2)", "(1 2 3 4 5)"), 5, 119, 120),
+    (("(1 2 3)", "(1 2 3 4 5 6 7 8 9)"), 9, 100_000, 100_002),
+])
+def test_refusals_partway_through_a_step_count_whole_cosets(texts, degree, bound, needed):
+    """A refusal inside a Dimino step names the elements so far plus one
+    coset of the group the step extends: <(1 2)> has 2 elements, <(1 2 3)>
+    has 3, so the need is the least multiple of those past the bound."""
+    gens = [parse_perm(t, degree) for t in texts]
+    with pytest.raises(BudgetExceeded) as err:
+        generate_group(gens, budgets=Budgets(materialization_bound=bound))
+    assert (err.value.budget_name, err.value.needed, err.value.allowed) == (
+        "materialization", needed, bound,
+    )
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 20, 21])
+def test_lex_ranks_match_the_rank_of_each_tuple(n):
+    # 20 is the last degree of int64 ranks, 21 the first of Python ints
+    rng = np.random.default_rng(n)
+    rows = np.array([rng.permutation(n) for _ in range(200)], dtype=np.uint8)
+    assert _lex_ranks(rows).tolist() == [_lex_rank(tuple(r)) for r in rows.tolist()]
+    assert _lex_ranks(rows).dtype == (np.int64 if n <= 20 else object)
+
+
+def test_lex_ranks_count_the_lex_order():
+    rows, _ = _lex_permutations(7)
+    assert np.array_equal(_lex_ranks(rows), np.arange(5040))
+    # wider integer rows rank the same
+    assert np.array_equal(_lex_ranks(rows.astype(np.int64)), np.arange(5040))
 
 
 @pytest.mark.parametrize("m", range(9))
