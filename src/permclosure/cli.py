@@ -414,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm", choices=("naive", "pruned", "kearnes"), default="pruned",
         help="naive tests one permutation per coset on all of k^n; kearnes "
-        "intersects stabilizer-product sets (bounded by --candidate-budget); default pruned",
+        "tests them against one tuple per set partition (bounded by --candidate-budget); "
+        "default pruned",
     )
     p.set_defaults(func=_cmd_closure)
 

@@ -14,29 +14,28 @@ Three interchangeable algorithms are provided:
   at a time, on the balanced class alone;
 * ``closure_kearnes`` intersects the product sets stab(a) . G over
   representative tuples a, one per set partition of the coordinates into
-  at most k classes.  Since g, g' in G give the same tuple a^g exactly
-  when they share a right coset of G ∩ stab(a), stab(a) . G is
-  stab(a) . R for R one g per distinct a^g, built as one gather of
-  distinct image rows.  Oracle grade, bounded by the candidate budget.
+  at most k classes.  x lies in stab(a) . G exactly when a o x lies in the
+  orbit G.a, so each product set is a union of left cosets of G, tested
+  one leader per coset without being built.  Oracle grade, bounded by the
+  candidate budget.
 
 All three agree exactly; the test suite checks that on a wide panel.
 The permutations that keep a labelling form a group, and one containing
 a subgroup S is a union of left cosets x.S.  So every search tests only
 the least element of each coset, read off S's point-stabilizer chain
 (``_chain_pairs``; Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 2005), in numpy batches against the orbit labels by one function,
-``_accepted_rows``.
+Theory, 2005), in numpy batches: by ``_accepted_rows`` against orbit labels,
+or in ``closure_kearnes`` against the orbits of single tuples.
 
 The search is one job: list the leaders of the left cosets of a subgroup
 H in a product of symmetric groups on blocks of points
 (``_YoungSubgroup``), test them, and rebuild the closure from G and the
 accepted ones (``_closure_of_cosets``: the materialization bound first,
 then the greedy generators, then the rows).  The blocks are all n points
-for ``closure_naive``, ``invariance_group`` and ``min_codomain_report``,
-with H = G; the runs of a* for ``closure_pruned``, with H = G ∩ stab(a*);
-and the point orbits for ``classify.wielandt_closure``, with H = G.
-``closure_kearnes`` lists stab(a) the same way and rebuilds from the
-leaders among its extra rows.
+for ``closure_naive``, ``closure_kearnes``, ``invariance_group`` and
+``min_codomain_report``, with H = G; the runs of a* for ``closure_pruned``,
+with H = G ∩ stab(a*); and the point orbits for
+``classify.wielandt_closure``, with H = G.
 
 The balanced class decides.  The tuples of k^n in which each value occurs
 a given number of times form one S_n-orbit, a content class; its content
@@ -385,7 +384,8 @@ class _YoungSubgroup:
         """The elements of the given indices as 0-based image rows."""
         out = np.empty((index.size, self.degree), dtype=_point_dtype(self.degree))
         for points, perms, digits in self.runs(index):
-            out[:, points] = points[perms[digits]]
+            # gathered in the rows' dtype, not as intp (8 bytes a cell)
+            out[:, points] = points.astype(out.dtype)[perms[digits]]
         return out
 
 
@@ -461,16 +461,18 @@ def _is_prime(m: int) -> bool:
 # the three algorithms
 
 
-def _check_alphabet(k: int) -> None:
+def _check_arguments(group: PermGroup, k: int) -> None:
     if k < 2:
         raise UsageError("alphabet size must be at least 2")
+    if group.degree < 1:
+        raise UsageError("degree must be at least 1")
 
 
 def closure_naive(
     group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> ClosureReport:
     """Reference algorithm: one test per left coset of G, on all of k^n."""
-    _check_alphabet(k)
+    _check_arguments(group, k)
     t0 = time.perf_counter()
     b = resolve(budgets)
 
@@ -517,7 +519,7 @@ def closure_pruned(
     until they are accepted: ``_accepted_rows`` takes them as one digit
     per run of a* and tests them against G's orbits on the balanced class,
     which decide membership (module docstring), building no image row."""
-    _check_alphabet(k)
+    _check_arguments(group, k)
     t0 = time.perf_counter()
     b = resolve(budgets)
     n = group.degree
@@ -575,24 +577,22 @@ def closure_kearnes(
     """Intersection of the product sets stab(a) . G over representative
     tuples, one per set partition of the coordinates into at most k classes.
 
-    Oracle grade.  g and g' in G give the same tuple a^g (entry i is
-    a[g(i)]) exactly when they lie in one right coset of G ∩ stab(a), so
-    stab(a) . G = stab(a) . R for R holding one g per distinct a^g, and its
-    |stab(a)|.|R| products are distinct: one gather of n-byte rows, with no
-    dedup.  The intersection is kept as the sorted base-n values of its
-    rows, which order them as lex order does.  The candidate budget is
-    charged n per candidate, an n-byte row.  ``candidates_examined`` totals
-    the product-set sizes formed before the intersection stabilized.  The
-    closure is rebuilt from the extra rows that lead their cosets of G."""
-    _check_alphabet(k)
+    Oracle grade.  x lies in stab(a) . G exactly when a o x (entry i is
+    a[x(i)]) lies in the orbit G.a: x = s.g with s in stab(a) gives
+    a o x = a o g.  So each product set is a union of left cosets of G,
+    and the intersection is tested, as ``closure_naive`` tests, on the
+    least element of each left coset of G in S_n other than G.  The
+    partitions come in order; a leader leaves at its first failing one,
+    and the search stops when none is left, where the intersection is G.
+    ``candidates_examined`` totals the product-set sizes |stab(a)|.|G.a|
+    (orbit-stabilizer) over the partitions tried, and the candidate budget
+    is charged n per such candidate, before each partition."""
+    _check_arguments(group, k)
     t0 = time.perf_counter()
     n = group.degree
     b = resolve(budgets)
     g_rows = group._rows
-    # a row as a number in base n, below n^n: exact in int64 up to degree
-    # 15, and the first stab(a), S_n, is unlistable past it
-    row_weights = _weights(n, n)
-    running: np.ndarray | None = None
+    leaders: np.ndarray | None = None
     examined = 0
     for classes in _set_partitions(n, min(k, n)):
         a = np.array(classes, dtype=g_rows.dtype)
@@ -600,21 +600,18 @@ def closure_kearnes(
         stab_order = math.prod(math.factorial(m) for m in sizes)
         b.check("candidate", n * (examined + min(stab_order * group.order, math.factorial(n))))
         b.check("materialization", stab_order)
-        blocks = [np.flatnonzero(a == v) for v in range(len(sizes))]
-        stab_rows = _YoungSubgroup(blocks, n).rows(np.arange(stab_order))
-        # a^g as a number in base len(sizes), below n^n as the rows are
-        _, first = np.unique(a[g_rows] @ _weights(n, len(sizes)), return_index=True)
-        pset = stab_rows[:, g_rows[first]].reshape(-1, n)
-        keys = pset @ row_weights
-        examined += len(pset)
-        running = np.sort(keys) if running is None else running[np.isin(running, keys)]
-        if len(running) == group.order:
+        if leaders is None:
+            everything = _YoungSubgroup([range(n)], n)
+            leaders = everything.rows(everything.coset_leaders(g_rows)[1:])  # less G
+        # a o x in base len(sizes); a[leaders] is cast to the least dtype that
+        # holds it, not to intp, which for C_10's leaders takes 29 MB
+        w = _weights(n, len(sizes)).astype(np.min_scalar_type(len(sizes) ** n - 1))
+        orbit = np.unique(a[g_rows] @ w)
+        examined += stab_order * len(orbit)
+        leaders = leaders[np.isin(a[leaders] @ w, orbit)]
+        if not len(leaders):
             break
-    assert running is not None
-    # the extra rows, in lex order, from the last product set
-    keep = np.isin(keys, np.setdiff1d(running, g_rows @ row_weights, assume_unique=True))
-    extra = pset[keep][np.argsort(keys[keep])]
-    closure = _closure_of_cosets(group, extra[_leading(extra, _chain_pairs(g_rows))], b)
+    closure = _closure_of_cosets(group, leaders, b)
     return ClosureReport(
         group, k, closure, "kearnes", examined, None, time.perf_counter() - t0
     )

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from helpers import cyclic_4, grp, klein_four, named_panel, relabel, sympy_closure_k2
 from permclosure import closure as closure_module, tuples as tuples_module
@@ -261,10 +261,62 @@ def test_kearnes_is_refused_late_under_default_budgets(name, needed):
     assert (err.value.budget_name, err.value.needed) == ("candidate", needed)
 
 
+@pytest.mark.parametrize(
+    "name, k, examined",
+    [
+        ("PGL(2,9)", 2, 1_484_697_600),
+        ("PGL(2,9)", 3, 4_620_084_480),
+        ("PGammaL(2,9)", 2, 834_624_000),
+        ("PGammaL(2,9)", 3, 5_243_201_280),
+    ],
+)
+def test_kearnes_closes_degree_ten_like_the_pruned_search(name, k, examined):
+    """A second closure at degree 10 that does not rest on the balanced
+    class: the coset leaders of G tested against one tuple per set
+    partition."""
+    g = get_group(name)
+    rep = closure_kearnes(g, k, budgets=Budgets(candidate_budget=10**11))
+    assert rep.closure == galois_closure(g, k)
+    assert rep.candidates_examined == examined
+
+
+@seed(20261020)
+@settings(max_examples=30)
+@given(st.data())
+def test_kearnes_matches_naive_on_random_groups(data):
+    n = data.draw(st.integers(1, 7), label="degree")
+    perms = st.permutations(range(1, n + 1)).map(Permutation)
+    g = generate_group(data.draw(st.lists(perms, min_size=1, max_size=3), label="G"))
+    for k in range(2, 5):
+        kearnes = closure_kearnes(g, k, budgets=Budgets(candidate_budget=10**12))
+        assert kearnes.closure == closure_naive(g, k).closure, k
+
+
+def test_kearnes_is_refused_late_without_building_product_sets():
+    """C_10 at k=2 passes many partitions before the charge outgrows the
+    budget; the product sets it charges are counted, not listed."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            closure_kearnes(get_group("C_10"), 2, budgets=Budgets(candidate_budget=10**9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.budget_name, err.value.needed) == ("candidate", 1_024_704_000)
+    assert peak < 64 * 2**20, peak
+
+
 def test_alphabet_size_one_is_rejected():
     for fn in (closure_naive, closure_pruned, closure_kearnes):
         with pytest.raises(ValueError):
             fn(cyclic_4(), 1)
+
+
+def test_degree_zero_is_rejected():
+    nothing = generate_group([], degree=0)
+    for fn in (closure_naive, closure_pruned, closure_kearnes):
+        with pytest.raises(UsageError):
+            fn(nothing, 2)
 
 
 def test_closure_cache_tells_ground_sets_apart():

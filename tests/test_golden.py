@@ -46,6 +46,12 @@ def _cases() -> dict[str, list[str]]:
         cases[f"closure-{name}-{k}-kearnes"] = [
             "closure", f"catalog:{name}", "-k", str(k), "--algorithm", "kearnes",
         ]
+    # AGL(1,8) at k=3 closes to a larger group over many partitions; its
+    # candidate charge needs a raised budget
+    cases["closure-AGL(1,8)-3-kearnes"] = [
+        "closure", "catalog:AGL(1,8)", "-k", "3", "--algorithm", "kearnes",
+        "--candidate-budget", "100000000",
+    ]
     # closures whose generators are picked from a large closure's elements
     for name, k in (("A_7", 3), ("S_7", 2), ("A_9", 3)):
         cases[f"closure-{name}-{k}-pruned"] = ["closure", f"catalog:{name}", "-k", str(k)]
