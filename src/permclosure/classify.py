@@ -29,6 +29,7 @@ import numpy as np
 
 from .budgets import Budgets, resolve
 from .closure import _accepted_rows, _closure_of_cosets, _YoungSubgroup, galois_closure
+from .errors import UsageError
 from .perm import (
     PermGroup,
     _lex_ranks,
@@ -304,7 +305,7 @@ def wielandt_closure(
     letters decides it, and with it ``check_wielandt_containment``: the
     closure at alphabet size k+1 keeps every orbit of the hook class."""
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise UsageError("k must be at least 1")
     n = group.degree
     support = np.flatnonzero((group._rows != np.arange(n)).any(axis=0))
     m = len(support)
@@ -339,11 +340,11 @@ def _closure_moving_every_point(group: PermGroup, k: int, b: Budgets) -> PermGro
     n = group.degree
     orbits = full_orbits(group, n)
     b.check("candidate", math.prod(math.factorial(len(o)) for o in orbits))
+    product = _YoungSubgroup([np.array(o) - 1 for o in orbits], n, b)
     # at k = n-2 the hook content is the balanced one, (2, 1^k): in that
     # order galois_closure(group, k+1) and this closure share a partition
     content = balanced_sizes(n, k + 1) if k == n - 2 else (1,) * k + (n - k,)
     part = cached_orbit_partition(group, k + 1, budgets=b, content=content)
-    product = _YoungSubgroup([np.array(o) - 1 for o in orbits], n)
     leaders = product.coset_leaders(group._rows)[1:]  # less the identity
     accepted = product.rows(leaders[_accepted_rows(part.space, part.labels, product.runs(leaders))])
     # the orbits need not be runs, so indices are not in lex order

@@ -99,6 +99,7 @@ from .perm import (
     _greedy_span,
     _lex_permutations,
     _lex_ranks,
+    _min_labels,
     _moved_points,
     _point_dtype,
     _symmetric_rows,
@@ -335,7 +336,8 @@ class _YoungSubgroup:
     cover 0..degree-1: the stabilizer of a tuple whose value classes are
     the blocks.  Every closure search lists the leaders of a subgroup's
     left cosets in one: all points as one block, the runs of a*, or the
-    point orbits.
+    point orbits.  Each search's materialization bound is charged here, m!
+    for the largest block of m points, before any table is built.
 
     Elements are indexed by mixed-radix numbers whose digits, block by
     block, are the lex ranks (``_lex_permutations``) of their actions on
@@ -344,9 +346,10 @@ class _YoungSubgroup:
 
     __slots__ = ("degree", "order", "_blocks", "_perms")
 
-    def __init__(self, blocks: Iterable[Sequence[int]], degree: int):
+    def __init__(self, blocks: Iterable[Sequence[int]], degree: int, b: Budgets):
         self.degree = degree
         self._blocks = [np.asarray(points, dtype=np.intp) for points in blocks]
+        b.check("materialization", math.factorial(max(map(len, self._blocks))))
         self._perms = [_lex_permutations(len(points))[0] for points in self._blocks]
         self.order = math.prod(len(perms) for perms in self._perms)
 
@@ -494,11 +497,11 @@ def _preserving_group(
     the labels that ``labelled()`` returns with their space; base's own
     elements must preserve them, so the least element of each left coset
     of base in S_n, all points as one block, is tested.  The candidate
-    budget is charged n! before the labels."""
+    budget and then the materialization bound are charged n! before the labels."""
     n = base.degree
     b.check("candidate", math.factorial(n))
+    everything = _YoungSubgroup([range(n)], n, b)
     space, labels = labelled()
-    everything = _YoungSubgroup([range(n)], n)
     leaders = everything.coset_leaders(base._rows)[1:]  # less the identity
     accepted = leaders[_accepted_rows(space, labels, everything.runs(leaders))]
     return _closure_of_cosets(base, everything.rows(accepted), b)
@@ -530,7 +533,7 @@ def closure_pruned(
     b.check("candidate", min(stab_order * group.order, math.factorial(n)))
 
     ends = np.cumsum(sizes).tolist()
-    stab = _YoungSubgroup([np.arange(e - m, e) for m, e in zip(sizes, ends)], n)
+    stab = _YoungSubgroup([np.arange(e - m, e) for m, e in zip(sizes, ends)], n, b)
     g_rows = group._rows
     # H = G ∩ stab(a*).  Per point, listing stab(a*) costs about 6 scanned rows
     # of G per element plus 1,500 once, so n drops out (timed on catalog groups)
@@ -586,7 +589,8 @@ def closure_kearnes(
     and the search stops when none is left, where the intersection is G.
     ``candidates_examined`` totals the product-set sizes |stab(a)|.|G.a|
     (orbit-stabilizer) over the partitions tried, and the candidate budget
-    is charged n per such candidate, before each partition."""
+    is charged n per such candidate, before each partition; the first one's
+    stab(a) = S_n is the table the leaders are listed in."""
     _check_arguments(group, k)
     t0 = time.perf_counter()
     n = group.degree
@@ -599,9 +603,8 @@ def closure_kearnes(
         sizes = np.bincount(a).tolist()
         stab_order = math.prod(math.factorial(m) for m in sizes)
         b.check("candidate", n * (examined + min(stab_order * group.order, math.factorial(n))))
-        b.check("materialization", stab_order)
         if leaders is None:
-            everything = _YoungSubgroup([range(n)], n)
+            everything = _YoungSubgroup([range(n)], n, b)
             leaders = everything.rows(everything.coset_leaders(g_rows)[1:])  # less G
         # a o x in base len(sizes); a[leaders] is cast to the least dtype that
         # holds it, not to intp, which for C_10's leaders takes 29 MB
@@ -703,6 +706,8 @@ def orbit_equivalent(
     one of the other's, so they agree exactly when they are equally many:
     two ``orbit_count``s, with no tuple labelled for a group no larger
     than the class.  Other pairs compare labelled partitions."""
+    if k < 2:
+        raise UsageError("alphabet must be at least 2")
     if g.degree != h.degree:
         raise DegreeMismatch("orbit equivalence requires equal degrees")
     content = balanced_sizes(g.degree, k)
@@ -718,29 +723,22 @@ def is_k_thick(
     h_group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Does every tuple over {1..k} on the ground set have a nontrivial
-    stabilizing element in the group?
+    stabilizing element in the group?  A tuple's stabilizer is trivial
+    exactly when its orbit has |H| members, so k^m is labelled once, by the
+    generators squeezed to the m points of the ground set.
 
     Returns (True, None) or (False, first_uncovered_tuple); the witness
     tuple's positions follow the sorted ground set."""
     omega = h_group.ground_set
     if not omega:
         raise ValueError("thickness on an empty ground set is undefined")
-    b = resolve(budgets)
-    m = len(omega)
-    space = TupleSpace(m, k, budgets=b)
+    space = TupleSpace(len(omega), k, budgets=budgets)
     pos = {p: i for i, p in enumerate(omega)}
-    covered = np.zeros(space.size, dtype=bool)
-    identity_idx = np.arange(space.size)
-    for p in h_group.elements:
-        if p.is_identity:
-            continue
-        squeezed = Permutation._raw(tuple(pos[p(q)] for q in omega))
-        imap = space.coordinate_index_map(squeezed)
-        covered |= imap == identity_idx
-        if covered.all():
-            return True, None
-    first = int(np.flatnonzero(~covered)[0])
-    return False, space.decode(first)
+    maps = [space.coordinate_index_map(Permutation._raw(tuple(pos[g(q)] for q in omega)))
+            for g in h_group.generators]
+    labels = _min_labels(space.size, maps)
+    free = np.flatnonzero(np.bincount(labels)[labels] == h_group.order)
+    return (False, space.decode(int(free[0]))) if free.size else (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +976,7 @@ def min_codomain_report(
     rejected when some permutation outside the group preserves it.  More
     than ``max_orbits`` orbits is a UsageError, since it is no budget.
     One row per left coset of G other than G is tested, but n! - |G| are
-    charged."""
+    charged, as n! is to the materialization bound before the labels."""
     b = resolve(budgets)
     n = group.degree
     clo = galois_closure(group, k, budgets=b)
@@ -988,8 +986,8 @@ def min_codomain_report(
     if r > max_orbits:
         raise UsageError(f"{r} orbits on {k}^{n} pass max_orbits={max_orbits}; raise max_orbits")
     b.check("candidate", math.factorial(n))
+    everything = _YoungSubgroup([range(n)], n, b)
     part = cached_orbit_partition(group, k, budgets=b)
-    everything = _YoungSubgroup([range(n)], n)
     outside = everything.runs(everything.coset_leaders(group._rows)[1:])
     ranks = _orbit_ranks(part.labels)
     tested: dict[int, int] = {}

@@ -3,8 +3,8 @@
 The oracles are small and unbudgeted: the coordinate action on one tuple,
 a group relabelled generator by generator, the conjugates of a group over
 all of S_n, the value action on k-tuples of points, the closure at k = 2
-by sympy's subgroup search, and Burnside's orbit count on k^n, one element
-at a time.
+and at any k by sympy's subgroup search, and Burnside's orbit count on
+k^n and thickness, one element at a time.
 """
 
 import itertools
@@ -137,5 +137,58 @@ def sympy_closure_k2(group: PermGroup):
     def prop(sigma) -> bool:
         img = sigma.array_form
         return all(frozenset(img[i] for i in a) in orbit for a, orbit in orbit_of.items())
+
+    return SymmetricGroup(n).subgroup_search(prop)
+
+
+def thickness_by_elements(group: PermGroup, k: int) -> tuple[bool, tuple[int, ...] | None]:
+    """``is_k_thick`` one element at a time: each nonidentity element marks
+    the tuples over {1..k} on the sorted ground set that it fixes, those
+    constant on each of its cycles, and the first unmarked tuple, in lex
+    order, is the witness."""
+    omega = group.ground_set
+    m = len(omega)
+    weight = {p: k ** (m - 1 - i) for i, p in enumerate(omega)}
+    covered = np.zeros(k**m, dtype=bool)
+    for p in group.elements:
+        if p.is_identity:
+            continue
+        fixed, seen = np.zeros(1, dtype=np.intp), set()
+        for q in omega:
+            cycle_weight = 0
+            while q not in seen:
+                seen.add(q)
+                cycle_weight += weight[q]
+                q = p(q)
+            if cycle_weight:
+                fixed = np.add.outer(fixed, np.arange(k) * cycle_weight).ravel()
+        covered[fixed] = True
+    free = np.flatnonzero(~covered)
+    if not free.size:
+        return True, None
+    return False, tuple(int(free[0]) // k ** (m - 1 - i) % k + 1 for i in range(m))
+
+
+def sympy_closure_k(group: PermGroup, k: int):
+    """The closure at alphabet size k computed by ``sympy.combinatorics``
+    alone, as a sympy ``PermutationGroup``: the permutations of S_n that map
+    every word of k^n into its orbit under the elements ``generate()``
+    yields.  Every word is checked, as in ``sympy_closure_k2``."""
+    from sympy.combinatorics import Permutation as SympyPerm, PermutationGroup
+    from sympy.combinatorics.named_groups import SymmetricGroup
+
+    n = group.degree
+    g = PermutationGroup([SympyPerm([v - 1 for v in p.images]) for p in group.generators]
+                         or [SympyPerm(n - 1)])
+    elements = [h.array_form for h in g.generate()]
+    orbit_of: dict[tuple[int, ...], frozenset] = {}
+    for word in itertools.product(range(k), repeat=n):
+        if word not in orbit_of:
+            orbit = frozenset(tuple(word[i] for i in h) for h in elements)
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+
+    def prop(sigma) -> bool:
+        img = sigma.array_form
+        return all(tuple(w[i] for i in img) in orbit for w, orbit in orbit_of.items())
 
     return SymmetricGroup(n).subgroup_search(prop)

@@ -182,6 +182,13 @@ def test_point_tuple_closure_of_a_degree_one_group_is_itself():
         wielandt_closure(g, 0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_point_tuple_closure_rejects_k_below_one(k):
+    # k = 1, the closure on points, is checked above
+    with pytest.raises(UsageError, match="k must be at least 1"):
+        wielandt_closure(cyclic_4(), k)
+
+
 @pytest.mark.parametrize("cycles", [("(1 2 3)", "(4 5)"), ("(36 37 38)", "(39 40)")])
 def test_point_tuple_closure_past_intp_indices(cycles):
     """At degree 40, (k+1)^40 passes intp indices for k >= 2 (3^40 and

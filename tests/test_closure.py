@@ -10,10 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from helpers import cyclic_4, grp, klein_four, named_panel, relabel, sympy_closure_k2
+from helpers import (
+    cyclic_4,
+    grp,
+    klein_four,
+    named_panel,
+    relabel,
+    sympy_closure_k,
+    sympy_closure_k2,
+    thickness_by_elements,
+)
 from permclosure import closure as closure_module, tuples as tuples_module
 from permclosure.budgets import Budgets, resolve
 from permclosure.catalog import catalog_entries, get_group
+from permclosure.classify import wielandt_closure
 from permclosure.closure import (
     FunctionTable,
     NotRepresentable,
@@ -132,6 +142,39 @@ def test_closures_at_two_letters_match_sympy(name):
     assert oracle.order() == closure.order
     for s in oracle.generators:
         assert Permutation([v + 1 for v in s.array_form]) in closure, s
+
+
+@pytest.mark.parametrize("k, degree", [(3, 4), (3, 5), (3, 6), (4, 4), (4, 5)])
+def test_closures_past_two_letters_match_sympy(k, degree):
+    """Every class representative of the degree against sympy's subgroup
+    search for the permutations that keep each word of k^n in its orbit:
+    the same order, and every generator sympy finds lies in the closure."""
+    pytest.importorskip("sympy.combinatorics")
+    for cls in all_subgroups(degree).classes:
+        g = cls.representative
+        oracle = sympy_closure_k(g, k)
+        closure = galois_closure(g, k)
+        assert oracle.order() == closure.order, g
+        for s in oracle.generators:
+            assert Permutation([v + 1 for v in s.array_form]) in closure, (g, s)
+
+
+@seed(20261021)
+@settings(max_examples=30)
+@given(st.data())
+def test_closure_laws_on_random_groups(data):
+    """G <= G^(k), G^(k+1) <= G^(k), (G^(k))^(k) = G^(k), and relabelling
+    commutes with the closure: (G^pi)^(k) = (G^(k))^pi."""
+    n = data.draw(st.integers(1, 7), label="degree")
+    perms = st.permutations(range(1, n + 1)).map(Permutation)
+    g = generate_group(data.draw(st.lists(perms, min_size=1, max_size=3), label="G"))
+    pi = data.draw(perms, label="pi")
+    for k in range(2, 5):
+        closure = galois_closure(g, k)
+        assert g.is_subgroup_of(closure), k
+        assert galois_closure(g, k + 1).is_subgroup_of(closure), k
+        assert galois_closure(closure, k) == closure, k
+        assert galois_closure(relabel(g, pi), k) == relabel(closure, pi), k
 
 
 @settings(max_examples=30)
@@ -306,6 +349,12 @@ def test_kearnes_is_refused_late_without_building_product_sets():
     assert peak < 64 * 2**20, peak
 
 
+@pytest.mark.parametrize("k", [0, 1, -1])
+def test_orbit_equivalence_rejects_an_alphabet_below_two(k):
+    with pytest.raises(UsageError, match="alphabet must be at least 2"):
+        orbit_equivalent(cyclic_4(), klein_four(), k)
+
+
 def test_alphabet_size_one_is_rejected():
     for fn in (closure_naive, closure_pruned, closure_kearnes):
         with pytest.raises(ValueError):
@@ -426,7 +475,7 @@ def test_coset_leaders_are_the_least_of_each_left_coset(n):
                 if x not in seen:
                     seen.update(tuple(x[i] for i in y) for y in h)
                     want.append(rank)
-            young = closure_module._YoungSubgroup(_runs(sizes), n)
+            young = closure_module._YoungSubgroup(_runs(sizes), n, Budgets())
             got = young.coset_leaders(np.array(h, dtype=np.uint8))
             assert got.tolist() == want, (n, cls.representative, k)
 
@@ -452,7 +501,7 @@ def test_orbit_block_leaders_are_the_least_of_each_left_coset(n):
             if x not in seen:
                 seen.update(tuple(x[i] for i in h) for h in inside)  # x.h, h first
                 want.append(x)
-        young = closure_module._YoungSubgroup([np.array(o) - 1 for o in orbits], n)
+        young = closure_module._YoungSubgroup([np.array(o) - 1 for o in orbits], n, Budgets())
         assert young.order == len(product)
         leaders = young.coset_leaders(g._rows)
         rows = [tuple(row) for row in young.rows(leaders).tolist()]
@@ -497,6 +546,31 @@ def test_d12_is_refused_before_anything_is_materialized():
     assert (err.value.budget_name, err.value.needed, err.value.allowed) == (
         "candidate", 12441600, 10000000,
     )
+
+
+def test_symmetric_tables_are_charged_before_they_are_built():
+    """With the candidate budget raised past 11!, the searches that list
+    cosets in S_11 are refused by the materialization bound, 10!, before
+    the 39,916,800-row table of S_11 or any label is built."""
+    c11, raised = get_group("C_11"), Budgets(candidate_budget=10**8)
+    table = FunctionTable(11, 2, 2, np.ones(2**11, dtype=np.int32))
+    calls = [
+        lambda: closure_naive(c11, 2, budgets=raised),
+        lambda: invariance_group(table, budgets=raised),
+        lambda: wielandt_closure(c11, 2, budgets=raised),
+        lambda: closure_kearnes(c11, 2, budgets=Budgets(candidate_budget=10**12)),
+    ]
+    for call in calls:
+        clear_partition_cache()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as err:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.budget_name, err.value.needed) == ("materialization", 39916800)
+        assert peak < 2**20, peak
 
 
 def test_materialization_budget_is_checked_before_the_candidate_budget():
@@ -626,7 +700,7 @@ def test_tester_takes_young_subgroup_ranks_as_runs(monkeypatch, cells, name, k, 
     monkeypatch.setattr(closure_module, "_TEST_CELLS", cells)
     group = get_group(name)
     sizes = balanced_sizes(group.degree, k)
-    stab = closure_module._YoungSubgroup(_runs(sizes), group.degree)
+    stab = closure_module._YoungSubgroup(_runs(sizes), group.degree, Budgets())
     part = cached_orbit_partition(group, k, content=sizes)
     ranks = np.arange(stab.order)
     got = _accepted_rows(part.space, part.labels, stab.runs(ranks))
@@ -674,7 +748,7 @@ def test_tester_with_keys_over_forty_points():
             if _accepts_by_index_map(part.space, part.labels, row)]
     assert got.tolist() == want and len(want) == product.order
     # 72 candidates against 46 local rows: the first chunk adds run tables
-    young = closure_module._YoungSubgroup(_runs((3, 2, 3) + (1,) * 32), 40)
+    young = closure_module._YoungSubgroup(_runs((3, 2, 3) + (1,) * 32), 40, Budgets())
     ranks = np.arange(young.order)
     got = _accepted_rows(part.space, part.labels, young.runs(ranks))
     want = [r for r, row in zip(ranks, young.rows(ranks))
@@ -702,7 +776,7 @@ def test_tester_reads_the_first_tuple_of_every_later_chunk(monkeypatch):
     space = TupleSpace(5, 2)
     labels = np.zeros(space.size, dtype=np.intp)
     labels[8] = 8
-    young = closure_module._YoungSubgroup(_runs((3, 2)), 5)
+    young = closure_module._YoungSubgroup(_runs((3, 2)), 5, Budgets())
     ranks = np.arange(young.order)
     candidates = young.rows(ranks)
     want = [r for r, row in zip(ranks, candidates) if row[1] == 1]
@@ -849,6 +923,33 @@ def test_chain_of_a_closed_group_is_flat():
 
 # ---------------------------------------------------------------------------
 # thickness
+
+
+def test_thickness_matches_one_element_at_a_time():
+    """The orbit-stabilizer answer, witness included, is that of marking
+    the tuples each element fixes: on every class representative of degree
+    at most 6 with a nonempty ground set and every catalog group, at
+    k = 2, 3 where k^m is at most 10^6."""
+    cases = 0
+    for name, g in named_panel(10):
+        for k in (2, 3):
+            if g.ground_set and k ** len(g.ground_set) <= 10**6:
+                assert is_k_thick(g, k) == thickness_by_elements(g, k), (name, k)
+                cases += 1
+    assert cases == 214
+
+
+def test_thickness_labels_once_without_the_elements():
+    s9 = symmetric_on(range(1, 10), 9)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        assert is_k_thick(s9, 2) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.05 and peak < 2**20, (elapsed, peak)
 
 
 def test_thickness_witnesses():

@@ -250,7 +250,7 @@ def test_one_block_leaders_are_the_least_of_each_left_coset(gens):
         if x not in seen:
             seen.update(tuple(x[i] for i in h) for h in elements)  # x.h, h first
             want.append(x)
-    everything = _YoungSubgroup([range(g.degree)], g.degree)
+    everything = _YoungSubgroup([range(g.degree)], g.degree, Budgets())
     leaders = everything.coset_leaders(g._rows)
     rows = everything.rows(leaders)
     assert leaders.tolist() == _lex_ranks(rows).tolist()
