@@ -42,7 +42,7 @@ from .perm import (
     symmetric_on,
     viewed_at_degree,
 )
-from .tuples import balanced_sizes, cached_orbit_partition
+from .tuples import OrbitPartition, balanced_sizes, cached_orbit_partition
 
 __all__ = [
     "FormKind",
@@ -307,36 +307,63 @@ def wielandt_closure(
     if k < 1:
         raise UsageError("k must be at least 1")
     n = group.degree
-    support = np.flatnonzero((group._rows != np.arange(n)).any(axis=0))
+    support = _support(group)
     m = len(support)
     if k >= m - 1:
         return group
     b = resolve(budgets)
-    if m == n:
-        return _closure_moving_every_point(group, k, b)
-    local = np.zeros(n, dtype=np.intp)
-    local[support] = np.arange(m)
-
-    def down(rows: np.ndarray) -> np.ndarray:
-        return local[rows[:, support]]
+    on_support = _on_support(group, support)
+    closure = _closure_moving_every_point(on_support, k, b)
+    if on_support is group:
+        return closure
+    if closure.order == group.order:
+        return group
 
     def up(rows: np.ndarray) -> np.ndarray:
         out = np.tile(np.arange(n, dtype=group._rows.dtype), (len(rows), 1))
         out[:, support] = support[rows]
         return out
 
-    def gens(g: PermGroup, relabel: Callable) -> list[tuple[int, ...]]:
-        return list(map(tuple, relabel(np.array([p._img for p in g.generators])).tolist()))
+    return PermGroup._build(n, up(closure._rows), _generator_rows(closure, up), group.ground_set)
 
-    on_support = PermGroup._build(m, down(group._rows), gens(group, down), None)
-    closure = _closure_moving_every_point(on_support, k, b)
-    if closure.order == group.order:
+
+def _support(group: PermGroup) -> np.ndarray:
+    """The 0-based points some element moves, ascending."""
+    return (group._rows != np.arange(group.degree)).any(axis=0).nonzero()[0]
+
+
+def _generator_rows(group: PermGroup, relabel: Callable) -> list[tuple[int, ...]]:
+    """The group's generators as image tuples, relabelled."""
+    return list(map(tuple, relabel(np.array([p._img for p in group.generators])).tolist()))
+
+
+def _to_support(support: np.ndarray, degree: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from image rows that keep the sorted 0-based points to
+    their action there, the points relabelled 0..m-1 in order, which keeps
+    the rows' lex order."""
+    local = np.zeros(degree, dtype=np.intp)
+    local[support] = np.arange(len(support))
+    return lambda rows: local[rows[:, support]]
+
+
+def _on_support(group: PermGroup, support: np.ndarray) -> PermGroup:
+    """The group on the points it moves (``_to_support``): the group itself
+    when it moves every point."""
+    if len(support) == group.degree:
         return group
-    return PermGroup._build(n, up(closure._rows), gens(closure, up), group.ground_set)
+    down = _to_support(support, group.degree)
+    return PermGroup._build(len(support), down(group._rows), _generator_rows(group, down), None)
 
 
-def _closure_moving_every_point(group: PermGroup, k: int, b: Budgets) -> PermGroup:
-    """``wielandt_closure`` of a group that moves all its n points, k <= n-2."""
+def _orbit_product(
+    group: PermGroup, k: int, b: Budgets
+) -> tuple[_YoungSubgroup, OrbitPartition]:
+    """For a group that moves all its n points and k <= n-2: the product
+    of the symmetric groups on its point orbits and its partition of the
+    hook class, charged as ``wielandt_closure`` charges them, the candidate
+    budget the product's order and, by ``_YoungSubgroup``, the
+    materialization bound m! for the largest orbit's m points, before any
+    tuple is labelled."""
     n = group.degree
     orbits = full_orbits(group, n)
     b.check("candidate", math.prod(math.factorial(len(o)) for o in orbits))
@@ -344,7 +371,12 @@ def _closure_moving_every_point(group: PermGroup, k: int, b: Budgets) -> PermGro
     # at k = n-2 the hook content is the balanced one, (2, 1^k): in that
     # order galois_closure(group, k+1) and this closure share a partition
     content = balanced_sizes(n, k + 1) if k == n - 2 else (1,) * k + (n - k,)
-    part = cached_orbit_partition(group, k + 1, budgets=b, content=content)
+    return product, cached_orbit_partition(group, k + 1, budgets=b, content=content)
+
+
+def _closure_moving_every_point(group: PermGroup, k: int, b: Budgets) -> PermGroup:
+    """``wielandt_closure`` of a group that moves all its n points, k <= n-2."""
+    product, part = _orbit_product(group, k, b)
     leaders = product.coset_leaders(group._rows)[1:]  # less the identity
     accepted = product.rows(leaders[_accepted_rows(part.space, part.labels, product.runs(leaders))])
     # the orbits need not be runs, so indices are not in lex order
@@ -355,10 +387,54 @@ def check_wielandt_containment(
     group: PermGroup, k: int, budgets: Budgets | None = None
 ) -> bool:
     """Closure at alphabet size k+1 sits inside the orbit closure on
-    k-tuples of points."""
+    k-tuples of points.
+
+    The closure F = G^(k+1) is computed, but the Wielandt closure W =
+    ``wielandt_closure(G, k)`` is not; m is the number of points G moves.
+
+    * At k >= m-1, W = G, which lies in F, so F <= W exactly when F and G
+      have the same order.
+    * Below that, F keeps every point orbit of G: the orbits of the tuples
+      with one letter 2 and the rest 1 are the point orbits.  So F fixes
+      the points G fixes, and its generators, read on G's m moved points,
+      lie in the product of the symmetric groups on G's orbits there.  W
+      is exactly the set of permutations in that product that keep G's
+      labels on the hook class (``wielandt_closure``).  So F <= W exactly
+      when each generator of F keeps those labels, which
+      ``_in_wielandt_closure`` tests in one batch.
+
+    The answer is always True, as the end of ``wielandt_closure``'s
+    docstring shows: F has G's orbits on the hook class."""
     fine = galois_closure(group, k + 1, budgets=budgets)
-    coarse = wielandt_closure(group, k, budgets=budgets)
-    return fine.is_subgroup_of(coarse)
+    if k >= len(_support(group)) - 1:
+        return fine.order == group.order
+    gens = np.array([p._img for p in fine.generators])
+    return bool(_in_wielandt_closure(group, k, gens, resolve(budgets)).all())
+
+
+def _in_wielandt_closure(
+    group: PermGroup, k: int, rows: np.ndarray, b: Budgets
+) -> np.ndarray:
+    """Which of the 0-based image rows, each keeping every point orbit of
+    the group, lie in ``wielandt_closure(group, k)``, for k <= m-2 with m
+    the number of points the group moves, without building the closure.
+
+    The rows, read on the moved points, are tested against the group's
+    labels on the hook class (``check_wielandt_containment``): one
+    ``_accepted_rows`` call, with one run over all m points and one
+    candidate per row.  The budgets are charged as ``wielandt_closure``
+    charges them up to its labels: the candidate budget the order of the
+    product of the symmetric groups on the orbits, the materialization
+    bound m! for the largest orbit of m points, the tuple budget the
+    class.  The closure's order, which it charges before it rebuilds, is
+    not charged."""
+    support = _support(group)
+    _, part = _orbit_product(_on_support(group, support), k, b)
+    local = _to_support(support, group.degree)(rows)
+    run = (np.arange(len(support)), local, np.arange(len(local)))
+    kept = np.zeros(len(local), dtype=bool)
+    kept[_accepted_rows(part.space, part.labels, [run])] = True
+    return kept
 
 
 # ---------------------------------------------------------------------------

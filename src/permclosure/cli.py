@@ -12,6 +12,7 @@ code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -417,21 +418,21 @@ def build_parser() -> argparse.ArgumentParser:
         "tests them against one tuple per set partition (bounded by --candidate-budget); "
         "default pruned",
     )
-    p.set_defaults(func=_cmd_closure)
+    p.set_defaults(handler="_cmd_closure")
 
     p = sub.add_parser(
         "chain", parents=[common],
         help="closures at every alphabet size from 2 up to the degree",
     )
     p.add_argument("group", help="group file path or catalog:NAME")
-    p.set_defaults(func=_cmd_chain)
+    p.set_defaults(handler="_cmd_chain")
 
     p = sub.add_parser(
         "table1", parents=[common],
         help="recompute the degree-up-to-6 survey of nontrivial closures "
         "and compare with the embedded reference rows",
     )
-    p.set_defaults(func=_cmd_table1)
+    p.set_defaults(handler="_cmd_table1")
 
     p = sub.add_parser(
         "verify", parents=[common],
@@ -454,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--group", default=None,
         help="main only: check one group file or catalog:NAME instead of the panel",
     )
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(handler="_cmd_verify")
 
     p = sub.add_parser(
         "orbit-equiv", parents=[common],
@@ -464,14 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group2", help="group file path or catalog:NAME")
     p.add_argument("-k", "--k", dest="k", type=int, required=True,
                    help="alphabet size")
-    p.set_defaults(func=_cmd_orbit_equiv)
+    p.set_defaults(handler="_cmd_orbit_equiv")
 
     p = sub.add_parser(
         "invariance", parents=[common],
         help="invariance group of a function table file",
     )
     p.add_argument("table", help="function table file")
-    p.set_defaults(func=_cmd_invariance)
+    p.set_defaults(handler="_cmd_invariance")
 
     p = sub.add_parser(
         "enumerate", parents=[common],
@@ -479,16 +480,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True, choices=range(1, 7),
                    help="degree (1..6)")
-    p.set_defaults(func=_cmd_enumerate)
+    p.set_defaults(handler="_cmd_enumerate")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command.  The parser is built once per process; the command
+    names its handler, looked up here, so a handler replaced after that is
+    the one that runs."""
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _budgets_from(args))
+        return globals()[args.handler](args, _budgets_from(args))
     except UsageError as exc:
         parser.error(str(exc))
     except BudgetExceeded as exc:

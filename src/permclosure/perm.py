@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .budgets import Budgets, resolve
-from .errors import BudgetExceeded, DegreeMismatch, ParseError
+from .errors import BudgetExceeded, DegreeMismatch, ParseError, UsageError
 
 __all__ = [
     "Permutation",
@@ -559,6 +559,23 @@ def _lex_ranks(rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Which entries of a sorted array start a run of equal ones."""
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return first
+
+
+def _distinct_ranks(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ranks ascending, and where one row of each sits.  Equal
+    ranks are equal rows, so any of them will do, and numpy's default sort
+    is used: ``np.unique(..., return_index=True)`` sorts stably, and
+    ``_build`` of 10! shuffled rows took 1.5 s with it, 1.1 s without."""
+    order = np.argsort(ranks)
+    first = _run_starts(ranks[order])
+    return ranks[order[first]], order[first]
+
+
 def _moved_points(images: Iterable[tuple[int, ...]]) -> set[int]:
     """The 1-based points that some of the 0-based image tuples move: for
     a group's generators, the points the group moves."""
@@ -639,7 +656,9 @@ class PermGroup:
     closure cache keys on (group, ground set, k, budgets).
     """
 
-    __slots__ = ("_degree", "_ground", "_gens", "_rows", "_ranks", "_eltups", "_hash", "_perms")
+    __slots__ = (
+        "_degree", "_ground", "_gens", "_rows", "_ranks", "_eltups", "_hash", "_perms", "_greedy",
+    )
 
     def __init__(
         self,
@@ -661,6 +680,7 @@ class PermGroup:
         self._eltups = None
         self._hash = None
         self._perms = None
+        self._greedy = None  # closure._greedy_extension's generators of the group
 
     @classmethod
     def _build(
@@ -676,7 +696,7 @@ class PermGroup:
         distinct already.  ``gen_tuples`` must generate the rows; without
         them generators are derived.  The moved points are the generators'."""
         if ranks is None:
-            ranks, first = np.unique(_lex_ranks(rows), return_index=True)
+            ranks, first = _distinct_ranks(_lex_ranks(rows))
             rows = rows[first]
         if not len(ranks):
             raise ValueError("a group needs at least the identity element")
@@ -969,7 +989,7 @@ def full_orbits(group: PermGroup, degree: int | None = None) -> tuple[tuple[int,
 def is_transitive(group: PermGroup) -> bool:
     """Transitive on its ground set (which must be nonempty)."""
     if not group.ground_set:
-        raise ValueError("transitivity on an empty ground set is undefined")
+        raise UsageError("transitivity on an empty ground set is undefined")
     return len(orbits_on_points(group)) == 1
 
 

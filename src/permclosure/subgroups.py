@@ -149,8 +149,8 @@ def _span(mul: np.ndarray, base: np.ndarray, gens: np.ndarray) -> np.ndarray:
     while len(frontier):
         before = member.copy()
         member[mul[frontier[:, None], gens]] = True
-        frontier = np.flatnonzero(member > before)
-    return np.flatnonzero(member)
+        frontier = (member > before).nonzero()[0]
+    return member.nonzero()[0]
 
 
 class _Tables(NamedTuple):
@@ -214,7 +214,7 @@ def _normalizer(t: _Tables, ranks: np.ndarray, gens: list[int]) -> tuple[np.ndar
     inside = np.zeros(len(t.mul), dtype=bool)
     inside[ranks] = True
     g = np.array(gens, dtype=np.intp)
-    normalizer = np.flatnonzero(inside[t.mul[t.mul[:, g], t.inv[:, None]]].all(axis=1))
+    normalizer = inside[t.mul[t.mul[:, g], t.inv[:, None]]].all(axis=1).nonzero()[0]
     extra: list[int] = []
     span = ranks
     while len(span) < len(normalizer):
@@ -242,7 +242,7 @@ def _extension_labels(
     labels = _min_labels(len(mul), maps + power_maps)
     # prime-power elements y outside B with y^p in B, p the prime of ord(y)
     y_to_the_p = t.powers[t.prime, np.arange(len(mul))]
-    candidates = np.flatnonzero(~in_base & (t.prime > 0) & in_base[y_to_the_p])
+    candidates = (~in_base & (t.prime > 0) & in_base[y_to_the_p]).nonzero()[0]
     return candidates, labels[candidates]
 
 
@@ -292,7 +292,7 @@ def _enumerate(n: int, extension_order: str) -> SubgroupCatalog:
         # multiplication by N(H)'s generators, and s.H.s^-1 is the coset's
         # conjugate
         cosets = _min_labels(size, [mul[:, g] for g in gens + extra])
-        s = np.flatnonzero(cosets == every)
+        s = (cosets == every).nonzero()[0]
         conj = np.sort(mul[mul[s[:, None], ranks], inv[s, None]], axis=1)
         members = tuple(map(tuple, conj[np.lexsort(conj.T[::-1])].tolist()))
         rep = _group_of_ranks(sn_rows, members[0])

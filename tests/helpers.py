@@ -12,6 +12,8 @@ import itertools
 import numpy as np
 
 from permclosure.catalog import catalog_entries, get_group
+from permclosure.classify import wielandt_closure
+from permclosure.closure import galois_closure
 from permclosure.perm import (
     PermGroup,
     Permutation,
@@ -192,3 +194,9 @@ def sympy_closure_k(group: PermGroup, k: int):
         return all(tuple(w[i] for i in img) in orbit for w, orbit in orbit_of.items())
 
     return SymmetricGroup(n).subgroup_search(prop)
+
+
+def containment_by_closures(group: PermGroup, k: int) -> bool:
+    """The containment of the closure over k+1 letters in the orbit closure
+    on k-tuples of points, by building both closures."""
+    return galois_closure(group, k + 1).is_subgroup_of(wielandt_closure(group, k))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    containment_by_closures,
     cyclic_4,
     grp,
     named_panel,
@@ -14,8 +15,10 @@ from helpers import (
     relabel,
     value_index_map,
 )
+from permclosure.budgets import Budgets
 from permclosure.classify import (
     FormKind,
+    _in_wielandt_closure,
     check_wielandt_containment,
     classify_main,
     degree7_panel,
@@ -25,13 +28,14 @@ from permclosure.classify import (
 )
 from permclosure.closure import galois_closure
 from permclosure.subgroups import all_subgroups
-from permclosure.errors import UsageError
+from permclosure.errors import BudgetExceeded, UsageError
 from permclosure.tuples import cached_orbit_partition
 from permclosure.perm import (
     Permutation,
     alternating_on,
     direct_product,
     format_perm,
+    full_orbits,
     generate_group,
     index2_subdirect,
     symmetric_on,
@@ -258,6 +262,54 @@ def test_containment_between_the_two_closures():
     for g in (cyclic_4(), grp(4, "(1 2 3)"), alternating_on(range(1, 6), 5)):
         for k in (1, 2, 3):
             assert check_wielandt_containment(g, k)
+
+
+def test_containment_matches_building_both_closures():
+    """Every class representative of degree 1 to 6 at k = 1..4, against
+    ``galois_closure(G, k+1).is_subgroup_of(wielandt_closure(G, k))``."""
+    for n in range(1, 7):
+        for cls in all_subgroups(n).classes:
+            for k in (1, 2, 3, 4):
+                g = cls.representative
+                assert check_wielandt_containment(g, k) == containment_by_closures(g, k), (g, k)
+
+
+def test_membership_in_the_point_tuple_closure_without_building_it():
+    """Seeded random permutations of each point orbit, tested without the
+    closure against membership in the closure built by
+    ``wielandt_closure``, on the class representatives of degree 4 to 6 at
+    every k <= m-2.  Some lie inside and some outside."""
+    rng = np.random.default_rng(34)
+    outcomes = set()
+    for n in (4, 5, 6):
+        for cls in all_subgroups(n).classes:
+            g = cls.representative
+            m = sum(len(o) for o in full_orbits(g) if len(o) > 1)
+            for k in range(1, m - 1):
+                closure = wielandt_closure(g, k)
+                rows = np.tile(np.arange(n), (8, 1))
+                for orbit in full_orbits(g):
+                    points = np.array(orbit) - 1
+                    for row in rows:
+                        row[points] = rng.permutation(points)
+                got = _in_wielandt_closure(g, k, rows, Budgets())
+                want = [Permutation((row + 1).tolist()) in closure for row in rows]
+                assert got.tolist() == want, (g, k, rows)
+                outcomes.update(want)
+    assert outcomes == {True, False}
+
+
+def test_containment_is_not_charged_the_point_tuple_closures_order():
+    """The closure over 3 letters of <(3 4 5), (1 2)(4 5)>, of order 6,
+    lies in its orbit closure on point pairs, of order 12, which is never
+    built: under a materialization bound of 11 the containment is decided,
+    and only building the orbit closure is refused."""
+    g = grp(5, "(3 4 5)", "(1 2)(4 5)")
+    tight = Budgets(materialization_bound=11)
+    assert check_wielandt_containment(g, 2, budgets=tight)
+    with pytest.raises(BudgetExceeded) as refused:
+        wielandt_closure(g, 2, budgets=tight)
+    assert (refused.value.budget_name, refused.value.needed) == ("materialization", 12)
 
 
 def test_coordinate_closure_of_the_four_cycle_at_three_letters():

@@ -30,6 +30,18 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_the_parser_is_built_once_and_each_command_finds_its_handler(capsys, monkeypatch):
+    """Commands after the first reuse the parser, and the handler is looked
+    up when the command runs, so one replaced in between is the one run."""
+    assert run(capsys, "closure", "catalog:C_4", "-k", "2")[0] == 0
+    parser = cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_closure", lambda args, b: seen.append(args.k) or 7)
+    assert run(capsys, "closure", "catalog:C_4", "-k", "3")[0] == 7
+    assert seen == [3] and cli._parser() is parser
+    assert run(capsys, "chain", "catalog:C_4")[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # closure
 

@@ -52,6 +52,7 @@ from permclosure.perm import (
     format_perm,
     full_orbits,
     generate_group,
+    is_transitive,
     parse_perm,
     symmetric_on,
 )
@@ -950,6 +951,19 @@ def test_thickness_labels_once_without_the_elements():
         tracemalloc.stop()
     elapsed = time.perf_counter() - started
     assert elapsed < 0.05 and peak < 2**20, (elapsed, peak)
+
+
+def test_an_empty_ground_set_is_a_usage_error():
+    """The trivial class representative of every degree 1 to 6 moves no
+    point and has an empty ground set, outside the range of thickness and
+    transitivity."""
+    for n in range(1, 7):
+        trivial = all_subgroups(n).classes[0].representative
+        assert trivial.order == 1 and trivial.ground_set == ()
+        with pytest.raises(UsageError, match="empty ground set"):
+            is_k_thick(trivial, 2)
+        with pytest.raises(UsageError, match="empty ground set"):
+            is_transitive(trivial)
 
 
 def test_thickness_witnesses():

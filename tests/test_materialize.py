@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import grp
+from permclosure import closure as closure_module
 from permclosure.budgets import Budgets
 from permclosure.closure import (
     _chain_pairs,
@@ -25,6 +26,7 @@ from permclosure.errors import BudgetExceeded, DegreeMismatch
 from permclosure.perm import (
     PermGroup,
     Permutation,
+    _distinct_ranks,
     _greedy_span,
     _lex_ranks,
     alternating_on,
@@ -34,6 +36,7 @@ from permclosure.perm import (
     parse_perm,
     symmetric_on,
 )
+from permclosure.subgroups import all_subgroups
 from permclosure.tuples import clear_partition_cache
 
 
@@ -235,6 +238,52 @@ def test_closure_rebuild_keeps_the_greedy_generators(gens):
         rebuilt = _closure_of_cosets(g, extra[_leading(extra, _chain_pairs(g._rows))], bound)
         assert rebuilt.order == g.order + len(extra)
         assert [p._img for p in rebuilt.generators] == expected
+
+
+def test_a_groups_greedy_generators_are_found_once(monkeypatch):
+    """Every rebuild over one group object reads the generators its first
+    rebuild found; an equal group built anew finds its own, the same."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return _greedy_span(*args, **kwargs)
+
+    monkeypatch.setattr(closure_module, "_greedy_span", counted)
+    b = Budgets()
+    d5 = grp(5, "(1 2 3 4 5)", "(2 5)(3 4)", "(1 3 5 2 4)")
+    outside = symmetric_on(range(1, 6), 5)._rows[:0]
+    first = _closure_of_cosets(d5, outside, b)
+    assert _closure_of_cosets(d5, outside, b).generators == first.generators
+    assert len(calls) == 1
+    again = grp(5, "(1 2 3 4 5)", "(2 5)(3 4)", "(1 3 5 2 4)")
+    assert _closure_of_cosets(again, outside, b).generators == first.generators
+    assert len(calls) == 2
+    assert first.generators == d5.generators[:2]  # the rotation and a reflection span D_5
+
+
+def test_the_stabilizer_chain_stops_at_the_identity():
+    """The pairs of every class representative of degree 1 to 6 are those
+    of the chain followed through every point."""
+    for n in range(1, 7):
+        for cls in all_subgroups(n).classes:
+            rows, want = cls.representative._rows, []
+            for i in range(n - 1):
+                orbit = sorted(set(rows[:, i].tolist()) - {i})
+                want += [(i, j) for j in orbit]
+                rows = rows[rows[:, i] == i]
+            assert _chain_pairs(cls.representative._rows) == want
+
+
+def test_distinct_ranks_keep_one_row_of_each():
+    """Shuffled ranks with repeats: the distinct ones ascending, each at a
+    place that holds it."""
+    rng = np.random.default_rng(7)
+    ranks = rng.integers(0, 50, size=400)
+    distinct, where = _distinct_ranks(ranks)
+    assert distinct.tolist() == np.unique(ranks).tolist()
+    assert np.array_equal(ranks[where], distinct)
+    assert _distinct_ranks(ranks[:0])[0].size == 0
 
 
 @settings(max_examples=60)

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from permclosure.perm import (
     extend_degree,
     generate_group,
     identity,
+    parse_perm,
     symmetric_on,
 )
 from permclosure import tuples as tuples_module
@@ -32,6 +34,7 @@ from permclosure.tuples import (
     ContentClass,
     TupleSpace,
     _burnside_count,
+    _class_tables,
     _cycle_census,
     _orbit_ranks,
     balanced_sizes,
@@ -436,6 +439,59 @@ def test_the_labelled_balanced_classes_find_members_by_one_gather(n, k):
     cls = ContentClass(n, k, balanced_sizes(n, k))
     assert cls._where is not None and len(cls._where) == k ** (n - 1)
     assert np.array_equal(cls.positions(cls.digits @ cls.weights), np.arange(cls.size))
+
+
+def _keys_by_columns(digits, weights):
+    """A key per digit row, summed a column at a time."""
+    keys = np.zeros(len(digits), dtype=np.intp)
+    for column, w in zip(digits.T, weights):
+        keys += column.astype(np.intp) * w
+    return keys
+
+
+@pytest.mark.parametrize("cells", [1, 7, 1 << 16])
+def test_blocked_keys_match_the_column_sums_on_random_classes(monkeypatch, cells):
+    """A class's keys and its coordinate maps, whose weights are scattered
+    at sigma's images, against the column sums with the weights gathered
+    at sigma^-1, on seeded random contents; blocks of 1 and 7 cells split
+    every class into many products."""
+    monkeypatch.setattr(tuples_module, "_KEY_CELLS", cells)
+    rng = np.random.default_rng(cells)
+    for _ in range(12):
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(2, 6))
+        parts = int(rng.integers(1, min(k, n) + 1))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=parts - 1, replace=False))
+        content = tuple(np.diff([0, *cuts.tolist(), n]).tolist())
+        _class_tables.cache_clear()
+        cls = ContentClass(n, k, content)
+        assert np.array_equal(cls._keys, _keys_by_columns(cls.digits, cls.weights))
+        for _ in range(3):
+            sigma = Permutation((rng.permutation(n) + 1).tolist())
+            moved = cls.weights[list(sigma.inverse()._img)]
+            want = cls.positions(_keys_by_columns(cls.digits, moved))
+            assert np.array_equal(cls.coordinate_index_map(sigma), want), (content, sigma)
+    _class_tables.cache_clear()
+
+
+def test_a_cold_partition_of_a_907200_tuple_class_keeps_its_key_blocks_small():
+    """A_10's generators on its k=8 balanced class, content (2, 2, 1^6):
+    the class tables, the two coordinate maps and their labels, cold.  One
+    key product for the whole class would cast its 9 MB of digits to a
+    72 MB intp copy (a 99 MiB peak); in blocks the labels set the peak,
+    about 57 MiB."""
+    gens = [parse_perm("(1 2 3)", 10), parse_perm("(2 3 4 5 6 7 8 9 10)", 10)]
+    _class_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        cls = ContentClass(10, 8, balanced_sizes(10, 8))
+        labels = _min_labels(cls.size, [cls.coordinate_index_map(g) for g in gens])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _class_tables.cache_clear()
+    assert cls.size == 907_200 and not labels.any()  # A_10 is transitive there
+    assert peak < 64 * 2**20, peak
 
 
 def test_a_class_of_arity_40_over_two_letters_stays_exact():
