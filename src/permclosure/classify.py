@@ -12,10 +12,13 @@ alternating group, and one of
 
 In both shapes the closure is symmetric(B) x L.  ``classify_main``
 recognizes the shapes, ``verify_main`` compares the resulting prediction
-with the computed closure.  The module also hosts the classical orbit
-closure on k-tuples of points (Wielandt's, decided on the hook content
-class) and the containment check between the two closure notions, plus
-the curated degree-7 panel used by the verification suite.
+with the computed closure.  No shape is built to be compared with the
+group: the group lies in the product of its actions G_B on B and L on D
+and maps onto both, so by Goursat's lemma orders decide both shapes
+(``classify_main``).  The module also hosts the classical orbit closure
+on k-tuples of points (Wielandt's, decided on the hook content class)
+and the containment check between the two closure notions, plus the
+curated degree-7 panel used by the verification suite.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from .budgets import Budgets, resolve
 from .closure import _accepted_rows, _closure_of_cosets, _YoungSubgroup, galois_closure
 from .errors import UsageError
 from .perm import (
+    Permutation,
     PermGroup,
+    _lex_permutations,
     _lex_ranks,
     alternating_on,
     direct_product,
@@ -112,17 +117,27 @@ class NonClosedForm:
         return out
 
 
-def _restricted_rows(group: PermGroup, points: tuple[int, ...]) -> np.ndarray:
-    """Image rows of the action on an invariant point set, identity elsewhere."""
+def _restricted_rows(rows: np.ndarray, points: tuple[int, ...], degree: int) -> np.ndarray:
+    """The image rows' action on an invariant point set, identity elsewhere."""
     idx = np.array(points, dtype=np.intp) - 1
-    rows = np.tile(np.arange(group.degree, dtype=group._rows.dtype), (group.order, 1))
-    rows[:, idx] = group._rows[:, idx]
-    return rows
+    out = np.tile(np.arange(degree, dtype=rows.dtype), (len(rows), 1))
+    out[:, idx] = rows[:, idx]
+    return out
 
 
 def _projection(group: PermGroup, points: tuple[int, ...]) -> PermGroup:
-    """The action induced on an invariant point set, identity elsewhere."""
-    return PermGroup._build(group.degree, _restricted_rows(group, points), None, points or None)
+    """The action induced on an invariant point set, identity elsewhere,
+    generated by the generators' restrictions less the identity: the group
+    itself when it moves no other point.  No larger than the group, it is
+    bounded by the group's order, not by the caller's budgets."""
+    n = group.degree
+    gens = np.array([p._img for p in group.generators], dtype=np.intp).reshape(-1, n)
+    restricted = _restricted_rows(gens, points, n)
+    if np.array_equal(restricted, gens):
+        return group
+    moving = restricted[(restricted != np.arange(n)).any(axis=1)].tolist()
+    return generate_group([Permutation._raw(tuple(t)) for t in moving], points or None,
+                          degree=n, budgets=Budgets(materialization_bound=group.order))
 
 
 def classify_main(
@@ -133,9 +148,20 @@ def classify_main(
 
     With ``force`` the applicability threshold is skipped, which turns the
     test into a pure shape diagnostic; predictions are then only reliable
-    inside the threshold regime."""
+    inside the threshold regime.
+
+    G lies in G_B x G_D, its actions on the block B and the complement D,
+    and maps onto both.  By Goursat's lemma, with N_B = {b : (b, 1) in G}
+    and N_D = {l : (1, l) in G}, G pairs the cosets of N_B with those of
+    N_D under an isomorphism of the quotients, so |G| = |G_B| |N_D|.
+    Alt(B) is the only subgroup of index 2 in Sym(B).  So G = Alt(B) x
+    G_D exactly when |G_B| = |B|!/2 and |G| = |G_B| |G_D|; and G is the
+    gluing of Sym(B) with G_D over L0 = N_D exactly when |G_B| = |B|! and
+    2|G| = |B|! |G_D|, for then N_B = Alt(B), and L0 is the action on D
+    of the elements even on B.  Sym(B) is built only when a shape holds,
+    for the predicted closure Sym(B) x G_D."""
     if n < group.degree:
-        raise ValueError(f"degree {n} is below the group's degree {group.degree}")
+        raise UsageError(f"degree {n} is below the group's degree {group.degree}")
     g = viewed_at_degree(group, n)
     d = n - k
     if d < 1:
@@ -164,54 +190,29 @@ def classify_main(
     on_block = _projection(g, block)
     on_complement = _projection(g, complement)
     bfact = math.factorial(len(block))
-    sym_block = symmetric_on(block, n, budgets)
-
-    # alternating x L: even on the block, full product order
-    if (
-        on_block.order * 2 == bfact
-        and all(p.sign == 1 for p in on_block.generators)
-        and g.order == on_block.order * on_complement.order
-    ):
-        alt_block = alternating_on(block, n, budgets)
-        product = direct_product(alt_block, on_complement, budgets)
-        if product == g:
-            return NonClosedForm(
-                FormKind.ALTERNATING_TIMES_L, n, k, d, threshold,
-                block=block, complement=complement,
-                complement_factor=on_complement,
-                predicted_closure=direct_product(sym_block, on_complement, budgets),
-                note=note or "alternating on the block times the complement action",
-            )
-
-    # symmetric-block gluing: half the product order, complement action split
-    if (
-        on_block.order == bfact
-        and g.order * 2 == bfact * on_complement.order
-        and on_complement.order % 2 == 0
-    ):
-        alt_ranks = alternating_on(block, n, budgets)._ranks
-        even = np.isin(_lex_ranks(_restricted_rows(g, block)), alt_ranks)
-        half_rows = _restricted_rows(g, complement)[even]
-        try:
-            # index2_subdirect refuses a half that is not of index 2
-            half = PermGroup._build(n, half_rows, None, complement or None)
-            rebuilt = index2_subdirect(sym_block, on_complement, half)
-        except ValueError:
-            rebuilt = None
-        if rebuilt is not None and rebuilt == g:
-            return NonClosedForm(
-                FormKind.PROPER_SUBDIRECT, n, k, d, threshold,
-                block=block, complement=complement,
-                complement_factor=on_complement,
-                complement_half=half,
-                predicted_closure=direct_product(sym_block, on_complement, budgets),
-                note=note or "index-2 gluing of the symmetric block with the complement action",
-            )
-
+    if on_block.order * 2 == bfact and g.order == on_block.order * on_complement.order:
+        kind, half = FormKind.ALTERNATING_TIMES_L, None
+        note = note or "alternating on the block times the complement action"
+    elif on_block.order == bfact and g.order * 2 == bfact * on_complement.order:
+        kind = FormKind.PROPER_SUBDIRECT
+        local = _to_support(np.array(block) - 1, n)(g._rows)
+        even = (~_lex_permutations(len(block))[1][_lex_ranks(local)]).nonzero()[0]
+        half_rows = _restricted_rows(g._rows.take(even, axis=0), complement, n)
+        half = PermGroup._build(n, half_rows, None, complement or None)
+        note = note or "index-2 gluing of the symmetric block with the complement action"
+    else:
+        return NonClosedForm(
+            FormKind.PREDICTED_CLOSED, n, k, d, threshold,
+            block=block, complement=complement,
+            note=note or "block action matches neither shape",
+        )
     return NonClosedForm(
-        FormKind.PREDICTED_CLOSED, n, k, d, threshold,
+        kind, n, k, d, threshold,
         block=block, complement=complement,
-        note=note or "block action matches neither shape",
+        complement_factor=on_complement,
+        complement_half=half,
+        predicted_closure=direct_product(symmetric_on(block, n, budgets), on_complement, budgets),
+        note=note,
     )
 
 

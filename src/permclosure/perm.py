@@ -874,9 +874,9 @@ def alternating_on(points: Iterable[int], degree: int, budgets: Budgets | None =
     if len(pts) >= 4:
         # a cycle of odd length is even
         gen_tuples.append(_cycle(pts if len(pts) % 2 else pts[1:], degree))
-    rows, ranks = _symmetric_rows(pts, degree)
-    even = ~_lex_permutations(len(pts))[1]
-    return PermGroup._build(degree, rows[even], tuple(gen_tuples), pts or None, ranks[even])
+    even = (~_lex_permutations(len(pts))[1]).nonzero()[0]
+    rows, ranks = (a.take(even, axis=0) for a in _symmetric_rows(pts, degree))
+    return PermGroup._build(degree, rows, tuple(gen_tuples), pts or None, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -994,38 +994,34 @@ def is_transitive(group: PermGroup) -> bool:
 
 
 def is_primitive(group: PermGroup) -> bool:
-    """No nontrivial block system on the ground set; requires transitivity."""
+    """No nontrivial block system on the ground set; requires transitivity.
+
+    Higman's criterion (Dixon & Mortimer, Permutation Groups, 1996):
+    a transitive group is primitive exactly when each of its orbital
+    graphs other than the diagonal is connected.  The orbitals, the
+    orbits on ordered pairs, are one orbit labelling of the n^2 pairs,
+    generator g mapping pair i*n+j to g(i)*n+g(j).  Every orbital holds
+    a pair (a, b) with a the first point of the ground set, and its graph
+    is vertex-transitive, so it is connected when a reaches the whole
+    ground set along its edges and their reverses."""
     if not is_transitive(group):
         raise ValueError("primitivity is defined for transitive groups only")
-    omega = group.ground_set
-    if len(omega) <= 2:
-        return True
-    alpha = omega[0]
-    gens = group.generators
-    for beta in omega[1:]:
-        # minimal block containing {alpha, beta} via pairwise merging
-        parent = {p: p for p in omega}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        parent[find(beta)] = find(alpha)
-        queue = [(alpha, beta)]
-        while queue:
-            x, y = queue.pop()
-            for g in gens:
-                gx, gy = g(x), g(y)
-                rx, ry = find(gx), find(gy)
-                if rx != ry:
-                    parent[ry] = rx
-                    queue.append((gx, gy))
-        size = sum(1 for p in omega if find(p) == find(alpha))
-        if 1 < size < len(omega):
-            return False
-    return True
+    omega, n = np.array(group.ground_set) - 1, group.degree
+    gens = np.array([p._img for p in group.generators], dtype=np.intp).reshape(-1, n)
+    pairs = (gens[:, :, None] * n + gens[:, None, :]).reshape(len(gens), n * n)
+    orbital = _min_labels(n * n, list(pairs)).reshape(n, n)
+    a = omega[0]
+    through_a = np.array(sorted(set(orbital[a, omega[1:]].tolist())))
+    # edges[o, i, j]: (i, j) or (j, i) lies in orbital o
+    edges = orbital == through_a[:, None, None]
+    edges = edges | edges.transpose(0, 2, 1)
+    reached = np.zeros((len(through_a), n), dtype=bool)
+    reached[:, a] = True
+    while True:
+        grown = reached | (reached[:, :, None] & edges).any(axis=1)
+        if np.array_equal(grown, reached):
+            return bool(reached[:, omega].all())
+        reached = grown
 
 
 # ---------------------------------------------------------------------------

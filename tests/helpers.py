@@ -3,25 +3,33 @@
 The oracles are small and unbudgeted: the coordinate action on one tuple,
 a group relabelled generator by generator, the conjugates of a group over
 all of S_n, the value action on k-tuples of points, the closure at k = 2
-and at any k by sympy's subgroup search, and Burnside's orbit count on
-k^n and thickness, one element at a time.
+and at any k by sympy's subgroup search, Burnside's orbit count on k^n
+and thickness, one element at a time, and the main theorem's shape test
+by building each shape and comparing it with the group.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from permclosure.catalog import catalog_entries, get_group
-from permclosure.classify import wielandt_closure
+from permclosure.classify import FormKind, NonClosedForm, wielandt_closure
 from permclosure.closure import galois_closure
 from permclosure.perm import (
     PermGroup,
     Permutation,
     _lex_ranks,
     _min_labels,
+    alternating_on,
     conjugate,
+    direct_product,
+    full_orbits,
     generate_group,
+    index2_subdirect,
     parse_perm,
+    symmetric_on,
+    viewed_at_degree,
 )
 from permclosure.subgroups import all_subgroups
 from permclosure.tuples import OrbitPartition, TupleSpace
@@ -200,3 +208,82 @@ def containment_by_closures(group: PermGroup, k: int) -> bool:
     """The containment of the closure over k+1 letters in the orbit closure
     on k-tuples of points, by building both closures."""
     return galois_closure(group, k + 1).is_subgroup_of(wielandt_closure(group, k))
+
+
+def _restricted_rows(group: PermGroup, points: tuple[int, ...]) -> np.ndarray:
+    """Image rows of the action on an invariant point set, identity elsewhere."""
+    idx = np.array(points, dtype=np.intp) - 1
+    rows = np.tile(np.arange(group.degree, dtype=group._rows.dtype), (group.order, 1))
+    rows[:, idx] = group._rows[:, idx]
+    return rows
+
+
+def classify_by_rebuilding(group: PermGroup, n: int, k: int, force: bool = False) -> NonClosedForm:
+    """``classify_main`` by building each shape and comparing it with the
+    group: Alt(B) x L, and the gluing of Sym(B) with L over the action on
+    the complement of the elements even on the block.  The projections
+    are every element's restriction, with generators derived; Sym(B) is
+    built whatever the shape."""
+    g = viewed_at_degree(group, n)
+    d = n - k
+    if d < 1:
+        return NonClosedForm(
+            FormKind.PREDICTED_CLOSED, n, k, d, 0,
+            note="alphabet at least the degree; every group is closed there",
+        )
+    threshold = max(2**d, d * d + d)
+    if n <= threshold and not force:
+        return NonClosedForm(
+            FormKind.OUT_OF_THEOREM_RANGE, n, k, d, threshold,
+            note=f"degree {n} is not above the threshold {threshold}",
+        )
+    candidates = [o for o in full_orbits(g, n) if n - len(o) < d]
+    if not candidates:
+        return NonClosedForm(
+            FormKind.PREDICTED_CLOSED, n, k, d, threshold,
+            note="no orbit has complement smaller than the codegree",
+        )
+    block = max(candidates, key=len)
+    note = f"{len(candidates)} candidate blocks; largest chosen" if len(candidates) > 1 else ""
+    complement = tuple(p for p in range(1, n + 1) if p not in set(block))
+
+    def projection(points):
+        return PermGroup._build(n, _restricted_rows(g, points), None, points or None)
+
+    on_block, on_complement = projection(block), projection(complement)
+    bfact = math.factorial(len(block))
+    sym_block = symmetric_on(block, n)
+    if (
+        on_block.order * 2 == bfact
+        and all(p.sign == 1 for p in on_block.generators)
+        and g.order == on_block.order * on_complement.order
+        and direct_product(alternating_on(block, n), on_complement) == g
+    ):
+        return NonClosedForm(
+            FormKind.ALTERNATING_TIMES_L, n, k, d, threshold,
+            block=block, complement=complement, complement_factor=on_complement,
+            predicted_closure=direct_product(sym_block, on_complement),
+            note=note or "alternating on the block times the complement action",
+        )
+    if (
+        on_block.order == bfact
+        and g.order * 2 == bfact * on_complement.order
+        and on_complement.order % 2 == 0
+    ):
+        even = np.isin(_lex_ranks(_restricted_rows(g, block)), alternating_on(block, n)._ranks)
+        half = PermGroup._build(n, _restricted_rows(g, complement)[even], None, complement or None)
+        try:
+            rebuilt = index2_subdirect(sym_block, on_complement, half)
+        except ValueError:  # the half is not of index 2
+            rebuilt = None
+        if rebuilt == g:
+            return NonClosedForm(
+                FormKind.PROPER_SUBDIRECT, n, k, d, threshold,
+                block=block, complement=complement, complement_factor=on_complement,
+                complement_half=half, predicted_closure=direct_product(sym_block, on_complement),
+                note=note or "index-2 gluing of the symmetric block with the complement action",
+            )
+    return NonClosedForm(
+        FormKind.PREDICTED_CLOSED, n, k, d, threshold, block=block, complement=complement,
+        note=note or "block action matches neither shape",
+    )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    classify_by_rebuilding,
     containment_by_closures,
     cyclic_4,
     grp,
@@ -101,6 +102,48 @@ def test_forced_classification_sees_the_gluing():
     assert form.complement_half is not None and form.complement_half.order == 1
     assert form.predicted_closure.order == 240
     assert galois_closure(glued, 4) == form.predicted_closure
+
+
+def _shape_cases():
+    """1,171 (group, degree, k) cases: every class representative of
+    degree 1 to 6 at its degree and one more (up to 7), at every k; the
+    degree-7 panel at every k; and A_8, A_9, A_7 and A_8 with a fixed
+    point, and S_(m-2) glued with S_2 at m = 8, 9, at the four largest k."""
+    for m in range(1, 7):
+        for cls in all_subgroups(m).classes:
+            for n in range(m, min(m + 1, 7) + 1):
+                for k in range(1, n + 1):
+                    yield cls.representative, n, k
+    for _, g in degree7_panel():
+        for k in range(1, 8):
+            yield g, 7, k
+    extra = [alternating_on(range(1, m + 1), n) for m, n in ((8, 8), (9, 9), (7, 8), (8, 9))]
+    extra += [index2_subdirect(symmetric_on(range(1, m - 1), m), symmetric_on((m - 1, m), m),
+                               generate_group([], ground_set=(m - 1, m), degree=m))
+              for m in (8, 9)]
+    for g in extra:
+        for k in range(g.degree - 3, g.degree + 1):
+            yield g, g.degree, k
+
+
+def _shape(form):
+    return (form.kind, form.block, form.complement, form.note, form.complement_factor,
+            form.complement_half, form.predicted_closure)
+
+
+def test_shapes_by_orders_match_the_rebuilt_shapes():
+    """Goursat's order count decides both shapes as building them and
+    comparing with the group does, on every field of the form; groups
+    compare by their elements."""
+    cases = list(_shape_cases())
+    assert len(cases) == 1171
+    kinds = set()
+    for g, n, k in cases:
+        form = classify_main(g, n, k, force=True)
+        assert _shape(form) == _shape(classify_by_rebuilding(g, n, k, force=True)), (g, n, k)
+        kinds.add(form.kind)
+    assert kinds == {FormKind.ALTERNATING_TIMES_L, FormKind.PROPER_SUBDIRECT,
+                     FormKind.PREDICTED_CLOSED}
 
 
 def test_verify_main_agrees_on_the_panel():

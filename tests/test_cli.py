@@ -119,6 +119,7 @@ def test_usage_errors_exit_two(capsys, c4_file):
         ["orbit-equiv", c4_file, c4_file, "-k", "1"],
         ["verify", "--theorem", "main", "-k", "1"],
         ["verify", "--theorem", "main", "--n", "8"],
+        ["verify", "--theorem", "main", "--group", "catalog:A_5", "-k", "3", "--n", "4"],
         ["verify", "--theorem", "seress", "--n", "2"],
         ["verify", "--theorem", "primitive3", "--n", "11"],
         ["verify", "--theorem", "seress"],
@@ -216,6 +217,9 @@ def test_environment_sets_each_budget(monkeypatch):
         with pytest.raises(ValueError, match=kind.env):
             default_budgets()
         monkeypatch.delenv(kind.env)
+    monkeypatch.setenv("PERMCLOSURE_TUPLE_BUDGET", "ten")
+    with pytest.raises(ValueError, match="PERMCLOSURE_TUPLE_BUDGET must be an integer, got 'ten'"):
+        default_budgets()
 
 
 def test_degree_zero_names_are_unknown(capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -1020,6 +1021,13 @@ def test_table_parse_errors_carry_line_numbers():
             FunctionTable.from_text(text)
         assert err.value.line == line, text
         assert fragment in str(err.value)
+
+
+def test_table_refuses_a_degree_of_zero_and_a_short_value_array():
+    with pytest.raises(ValueError, match=re.escape("need n >= 1, k >= 2, m >= 1")):
+        FunctionTable(0, 2, 2, [])
+    with pytest.raises(ValueError, match="value array must have length 8"):
+        FunctionTable(3, 2, 2, [1] * 7)
 
 
 def test_partial_table_without_default_is_rejected():

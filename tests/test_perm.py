@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from permclosure.perm import (
     direct_product,
     extend_degree,
     format_perm,
+    full_orbits,
     generate_group,
     identity,
     index2_subdirect,
@@ -399,6 +401,30 @@ def test_index2_gluing_rejects_bad_shapes():
         index2_subdirect(symmetric_on((1, 2, 3), 5), l, l)
 
 
+def test_index2_gluing_refusals():
+    b, l = symmetric_on((1, 2, 3), 6), symmetric_on((4, 5), 6)
+    trivial = generate_group([], ground_set=(4, 5), degree=6)
+    with pytest.raises(DegreeMismatch, match="all three groups must share a degree"):
+        index2_subdirect(b, l, generate_group([], ground_set=(4, 5), degree=7))
+    with pytest.raises(ValueError, match="^ground sets overlap$"):
+        index2_subdirect(b, symmetric_on((3, 4), 6), trivial)
+    with pytest.raises(ValueError, match="index of the distinguished subgroup is 3, not 2"):
+        index2_subdirect(b, symmetric_on((4, 5, 6), 6), grp(6, "(4 5)"))
+    with pytest.raises(ValueError, match="index-2 part moves points outside the second factor"):
+        index2_subdirect(b, l, generate_group([], ground_set=(4, 5, 6), degree=6))
+
+
+def test_group_construction_refusals():
+    with pytest.raises(ValueError, match="shifted group does not fit inside the degree"):
+        shift_group(cyclic_4(), 1, 4)
+    with pytest.raises(ValueError, match=re.escape("ground set outside 1..2")):
+        generate_group([], ground_set=(0,), degree=2)
+    with pytest.raises(ValueError, match="element list is empty"):
+        PermGroup.from_elements([])
+    with pytest.raises(DegreeMismatch, match="generators have mixed degrees"):
+        generate_group([identity(3), identity(4)])
+
+
 # ---------------------------------------------------------------------------
 # orbits and primitivity
 
@@ -415,6 +441,34 @@ def test_primitivity():
     assert is_primitive(grp(5, "(1 2 3 4 5)", "(2 5)(3 4)"))
     assert is_primitive(alternating_on(range(1, 6), 5))
     assert not is_primitive(grp(6, "(1 2 3)", "(1 4)(2 5)(3 6)"))
+    # ground sets of one and two points, the first with no generators
+    assert is_primitive(generate_group([], ground_set=(2,), degree=3))
+    assert is_primitive(grp(4, "(2 3)"))
+
+
+def test_primitivity_matches_sympy():
+    """Every class representative of degree 2 to 6 transitive on all its
+    points, and every catalog group, against sympy's block search."""
+    from sympy.combinatorics import Permutation as SympyPerm, PermutationGroup
+
+    groups = [cls.representative for n in range(2, 7) for cls in all_subgroups(n).classes]
+    groups = [g for g in groups if g.ground_set == tuple(range(1, g.degree + 1))
+              and is_transitive(g)]
+    groups += [get_group(name) for name in catalog_names()]
+    verdicts = set()
+    for g in groups:
+        sg = PermutationGroup([SympyPerm([v - 1 for v in p.images]) for p in g.generators])
+        verdict = is_primitive(g)
+        assert verdict == sg.is_primitive(randomized=False), g
+        verdicts.add(verdict)
+    assert len(groups) == 49 and verdicts == {False, True}
+
+
+def test_orbit_and_primitivity_refusals():
+    with pytest.raises(ValueError, match="degree smaller than the group's"):
+        full_orbits(cyclic_4(), 3)
+    with pytest.raises(ValueError, match="primitivity is defined for transitive groups only"):
+        is_primitive(grp(4, "(1 2)", "(3 4)"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -537,6 +538,14 @@ def test_content_class_refuses_a_content_that_does_not_fit():
     for content in ((2, 2), (2, 1, 1, 1), (3, 0, 2), (6, -1)):
         with pytest.raises(ValueError):
             ContentClass(5, 3, content)
+
+
+def test_content_class_refuses_a_position_or_a_degree_it_does_not_have():
+    cls = ContentClass(5, 3, (2, 2, 1))
+    with pytest.raises(ValueError, match=re.escape("position 30 outside 0..29")):
+        cls.decode(30)
+    with pytest.raises(DegreeMismatch, match="degree 4 vs arity 5"):
+        cls.coordinate_index_map(identity(4))
 
 
 def test_balanced_class_budget_counts_the_class_before_building_it(monkeypatch):
